@@ -7,7 +7,9 @@ Commands:
     check   parse the KB (and script, if given) and report OK
 
 Exit codes: 0 won / OK; 1 lost or proof search exhausted; 2 usage, parse or
-runtime error; 3 a bound was exceeded (bounded proof search, replica limits).
+runtime error, including input nested too deeply for the interpreter's stack
+and memory exhaustion; 3 a bound was exceeded (bounded proof search, replica
+limits).
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ def main(argv=None) -> int:
         return EXIT_BOUND
     except (ColiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # a deep input overflowed some recursive walk: not a lost game
+        print("error: input nested too deeply (recursion limit reached)",
+              file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

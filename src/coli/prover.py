@@ -14,6 +14,9 @@ the number of replications it may spend:
   only where that is not most general — when the write commits a recurrence,
   or when the output contains negation.
 * Every node attempts elementary closure; success yields the strategy leaf.
+  A closure verdict depends only on the node's canonical position, so each
+  `prove` call remembers the positions whose closure failed and does not
+  try them again, in any deepening iteration.
 
 Failure is `exhausted` when the whole (restricted) space was explored within
 bounds and `bounded` when some branch was cut off by max_depth/max_replicas.
@@ -193,7 +196,15 @@ def _canonical_key(cfg: Configuration):
     and permutations of interchangeable replicas, land on the same key.
     Sound for memoizing failures because a winning continuation from one
     such position maps onto any permuted twin.  Eigenvariables keep their
-    identity (they may span regions)."""
+    identity (they may span regions).
+
+    The same argument makes the key sound for caching closure verdicts:
+    closure by unification is invariant under renaming the global
+    variables of each region apart (no variable is shared between regions,
+    so the renaming is injective overall) and under permuting the replicas
+    of a recurrence (the facts and rules closure collects form a multiset,
+    and its search tries every order).  Two positions with one key are
+    therefore both closable or both not."""
 
     def walk(nid, names):
         node = cfg.nodes[nid]
@@ -237,11 +248,17 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
     with_neg = _output_has_neg(cfg)
 
     edges: dict = {}  # (position key, move signature) -> child position key
+    # position keys whose closure failed; a verdict does not depend on the
+    # budget, so unlike `failed` this is kept across deepening iterations.
+    # Each key maps to itself: a revisited position takes over the stored
+    # key object, so its `failed`/`edges` lookups compare by identity
+    # instead of walking two equal nested tuples
+    unclosable: dict = {}
     for budget in range(bounds.max_replicas + 1):
         flags = {"budget": False, "depth": False}
         failed: set = set()
         found, _key = _search(cfg, 0, budget, restrictions, bounds, flags,
-                              counters, failed, edges, trace_sink,
+                              counters, failed, edges, unclosable, trace_sink,
                               eigen_base=0, with_neg=with_neg)
         if found is not None:
             return ProveResult(found, "", counters["steps"])
@@ -252,7 +269,7 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
 
 
 def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
-            failed, edges, sink, eigen_base, with_neg):
+            failed, edges, unclosable, sink, eigen_base, with_neg):
     counters["steps"] += 1
     wraps: list = []
 
@@ -280,11 +297,14 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
             progressing = True
             break
 
-    result = close_elementary(cfg)
-    if result.ok:
-        return _wrap(wraps, Leaf()), None
-
     key = _canonical_key(cfg)
+    known = unclosable.get(key)
+    if known is not None:
+        key = known
+    else:
+        if close_elementary(cfg).ok:
+            return _wrap(wraps, Leaf()), None
+        unclosable[key] = key
     if key in failed:
         return None, key
 
@@ -301,8 +321,8 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
         if sink:
             sink(move_line(child.trace[-1]))
         sub, child_key = _search(child, depth + 1, next_budget, restrictions,
-                                 bounds, flags, counters, failed, edges, sink,
-                                 eigen_base, with_neg)
+                                 bounds, flags, counters, failed, edges,
+                                 unclosable, sink, eigen_base, with_neg)
         if child_key is not None:
             edges[(key, sig)] = child_key
         if sub is not None:

@@ -32,8 +32,8 @@ from .configuration import (Configuration, Path, ReadMove, ReplicateMove,
                             replicate, resolve_node)
 from .errors import ChannelError, ConfigError, ParseError
 from .parser import TokenStream, tokenize
-from .prover import (Bounds, EnvBranch, Leaf, Restriction, Step, Strategy,
-                     prove, validate_restrictions)
+from .prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction, Step,
+                     Strategy, prove, validate_restrictions)
 from .solver import Substitution, close_elementary
 from .terms import Num, Term, subst_const
 
@@ -349,7 +349,7 @@ class ScriptEnv:
     channel: object
     variables: dict = field(default_factory=dict)
     restrictions: list = field(default_factory=list)
-    pending: Strategy | None = None
+    pending: ProveResult | None = None  # a won prove awaiting execute
     bounds: Bounds = field(default_factory=Bounds)
     trace_sink: object = None
 
@@ -360,7 +360,7 @@ class Outcome:
     reason: str = ""
     subst: Substitution | None = None
     result: F.Formula | None = None
-    steps: int = 0
+    steps: int = 0  # search nodes of the prove that decided the game
 
     @property
     def won(self) -> bool:
@@ -419,12 +419,14 @@ def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
         result = prove(cfg, env.restrictions, env.bounds, env.trace_sink)
         if not result.ok:
             return Outcome("lost", result.reason, steps=result.steps), cfg
-        env.pending = result.strategy
+        env.pending = result
         return None, cfg
     if isinstance(stmt, ExecuteStmt):
         if env.pending is not None:
-            strategy, env.pending = env.pending, None
-            return execute_strategy(strategy, cfg, env)
+            proved, env.pending = env.pending, None
+            outcome, cfg = execute_strategy(proved.strategy, cfg, env)
+            outcome.steps = proved.steps
+            return outcome, cfg
         closed = close_elementary(cfg)
         if closed.ok:
             return Outcome("won", subst=closed.subst, result=closed.output), cfg

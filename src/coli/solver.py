@@ -8,6 +8,7 @@ no arithmetic constraint solving: ``W+1`` never unifies with ``3``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import formulas as F
@@ -197,7 +198,8 @@ def close_elementary(cfg) -> ClosureResult:
     ground-evaluated consequent.  The search backtracks over which facts feed
     which rules, and succeeds as soon as the output formula is classically
     satisfied by the derived facts (conjunction: all parts, disjunction: one
-    part, atoms by unification).
+    part, atoms by unification).  Search states are memoized on structural
+    keys: multisets of atoms with the current substitution applied.
     """
     blocker = _interactive_blocker(cfg)
     if blocker:
@@ -263,9 +265,6 @@ def close_elementary(cfg) -> ClosureResult:
             return
         raise _NotElementary(f"output is not elementary: {F.pretty(f)}")
 
-    def canon(facts, s):
-        return tuple(sorted(F.pretty(s.apply_formula(a)) for a in facts))
-
     def canon_rule(ri, s):
         # interchangeable replicas must collide: rename each rule's private
         # variables locally, keep shared ones literal
@@ -281,18 +280,15 @@ def close_elementary(cfg) -> ClosureResult:
             return t
 
         ante, cons = acc.rules[ri]
-        rendered = []
-        for atom in ante + cons:
-            applied = F.Atom(atom.pred, tuple(blind(s.apply(t)) for t in atom.args))
-            rendered.append(F.pretty(applied))
-        return "&".join(rendered)
+        return tuple(F.Atom(atom.pred, tuple(blind(s.apply(t)) for t in atom.args))
+                     for atom in ante + cons)
 
     def dfs(facts, unfired, s, fired):
         hit = next(sat(out, s, facts), None)
         if hit is not None:
             return hit
-        key = (tuple(sorted(canon_rule(ri, s) for ri in unfired)),
-               canon(facts, s))
+        key = (_multiset(canon_rule(ri, s) for ri in unfired),
+               _multiset(s.apply_formula(a) for a in facts))
         if key in visited:
             return None
         visited.add(key)
@@ -305,8 +301,8 @@ def close_elementary(cfg) -> ClosureResult:
                            for c in cons]
                 fresh_bound = set(s2.bindings) - set(s.bindings)
                 if not fresh_bound & shared_gvars:
-                    seen = set(canon(facts, s2))
-                    if all(F.pretty(s2.apply_formula(d)) in seen for d in derived):
+                    seen = {s2.apply_formula(a) for a in facts}
+                    if all(s2.apply_formula(d) in seen for d in derived):
                         continue  # re-derives known facts, binds nothing shared
                 rest = unfired[:pos] + unfired[pos + 1:]
                 found = dfs(facts + derived, rest, s2, fired + 1)
@@ -321,6 +317,11 @@ def close_elementary(cfg) -> ClosureResult:
     if final is None:
         return ClosureResult(False, reason="no derivation covers the output")
     return ClosureResult(True, subst=final, output=final.apply_formula(out))
+
+
+def _multiset(items) -> frozenset:
+    """Hashable, order-blind and count-keeping: a memo key for a bag."""
+    return frozenset(Counter(items).items())
 
 
 def _match_all(atoms, facts, s):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from coli import cli
 from coli.cli import main
 
 from conftest import data_path, data_text
@@ -173,6 +174,19 @@ def test_check_broken_script_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "--kb", data_path("fact.kb"),
                            "--script", str(bad))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_interpreter_exhaustion_exits_2(capsys, monkeypatch, exc):
+    def handler(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "cmd_prove", handler)
+    code, out, err = run_cli(capsys, "prove", "--kb", data_path("fact.kb"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_query_flag_overrides_kb(capsys):

@@ -3,6 +3,7 @@ determinism, and soundness of returned strategies."""
 
 import pytest
 
+from coli import prover
 from coli.configuration import (Path, ReplicateMove, WriteMove, apply_read,
                                 init_configuration, legal_moves)
 from coli.directories import load_kb
@@ -11,6 +12,7 @@ from coli.prover import (Bounds, EnvBranch, Leaf, Restriction, Step, prove,
                          render_strategy, strategy_moves, term_universe,
                          validate_restrictions)
 from coli.scripts import ListChannel, ScriptEnv, execute_strategy
+from coli.solver import close_elementary
 from coli.formulas import pretty
 from coli.terms import Const, Num
 
@@ -186,3 +188,32 @@ def test_render_strategy_mentions_moves():
     text = render_strategy(result.strategy)
     assert "write /query" in text
     assert text.strip().endswith("close")
+
+
+@pytest.mark.parametrize("n,closures,steps", [(4, 10, 29), (8, 18, 89),
+                                              (12, 26, 181)])
+def test_closure_runs_once_per_position(monkeypatch, n, closures, steps):
+    # iterative deepening revisits positions, but each distinct canonical
+    # position is closed at most once per prove call
+    keys = []
+
+    def counting(cfg):
+        keys.append(prover._canonical_key(cfg))
+        return close_elementary(cfg)
+
+    monkeypatch.setattr(prover, "close_elementary", counting)
+    result = prove(_fact_after_read(n))
+    assert result.ok and result.steps == steps
+    assert len(keys) == len(set(keys)) == closures
+    replicas = [m for m in strategy_moves(result.strategy)
+                if isinstance(m, ReplicateMove)]
+    assert len(replicas) == n
+    assert {str(m.path) for m in replicas} == {"/d"}
+
+
+@pytest.mark.parametrize("replicas,steps", [(4, 66), (8, 304), (16, 1820)])
+def test_closure_cache_keeps_search_nodes(replicas, steps):
+    table = load_kb(data_text("q.kb"))
+    result = prove(init_configuration(table), (), Bounds(max_replicas=replicas))
+    assert result.reason == "bounded"
+    assert result.steps == steps

@@ -91,6 +91,12 @@ def test_script_equivalence_result_and_bindings():
         assert full.subst.bindings == short.subst.bindings
 
 
+def test_won_prove_reports_its_steps():
+    outcome, _, _ = run_game("fact.kb", "fact_short.coli", [4])
+    assert outcome.won
+    assert outcome.steps == 29
+
+
 def test_restricted_q_script_loses_exhausted():
     outcome, _, _ = run_game("q.kb", "q_restricted.coli", [])
     assert not outcome.won
