@@ -2,8 +2,13 @@
 
 Services are kept in one node store so that moves can rewrite a single node
 (peeling a quantifier) while leaving every other address stable.  A node
-with in-degree > 1 is a shared (cirquent) node and is read-only: any move
-that would rewrite it is rejected.
+with in-degree > 1 in a service's expansion is a shared (cirquent) node;
+the configuration records these once, when it imports the services.  A
+shared node and everything below it are read-only: moves never enter one
+(`legal_moves` does not list them and a path into one raises
+`SharedNodeError`), and replicas point at shared nodes instead of copying
+them.  A shared node is ground, because only ground references are expanded,
+so substitutions pass it by.
 
 Polarity is positional: on the output side ``@`` belongs to the environment
 and ``#`` to the machine; the input side flips, as does descending through
@@ -87,6 +92,7 @@ class Configuration:
         self.sides: dict[str, str] = {}
         self.output: str = ""
         self.replicas: dict[int, dict[int, int]] = {}
+        self.shared: frozenset[int] = frozenset()
         self.gvars: list[str] = []
         self.trace: list[Move] = []
         self.next_node = 0
@@ -100,6 +106,7 @@ class Configuration:
         out.sides = dict(self.sides)
         out.output = self.output
         out.replicas = {k: dict(v) for k, v in self.replicas.items()}
+        out.shared = self.shared
         out.gvars = list(self.gvars)
         out.trace = list(self.trace)
         out.next_node = self.next_node
@@ -150,7 +157,8 @@ class Configuration:
                          for name, root in self.roots.items())
         return services, tuple(self.gvars)
 
-    def _import_graph(self, graph: FormulaGraph) -> int:
+    def _import_graph(self, graph: FormulaGraph) -> dict:
+        """Copy the graph's nodes into the store; returns the renumbering."""
         mapping = {}
         for old in sorted(graph.nodes):  # children precede parents
             node = graph.nodes[old]
@@ -160,7 +168,7 @@ class Configuration:
                                                pred=node.pred, args=node.args,
                                                var=node.var)
             self.next_node += 1
-        return mapping[graph.root]
+        return mapping
 
 
 def init_configuration(table: DirectoryTable, input_names=None,
@@ -175,12 +183,17 @@ def init_configuration(table: DirectoryTable, input_names=None,
     cfg = Configuration()
     cfg.replica_limit = replica_limit
     cfg.output = output_name
+    shared: set[int] = set()
     for name in list(input_names) + [output_name]:
         if name not in table.defs:
             raise ConfigError(f"undefined service /{name}")
         graph = expand(table, F.DirRef(name))
-        cfg.roots[name] = cfg._import_graph(graph)
+        mapping = cfg._import_graph(graph)
+        cfg.roots[name] = mapping[graph.root]
         cfg.sides[name] = "output" if name == output_name else "input"
+        shared.update(mapping[nid] for nid, degree in graph.in_degrees().items()
+                      if degree > 1)
+    cfg.shared = frozenset(shared)
     return cfg
 
 
@@ -191,7 +204,8 @@ def _resolve(cfg: Configuration, path: Path, create: bool):
 
     Integer segments index structural children (1-based) except at a
     recurrence, where they name replicas; with `create`, missing replicas
-    are created on demand (recording the implicit replicate move).
+    are created on demand (recording the implicit replicate move).  A path
+    that enters a shared node raises SharedNodeError.
     """
     if path.dir not in cfg.roots:
         raise ConfigError(f"unknown service in path {path}")
@@ -220,6 +234,9 @@ def _resolve(cfg: Configuration, path: Path, create: bool):
                 sign = -sign
             cur = kids[seg - 1]
         consumed.append(seg)
+        if cur in cfg.shared:
+            raise SharedNodeError(f"{Path(path.dir, tuple(consumed))} is a "
+                                  "shared node and read-only")
     return cfg, cur, sign
 
 
@@ -239,66 +256,37 @@ def _is_machine(op: str, sign: int) -> bool:
 
 # node rewriting -------------------------------------------------------
 
-def _in_degrees(cfg: Configuration) -> dict:
-    roots = list(cfg.roots.values())
-    for reps in cfg.replicas.values():
-        roots.extend(reps.values())
-    degrees: dict[int, int] = {}
-    stack = list(roots)
-    seen = set()
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        degrees.setdefault(nid, 0)
-        for c in cfg.nodes[nid].children:
-            degrees[c] = degrees.get(c, 0) + 1
-            stack.append(c)
-    return degrees
-
-
-def _subst_nodes(cfg: Configuration, nid: int, var: str, value: Term,
-                 degrees: dict, memo: dict) -> bool:
-    """In-place substitution below nid; returns whether var occurred free."""
-    if nid in memo:
-        return memo[nid]
+def _subst_nodes(cfg: Configuration, nid: int, var: str, value: Term):
+    """In-place substitution of value for the free var below nid."""
+    if nid in cfg.shared:
+        return
     node = cfg.nodes[nid]
     if node.op == "atom":
-        has = any(var in term_vars(t) for t in node.args)
-        if has:
-            if degrees.get(nid, 0) > 1:
-                raise SharedNodeError(
-                    f"cannot rewrite shared node {F.pretty(F.Atom(node.pred, node.args))}")
+        if any(var in term_vars(t) for t in node.args):
             cfg.nodes[nid] = GNode("atom", pred=node.pred,
                                    args=tuple(subst_var(t, var, value)
                                               for t in node.args))
-        memo[nid] = has
-        return has
+        return
     if node.op in ("all", "exists") and node.var == var:
-        memo[nid] = False
-        return False
-    has = False
+        return
     for c in node.children:
-        has = _subst_nodes(cfg, c, var, value, degrees, memo) or has
+        _subst_nodes(cfg, c, var, value)
     if node.op == "recur":
         for _, rep in sorted(cfg.replicas.get(nid, {}).items()):
-            has = _subst_nodes(cfg, rep, var, value, degrees, memo) or has
-    if has and degrees.get(nid, 0) > 1:
-        raise SharedNodeError("cannot rewrite below a shared node")
-    memo[nid] = has
-    return has
+            _subst_nodes(cfg, rep, var, value)
 
 
 def _peel(cfg: Configuration, nid: int, value: Term):
-    """Replace the quantifier node at nid by its body with value substituted."""
-    degrees = _in_degrees(cfg)
-    if degrees.get(nid, 0) > 1:
-        raise SharedNodeError(f"cannot rewrite shared node at n{nid}")
+    """Replace the quantifier node at nid by its body with value substituted.
+
+    A shared body is copied into nid unchanged; nid and the body's children,
+    which now have two parents, become shared too."""
     node = cfg.nodes[nid]
     body = node.children[0]
-    _subst_nodes(cfg, body, node.var, value, degrees, {})
+    _subst_nodes(cfg, body, node.var, value)
     cfg.nodes[nid] = cfg.nodes[body]
+    if body in cfg.shared:
+        cfg.shared |= {nid, *cfg.nodes[body].children}
 
 
 # moves ----------------------------------------------------------------
@@ -349,9 +337,9 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
                               "replicate instead")
         if out.replicas.get(nid):
             raise ConfigError(f"{path} already has replicas; write inside one")
-        degrees = _in_degrees(out)
-        if degrees.get(nid, 0) > 1:
-            raise SharedNodeError(f"cannot rewrite shared node at {path}")
+        if node.children[0] in out.shared:
+            raise SharedNodeError(f"recurrence body at {path} is a shared "
+                                  "node and read-only")
         body = out.nodes[node.children[0]]
         if body.op not in ("all", "exists") or not _is_machine(body.op, sign):
             raise ConfigError(f"recurrence body at {path} has no machine quantifier")
@@ -375,7 +363,8 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
 
 
 def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
-    """Create replica `index` of the recurrence at path as a fresh copy."""
+    """Create replica `index` of the recurrence at path as a fresh copy of its
+    unshared nodes; the copy points at the same shared nodes."""
     cfg, nid, _sign = _resolve(cfg, path, create=False)
     node = cfg.nodes[nid]
     if node.op != "recur":
@@ -388,18 +377,16 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
     if len(reps) >= cfg.replica_limit or index > cfg.replica_limit:
         raise BoundError(f"replica limit {cfg.replica_limit} exceeded at {path}")
     out = cfg._clone()
-    mapping: dict[int, int] = {}
 
     def copy(old: int) -> int:
-        if old in mapping:
-            return mapping[old]
+        if old in out.shared:
+            return old
         n = out.nodes[old]
         kids = tuple(copy(c) for c in n.children)
         new = out.next_node
         out.next_node += 1
         out.nodes[new] = GNode(n.op, children=kids, pred=n.pred,
                                args=n.args, var=n.var)
-        mapping[old] = new
         return new
 
     out.replicas.setdefault(nid, {})[index] = copy(node.children[0])
@@ -412,10 +399,13 @@ def legal_moves(cfg: Configuration) -> list[MoveOption]:
 
     Quantifiers stay inactive while an ancestor quantifier or an
     unreplicated recurrence shields them; replicas open a recurrence up.
+    Shared nodes are read-only, so the walk does not enter them.
     """
     options: list[MoveOption] = []
 
     def walk(name, nid, sign, segs):
+        if nid in cfg.shared:
+            return
         node = cfg.nodes[nid]
         if node.op in ("and", "or", "implies"):
             for i, c in enumerate(node.children, start=1):
@@ -428,7 +418,7 @@ def legal_moves(cfg: Configuration) -> list[MoveOption]:
             options.append(MoveOption(kind, Path(name, segs), cfg.sides[name]))
         elif node.op == "recur":
             reps = cfg.replicas.get(nid, {})
-            if sign > 0 and not reps:
+            if sign > 0 and not reps and node.children[0] not in cfg.shared:
                 body = cfg.nodes[node.children[0]]
                 if body.op in ("all", "exists") and _is_machine(body.op, sign):
                     options.append(MoveOption("write", Path(name, segs),

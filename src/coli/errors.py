@@ -37,7 +37,8 @@ class ConfigError(ColiError):
 
 
 class SharedNodeError(ConfigError):
-    """A move tried to rewrite a node with in-degree > 1."""
+    """A move path entered a shared node (in-degree > 1), which is read-only
+    with everything below it."""
 
 
 class BoundError(ColiError):

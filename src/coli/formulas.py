@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
 from .terms import Term, Var, pretty_term, subst_var, term_vars
 
 
@@ -80,7 +79,7 @@ _UNARY = (Neg, All, Exists, Recur)
 
 
 def children(f: Formula) -> tuple:
-    """Child subformulas, in address order (1-based for locate)."""
+    """Child subformulas, in address order (path segments count from 1)."""
     if isinstance(f, (And, Or, Implies)):
         return (f.left, f.right)
     if isinstance(f, (Neg, All, Exists, Recur)):
@@ -149,31 +148,6 @@ def _fresh_name(base: str, avoid: set) -> str:
     while f"{base}{i}" in avoid:
         i += 1
     return f"{base}{i}"
-
-
-def locate(f: Formula, segments) -> Formula:
-    """The subformula at a 1-based child path; [] addresses the root."""
-    cur = f
-    for seg in segments:
-        kids = children(cur)
-        if not 1 <= seg <= len(kids):
-            raise ConfigError(
-                f"no child {seg} at {pretty(cur)} (has {len(kids)})")
-        cur = kids[seg - 1]
-    return cur
-
-
-def replace_at(f: Formula, segments, new: Formula) -> Formula:
-    """f with the subformula at `segments` swapped for `new`."""
-    if not segments:
-        return new
-    seg = segments[0]
-    kids = children(f)
-    if not 1 <= seg <= len(kids):
-        raise ConfigError(f"no child {seg} at {pretty(f)}")
-    kids = list(kids)
-    kids[seg - 1] = replace_at(kids[seg - 1], segments[1:], new)
-    return with_children(f, tuple(kids))
 
 
 # Precedence levels for printing; parenthesize any child that binds

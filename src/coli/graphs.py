@@ -2,7 +2,8 @@
 
 A pure copy expansion is a tree; a shared directory reference makes the
 referenced node the child of several parents (in-degree > 1), which is how
-cirquent-style sharing is represented.
+cirquent-style sharing is represented.  A game configuration records these
+nodes once, when it imports the graph, and treats each as read-only.
 """
 
 from __future__ import annotations
@@ -29,6 +30,30 @@ class GNode:
             return f"{glyph}{self.var}"
         return {"neg": "~", "and": "/\\", "or": "\\/", "implies": "->",
                 "recur": "$"}[self.op]
+
+
+def preorder(nodes: dict, roots, replicas: dict | None = None):
+    """Yield the node ids reachable from roots, depth-first preorder, each once.
+
+    Children are visited left to right; with a replica map (recurrence id ->
+    {index: replica root}), a recurrence's replicas follow its children in
+    index order.  The walk keeps an explicit stack, so depth costs no
+    interpreter frames.
+    """
+    seen: set[int] = set()
+    stack = list(roots)
+    stack.reverse()
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        yield nid
+        kids = nodes[nid].children
+        reps = replicas.get(nid) if replicas else None
+        if reps:
+            kids = kids + tuple(reps[idx] for idx in sorted(reps))
+        stack.extend(reversed(kids))
 
 
 @dataclass
@@ -68,22 +93,7 @@ class FormulaGraph:
     def reachable(self, roots=None) -> list:
         """Node ids reachable from the given roots (default: the root), preorder,
         visiting each shared node once."""
-        if roots is None:
-            roots = [self.root]
-        seen: list[int] = []
-        seen_set: set[int] = set()
-
-        def walk(nid):
-            if nid in seen_set:
-                return
-            seen_set.add(nid)
-            seen.append(nid)
-            for c in self.nodes[nid].children:
-                walk(c)
-
-        for r in roots:
-            walk(r)
-        return seen
+        return list(preorder(self.nodes, [self.root] if roots is None else roots))
 
     def in_degrees(self, roots=None) -> dict:
         degrees = {nid: 0 for nid in self.reachable(roots)}
@@ -109,3 +119,4 @@ class FormulaGraph:
             suffix = f" children=[{kids}]" if kids else ""
             lines.append(f"n{nid}: {node.label()} in={degrees[nid]}{suffix}")
         return "\n".join(lines)
+

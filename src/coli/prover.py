@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
                             legal_moves, move_line, peel_env_symbolic, replicate)
 from .errors import ConfigError
+from .graphs import preorder
 from .solver import close_elementary
 from .terms import App, Const, GVar, Num, Term, Var
 
@@ -137,20 +138,9 @@ def term_universe(cfg: Configuration) -> list:
             for a in t.args:
                 scan(a)
 
-    roots = list(cfg.roots.values())
-    for reps in cfg.replicas.values():
-        roots.extend(reps.values())
-    seen = set()
-    stack = list(roots)
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        node = cfg.nodes[nid]
-        for t in node.args:
+    for nid in preorder(cfg.nodes, cfg.roots.values(), cfg.replicas):
+        for t in cfg.nodes[nid].args:
             scan(t)
-        stack.extend(node.children)
     universe: list = [Num(0)]
     universe += [Num(v) for v in sorted(nums) if v != 0]
     universe += [Const(n) for n in sorted(consts)]
@@ -171,19 +161,9 @@ def _priority(restrictions, path: Path, rule: str) -> int:
 
 
 def _output_has_neg(cfg: Configuration) -> bool:
-    def walk(nid, seen):
-        if nid in seen:
-            return False
-        seen.add(nid)
-        node = cfg.nodes[nid]
-        if node.op == "neg":
-            return True
-        kids = list(node.children)
-        if node.op == "recur":
-            kids += list(cfg.replicas.get(nid, {}).values())
-        return any(walk(k, seen) for k in kids)
-
-    return walk(cfg.roots[cfg.output], set())
+    return any(cfg.nodes[nid].op == "neg"
+               for nid in preorder(cfg.nodes, [cfg.roots[cfg.output]],
+                                   cfg.replicas))
 
 
 def _canonical_key(cfg: Configuration):

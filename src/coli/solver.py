@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import formulas as F
+from .graphs import preorder
 from .terms import (ARITH_FNS, App, GVar, Num, Term, Var, pretty_term,
                     subst_gvar, term_gvars)
 
@@ -166,25 +167,17 @@ def _interactive_blocker(cfg) -> str | None:
     """Cheap graph walk: the first quantifier or recurrence still in play,
     or None when the configuration is elementary up to global variables.
     Recurrence roots of input services are skipped; their replicas count."""
-    def scan(nid, seen):
-        if nid in seen:
-            return None
-        seen.add(nid)
-        node = cfg.nodes[nid]
-        if node.op in ("all", "exists", "recur"):
-            return node.op
-        for c in node.children:
-            found = scan(c, seen)
-            if found:
-                return found
+    def first_live(roots):
+        for nid in preorder(cfg.nodes, roots):
+            op = cfg.nodes[nid].op
+            if op in ("all", "exists", "recur"):
+                return op
         return None
 
-    seen: set = set()
-    for root, _index in cfg.input_contents():
-        found = scan(root, seen)
-        if found:
-            return f"input replica holds a live {found}"
-    found = scan(cfg.root_of(cfg.output), set())
+    found = first_live([root for root, _index in cfg.input_contents()])
+    if found:
+        return f"input replica holds a live {found}"
+    found = first_live([cfg.root_of(cfg.output)])
     if found:
         return f"output holds a live {found}"
     return None
@@ -230,7 +223,7 @@ def close_elementary(cfg) -> ClosureResult:
     outside = set()
     for f in acc.facts:
         outside |= _formula_gvars(f)
-    outside |= _formula_gvars(cfg.formula_at(cfg.root_of(cfg.output)))
+    outside |= _formula_gvars(out)
     for i, mine in enumerate(per_rule):
         others = outside.union(*(per_rule[:i] + per_rule[i + 1:])) \
             if len(per_rule) > 1 else outside

@@ -79,6 +79,28 @@ def test_prove_command_bounded(capsys):
     assert out.startswith("PROVE fail reason=bounded")
 
 
+def test_prove_shared_quantifier_is_exhausted(capsys, tmp_path):
+    # the shared #x is read-only, so no move exists and closure fails
+    kb = tmp_path / "shared.kb"
+    kb.write_text("/m = #x. p(x)\n/o = /m /\\ /m\nquery /o\n")
+    code, out, err = run_cli(capsys, "prove", "--kb", str(kb))
+    assert code == 1
+    assert out == "PROVE fail reason=exhausted steps=1\n"
+    assert err == ""
+
+
+def test_deep_prove_subprocess(tmp_path):
+    # 330 nested conjunctions: every walk of a prove fits the default stack
+    kb = tmp_path / "deep.kb"
+    kb.write_text(data_text("rec.kb") + "/query = /m(330)\nquery /query\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "coli", "prove", "--kb", str(kb)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
+    assert proc.stderr == ""
+
+
 def test_expand_recursive(capsys):
     code, out, _ = run_cli(capsys, "expand", "--kb", data_path("rec.kb"),
                            "/m(s(s(s(0))))")

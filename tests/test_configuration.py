@@ -1,5 +1,7 @@
 """Game-state moves: polarity checks, replication, the replay property."""
 
+from collections import Counter
+
 import pytest
 
 from coli.configuration import (Path, ReadMove, ReplicateMove, WriteMove,
@@ -11,6 +13,12 @@ from coli.formulas import Atom, Exists, Implies, pretty
 from coli.terms import GVar, Num, app
 
 from conftest import data_text, run_game
+
+
+# a shared node holding a machine quantifier, beside an unshared one
+SHARED_KB = "/m = p /\\ #x. q(x)\n/o = /m /\\ /m /\\ #y. r(y)\nquery /o\n"
+# an output recurrence whose body is a shared machine quantifier
+SHARED_RECUR_KB = "/m = #x. p(x)\n/o = $ /m /\\ /m\nquery /o\n"
 
 
 def out_formula(cfg):
@@ -143,50 +151,130 @@ def test_shared_node_is_read_only():
         apply_write(cfg, Path("o", (1,)))
 
 
-def _all_paths(cfg, max_extra=2):
-    """Every structural address of the configuration, replicas included."""
+def test_recurrence_over_a_shared_body():
+    # the body is neither collapsed into nor copied: replicas point at it
+    cfg = init_configuration(load_kb(SHARED_RECUR_KB), input_names=[])
+    assert [(o.kind, str(o.path)) for o in legal_moves(cfg)] == \
+        [("replicate", "/o.1")]
+    with pytest.raises(SharedNodeError):
+        apply_write(cfg, Path("o", (1,)))
+    cfg = replicate(cfg, Path("o", (1,)), 1)
+    recur = cfg.nodes[cfg.root_of("o")].children[0]
+    assert cfg.replicas[recur][1] == cfg.nodes[recur].children[0]
+    with pytest.raises(SharedNodeError):
+        apply_write(cfg, Path("o", (1, 1)))
+
+
+def _all_paths(cfg, inside_shared=False):
+    """Every structural address of the configuration, replicas included;
+    with `inside_shared`, only those at or below a shared node."""
     paths = []
 
-    def walk(name, nid, segs, depth):
-        paths.append(Path(name, segs))
+    def walk(name, nid, segs, depth, below):
+        below = below or nid in cfg.shared
+        if below or not inside_shared:
+            paths.append(Path(name, segs))
         if depth > 6:
             return
         node = cfg.nodes[nid]
         if node.op == "recur":
             for idx, rep in sorted(cfg.replicas.get(nid, {}).items()):
-                walk(name, rep, segs + (idx,), depth + 1)
+                walk(name, rep, segs + (idx,), depth + 1, below)
         else:
             for i, child in enumerate(node.children, start=1):
-                walk(name, child, segs + (i,), depth + 1)
+                walk(name, child, segs + (i,), depth + 1, below)
 
     for name, root in cfg.roots.items():
-        walk(name, root, (), 0)
+        walk(name, root, (), 0, False)
     return paths
 
 
 def test_every_legal_move_applies_and_others_fail(fact_config):
     # exhaustively: applying (kind, path) succeeds exactly when listed
     cfg = apply_read(fact_config, Path("query"), 1, "n")
-    cfg = apply_write(cfg, Path("d", (1,)))
-    listed = {(o.kind, o.path): o for o in legal_moves(cfg)}
-    for path in _all_paths(cfg):
-        for kind in ("read", "write", "replicate"):
-            def attempt():
-                if kind == "write":
-                    # disable on-demand replication so unlisted paths fail
-                    return apply_write(cfg, path)
-                if kind == "read":
-                    return apply_read(cfg, path, 0, "v")
-                return replicate(cfg, path, listed.get((kind, path),
-                                                       None).index
-                                 if (kind, path) in listed else 1)
-            if (kind, path) in listed:
-                attempt()
-            else:
-                with pytest.raises(ConfigError):
+    fact_midgame = apply_write(cfg, Path("d", (1,)))
+    shared = [init_configuration(load_kb(kb))
+              for kb in (SHARED_KB, SHARED_RECUR_KB)]
+    for cfg in [fact_midgame] + shared:
+        listed = {(o.kind, o.path): o for o in legal_moves(cfg)}
+        for path in _all_paths(cfg):
+            for kind in ("read", "write", "replicate"):
+                def attempt():
+                    if kind == "write":
+                        # disable on-demand replication so unlisted paths fail
+                        return apply_write(cfg, path)
+                    if kind == "read":
+                        return apply_read(cfg, path, 0, "v")
+                    return replicate(cfg, path, listed.get((kind, path),
+                                                           None).index
+                                     if (kind, path) in listed else 1)
+                if (kind, path) in listed:
                     attempt()
-    with pytest.raises(ConfigError):
-        apply_read(cfg, Path("nosuch"), 0, "v")
+                else:
+                    with pytest.raises(ConfigError):
+                        attempt()
+        with pytest.raises(ConfigError):
+            apply_read(cfg, Path("nosuch"), 0, "v")
+
+
+def _in_degrees(cfg):
+    """Parents of every node reachable from the service roots, replica
+    edges of a recurrence included, counted without the library's walks."""
+    degrees = Counter()
+    seen = set()
+    stack = list(cfg.roots.values())
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        node = cfg.nodes[nid]
+        kids = list(node.children)
+        if node.op == "recur":
+            kids += cfg.replicas.get(nid, {}).values()
+        for kid in kids:
+            degrees[kid] += 1
+            stack.append(kid)
+    return degrees
+
+
+def _check_shared(cfg, first_seen):
+    degrees = _in_degrees(cfg)
+    assert {nid for nid, d in degrees.items() if d > 1} <= cfg.shared
+    for nid in cfg.shared:
+        assert cfg.nodes[nid] == first_seen.setdefault(nid, cfg.nodes[nid])
+    for path in _all_paths(cfg, inside_shared=True):
+        with pytest.raises(SharedNodeError):
+            apply_write(cfg, path)
+
+
+def _explore(cfg, depth, first_seen):
+    """Apply every legal move sequence up to depth, checking each state."""
+    _check_shared(cfg, first_seen)
+    if depth == 0:
+        return
+    for opt in legal_moves(cfg):
+        if opt.kind == "read":
+            child = apply_read(cfg, opt.path, 1, "v")
+        elif opt.kind == "write":
+            child = apply_write(cfg, opt.path)
+        else:
+            child = replicate(cfg, opt.path, opt.index)
+        _explore(child, depth - 1, first_seen)
+
+
+@pytest.mark.parametrize("kb,query", [
+    (data_text("fact.kb"), None), (data_text("ident.kb"), None),
+    (data_text("q.kb"), None), (data_text("dirs.kb"), "o"),
+    (data_text("dirs.kb"), "n"), (SHARED_KB, None),
+    # peeling #x copies the shared #y into /o.1, which must turn read-only
+    ("/m = #y. p(y)\n/o = (#x. /m) /\\ /m\nquery /o\n", None),
+], ids=["fact", "ident", "q", "dirs-o", "dirs-n", "shared", "shared-body"])
+def test_shared_nodes_stay_read_only(kb, query):
+    # the shared set covers every node with two parents, shared nodes never
+    # change, and no write reaches inside one, along every move sequence
+    table = load_kb(kb)
+    _explore(init_configuration(table, output_name=query), 4, {})
 
 
 def test_gvar_count_matches_fresh_writes():

@@ -1,12 +1,8 @@
-"""Substitution and subformula addressing."""
+"""Substitution and free variables."""
 
 import random
 
-import pytest
-
-from coli.errors import ConfigError
-from coli.formulas import (All, Atom, Exists, Implies, Or, Recur, free_vars,
-                           locate, pretty, replace_at, substitute)
+from coli.formulas import All, Atom, Exists, Implies, free_vars, substitute
 from coli.parser import parse_formula
 from coli.terms import Const, Num, Var, app
 
@@ -54,26 +50,3 @@ def test_free_vars():
     assert free_vars(parse_formula("@x. p(x,y)")) == set()
 
 
-def test_locate_examples():
-    f = Or(Recur(Exists("x", Atom("p", (Var("x"),)))), Atom("q", (Const("a"),)))
-    assert locate(f, [1]) == Recur(Exists("x", Atom("p", (Var("x"),))))
-    assert locate(f, []) == f
-    g = Implies(Atom("a"), Atom("b"))
-    assert locate(g, [2]) == Atom("b")
-
-
-def test_locate_out_of_range():
-    with pytest.raises(ConfigError):
-        locate(Atom("p"), [1])
-    with pytest.raises(ConfigError):
-        locate(Implies(Atom("a"), Atom("b")), [3])
-
-
-def test_replace_at_then_relocate():
-    f = parse_formula("p /\\ (q \\/ r)")
-    g = replace_at(f, [2, 1], Atom("s"))
-    assert locate(g, [2, 1]) == Atom("s")
-    assert pretty(g) == "p /\\ (s \\/ r)"
-    # untouched addresses stay stable
-    assert locate(g, [1]) == locate(f, [1])
-    assert locate(g, [2, 2]) == locate(f, [2, 2])
