@@ -205,7 +205,8 @@ def _resolve(cfg: Configuration, path: Path, create: bool):
     Integer segments index structural children (1-based) except at a
     recurrence, where they name replicas; with `create`, missing replicas
     are created on demand (recording the implicit replicate move).  A path
-    that enters a shared node raises SharedNodeError.
+    that enters a shared node raises SharedNodeError; one that steps into
+    the body of a quantifier not yet played raises ConfigError.
     """
     if path.dir not in cfg.roots:
         raise ConfigError(f"unknown service in path {path}")
@@ -237,6 +238,9 @@ def _resolve(cfg: Configuration, path: Path, create: bool):
         if cur in cfg.shared:
             raise SharedNodeError(f"{Path(path.dir, tuple(consumed))} is a "
                                   "shared node and read-only")
+        if node.op in ("all", "exists"):
+            raise ConfigError(f"{Path(path.dir, tuple(consumed[:-1]))} is a "
+                              "quantifier not yet played; its body has no path")
     return cfg, cur, sign
 
 

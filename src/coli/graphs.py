@@ -102,13 +102,6 @@ class FormulaGraph:
                 degrees[c] += 1
         return degrees
 
-    def depth(self, nid: int | None = None) -> int:
-        """Longest root-to-leaf edge count below nid."""
-        node = self.nodes[self.root if nid is None else nid]
-        if not node.children:
-            return 0
-        return 1 + max(self.depth(c) for c in node.children)
-
     def listing(self) -> str:
         """Stable plain-text rendering with node ids and in-degrees."""
         degrees = self.in_degrees()

@@ -4,6 +4,13 @@ Unification is the standard syntactic algorithm with an occurs check, except
 that both sides are ground-evaluated before structural descent, so
 ``fact(3,W)`` unifies with ``fact(2+1, 2*2+2)`` by binding W to 6.  There is
 no arithmetic constraint solving: ``W+1`` never unifies with ``3``.
+
+Substitutions are triangular: a binding is stored once, as resolved when it
+was made, and later bindings reach it through chains that are resolved on
+demand, so binding k variables costs O(k) stored terms rather than O(k^2)
+rewrites.  Closure applies the current substitution to its facts once per
+search frame; a firing, which only extends that substitution, re-applies it
+only to the facts that still hold variables.
 """
 
 from __future__ import annotations
@@ -13,8 +20,7 @@ from dataclasses import dataclass, field
 
 from . import formulas as F
 from .graphs import preorder
-from .terms import (ARITH_FNS, App, GVar, Num, Term, Var, pretty_term,
-                    subst_gvar, term_gvars)
+from .terms import ARITH_FNS, App, GVar, Num, Term, Var, pretty_term, term_gvars
 
 
 def eval_ground(t: Term) -> Term:
@@ -32,18 +38,50 @@ def eval_ground(t: Term) -> Term:
 
 
 class Substitution:
-    """An idempotent mapping from global variables to terms.
+    """An idempotent mapping from global variables to terms, kept triangular.
 
-    Values are kept fully applied: binding W later rewrites W inside every
-    stored value, so apply(apply(t)) == apply(t) always holds.
+    Each stored value is the bound term as resolved at the moment it was
+    bound, so it mentions only variables that were unbound then; a later
+    binding never rewrites it.  Resolving a variable follows its chain of
+    stored values and ground-evaluates the result.  A substitution is never
+    changed once built (bind returns a new one), so it memoises every value
+    it resolves.  ``bindings`` is the fully resolved mapping, and
+    apply(apply(t)) == apply(t) always holds.
     """
 
     def __init__(self, bindings=None):
-        self.bindings: dict[str, Term] = dict(bindings or {})
+        self._stored: dict[str, Term] = dict(bindings or {})
+        self._resolved: dict[str, Term] = {}
+
+    @property
+    def bindings(self) -> dict[str, Term]:
+        return {name: self._value(name) for name in self._stored}
+
+    def _value(self, name: str) -> Term:
+        value = self._resolved.get(name)
+        if value is not None:
+            return value
+        # resolve the chain below name deepest first, on an explicit stack,
+        # so that a long chain costs no interpreter frames
+        stored, resolved = self._stored, self._resolved
+        pending = [name]
+        while pending:
+            top = pending[-1]
+            if top in resolved:
+                pending.pop()
+                continue
+            below = [g for g in term_gvars(stored[top])
+                     if g in stored and g not in resolved]
+            if below:
+                pending.extend(below)
+            else:
+                pending.pop()
+                resolved[top] = eval_ground(self.apply(stored[top]))
+        return resolved[name]
 
     def apply(self, t: Term) -> Term:
         if isinstance(t, GVar):
-            return self.bindings.get(t.name, t)
+            return self._value(t.name) if t.name in self._stored else t
         if isinstance(t, App):
             return App(t.fn, tuple(self.apply(a) for a in t.args))
         return t
@@ -55,28 +93,26 @@ class Substitution:
         return F.with_children(f, kids)
 
     def bind(self, name: str, t: Term):
-        """Extended substitution with name -> t, or None on occurs failure."""
+        """Extended substitution with the unbound name -> t, or None on
+        occurs failure."""
         value = eval_ground(self.apply(t))
         if isinstance(value, GVar) and value.name == name:
             return self
         if name in term_gvars(value):
             return None
-        updated = {k: eval_ground(subst_gvar(v, name, value))
-                   for k, v in self.bindings.items()}
-        updated[name] = value
-        return Substitution(updated)
+        return Substitution({**self._stored, name: value})
 
     def __eq__(self, other):
         return isinstance(other, Substitution) and self.bindings == other.bindings
 
     def __len__(self):
-        return len(self.bindings)
+        return len(self._stored)
 
     def __contains__(self, name):
-        return name in self.bindings
+        return name in self._stored
 
     def __getitem__(self, name):
-        return self.bindings[name]
+        return self._value(name)
 
     def render(self) -> str:
         def key(name):
@@ -280,22 +316,30 @@ def close_elementary(cfg) -> ClosureResult:
         hit = next(sat(out, s, facts), None)
         if hit is not None:
             return hit
-        key = (_multiset(canon_rule(ri, s) for ri in unfired),
-               _multiset(s.apply_formula(a) for a in facts))
+        applied = [s.apply_formula(a) for a in facts]
+        key = (_multiset(canon_rule(ri, s) for ri in unfired), _multiset(applied))
         if key in visited:
             return None
         visited.add(key)
         if fired >= max_firings:
             return None
+        # every candidate firing extends s, which leaves ground facts as
+        # they are: only the facts still holding variables need s2 applied
+        ground = set()
+        open_facts = []
+        for a in applied:
+            if _formula_gvars(a):
+                open_facts.append(a)
+            else:
+                ground.add(a)
         for pos, ri in enumerate(unfired):
             ante, cons = acc.rules[ri]
             for s2 in _match_all(ante, facts, s):
-                derived = [F.Atom(c.pred, tuple(eval_ground(s2.apply(t)) for t in c.args))
-                           for c in cons]
-                fresh_bound = set(s2.bindings) - set(s.bindings)
+                derived = [s2.apply_formula(c) for c in cons]
+                fresh_bound = s2._stored.keys() - s._stored.keys()
                 if not fresh_bound & shared_gvars:
-                    seen = {s2.apply_formula(a) for a in facts}
-                    if all(s2.apply_formula(d) in seen for d in derived):
+                    seen = ground.union(s2.apply_formula(a) for a in open_facts)
+                    if all(d in seen for d in derived):
                         continue  # re-derives known facts, binds nothing shared
                 rest = unfired[:pos] + unfired[pos + 1:]
                 found = dfs(facts + derived, rest, s2, fired + 1)

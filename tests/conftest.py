@@ -22,6 +22,19 @@ def factorial(n: int) -> int:
     return math.prod(range(1, n + 1))
 
 
+def graph_depth(graph) -> int:
+    """Longest root-to-leaf edge count of a formula graph, each node once."""
+    memo: dict = {}
+
+    def depth(nid):
+        if nid not in memo:
+            kids = graph.nodes[nid].children
+            memo[nid] = 1 + max(map(depth, kids)) if kids else 0
+        return memo[nid]
+
+    return depth(graph.root)
+
+
 def run_game(kb: str, script: str, inputs, bounds: Bounds | None = None,
              trace=False):
     """Load KB + script from tests/data, play one session in process.

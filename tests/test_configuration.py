@@ -144,6 +144,24 @@ def test_collapse_write_rejected_on_input():
         apply_write(cfg, Path("d"))
 
 
+def test_no_path_into_an_unplayed_quantifier():
+    # /q.1 is the recurrence under the quantifier: replicating it before the
+    # quantifier is played would leave the replica keyed by a node that the
+    # peel later discards
+    cfg = init_configuration(load_kb("/q = #x. $ p(x)\nquery /q\n"))
+    with pytest.raises(ConfigError, match="quantifier not yet played"):
+        replicate(cfg, Path("q", (1,)), 1)
+    with pytest.raises(ConfigError, match="quantifier not yet played"):
+        apply_write(cfg, Path("q", (1, 1)))
+    cfg = apply_write(cfg, Path("q"))
+    assert cfg.replicas == {}
+    assert [(o.kind, str(o.path)) for o in legal_moves(cfg)] == \
+        [("replicate", "/q")]
+    cfg = replicate(cfg, Path("q"), 1)
+    assert list(cfg.replicas) == [cfg.root_of("q")]
+    assert pretty(out_formula(cfg)) == "$p(W1)"
+
+
 def test_shared_node_is_read_only():
     table = load_kb("/m = #x. p(x)\n/o = /m /\\ /m\nquery /o\n")
     cfg = init_configuration(table, input_names=[])

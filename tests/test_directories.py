@@ -9,7 +9,7 @@ from coli.formulas import Atom, DirRef, pretty
 from coli.parser import parse_dirref, parse_formula
 from coli.terms import Num, Var, app
 
-from conftest import data_text
+from conftest import data_text, graph_depth
 
 
 def _table(text):
@@ -64,7 +64,7 @@ def test_expand_depth_and_counts():
     for k in range(17):
         ref = DirRef("m", (Num(k),))
         graph = expand(table, ref)
-        assert graph.depth() == k
+        assert graph_depth(graph) == k
         rendered = pretty(graph.to_formula())
         assert rendered.count("p") == k
         assert rendered.count("q") == 1

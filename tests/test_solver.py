@@ -9,9 +9,9 @@ from coli.directories import DirectoryTable, define_directory
 from coli.formulas import And, Atom, Implies, Or, pretty
 from coli.parser import parse_formula
 from coli.solver import Substitution, close_elementary, eval_ground, unify
-from coli.terms import App, Const, GVar, Num, app
+from coli.terms import App, Const, GVar, Num, app, pretty_term, subst_gvar, term_gvars
 
-from conftest import data_text, run_game
+from conftest import data_text, factorial, run_game
 from coli.directories import load_kb
 
 
@@ -61,6 +61,106 @@ def test_substitution_idempotent_and_acyclic():
     assert s.apply(once) == once
     assert once == app("g", app("f", Const("a")), Const("a"))
     assert s.bind("W3", app("f", GVar("W3"))) is None
+
+
+# --- substitution: triangular store against an eagerly rewritten one ----
+
+class EagerSubstitution:
+    """Reference: every stored value is kept fully applied, so each new
+    binding rewrites all earlier values."""
+
+    def __init__(self, bindings=None):
+        self.bindings = dict(bindings or {})
+
+    def apply(self, t):
+        if isinstance(t, GVar):
+            return self.bindings.get(t.name, t)
+        if isinstance(t, App):
+            return App(t.fn, tuple(self.apply(a) for a in t.args))
+        return t
+
+    def bind(self, name, t):
+        value = eval_ground(self.apply(t))
+        if isinstance(value, GVar) and value.name == name:
+            return self
+        if name in term_gvars(value):
+            return None
+        updated = {k: eval_ground(subst_gvar(v, name, value))
+                   for k, v in self.bindings.items()}
+        updated[name] = value
+        return EagerSubstitution(updated)
+
+    def render(self):
+        items = sorted(self.bindings.items(), key=lambda kv: int(kv[0][1:]))
+        return "{" + ",".join(f"{k}={pretty_term(v)}" for k, v in items) + "}"
+
+
+def eager_unify(t1, t2, s):
+    a, b = eval_ground(s.apply(t1)), eval_ground(s.apply(t2))
+    if a == b:
+        return s
+    if isinstance(a, GVar):
+        return s.bind(a.name, b)
+    if isinstance(b, GVar):
+        return s.bind(b.name, a)
+    if isinstance(a, App) and isinstance(b, App) \
+            and a.fn == b.fn and len(a.args) == len(b.args):
+        for x, y in zip(a.args, b.args):
+            s = eager_unify(x, y, s)
+            if s is None:
+                return None
+        return s
+    return None
+
+
+_SUBST_NAMES = [f"W{i}" for i in range(1, 9)]
+
+
+def _arith_term(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return rng.choice([Const("a"), Num(rng.randrange(4))]
+                          + [GVar(n) for n in _SUBST_NAMES])
+    if roll < 0.45:
+        return app("s", _arith_term(rng, depth - 1))
+    if roll < 0.6:
+        return app("f", _arith_term(rng, depth - 1))
+    fn = rng.choice(["+", "*", "g"])
+    return app(fn, _arith_term(rng, depth - 1), _arith_term(rng, depth - 1))
+
+
+def test_substitution_matches_eager_reference():
+    rng = random.Random(515151)
+    occurs_failures = steps = 0
+    for _ in range(400):
+        mine, ref = Substitution(), EagerSubstitution()
+        for _ in range(rng.randrange(1, 10)):
+            if rng.random() < 0.5:
+                free = [n for n in _SUBST_NAMES if n not in ref.bindings]
+                if not free:
+                    break
+                name, t = rng.choice(free), _arith_term(rng, rng.randrange(3))
+                got, want = mine.bind(name, t), ref.bind(name, t)
+            else:
+                t1 = _arith_term(rng, rng.randrange(4))
+                t2 = _arith_term(rng, rng.randrange(4))
+                got, want = unify(t1, t2, mine), eager_unify(t1, t2, ref)
+            assert (got is None) == (want is None)
+            if got is None:
+                occurs_failures += 1
+                continue
+            mine, ref = got, want
+            steps += 1
+            assert mine.bindings == ref.bindings
+            assert mine.render() == ref.render()
+            assert mine == Substitution(ref.bindings)
+            assert len(mine) == len(ref.bindings)
+            for _ in range(3):
+                t = _arith_term(rng, 3)
+                once = mine.apply(t)
+                assert once == ref.apply(t)
+                assert mine.apply(once) == once
+    assert occurs_failures > 50 and steps > 500
 
 
 # --- unification: fuzz against a textbook oracle ------------------------
@@ -160,6 +260,21 @@ def test_close_factorial_three(fact_table):
     assert outcome.won
     assert pretty(outcome.result) == "fact(3,6)"
     assert outcome.subst["W7"] == Num(6)
+
+
+def test_close_factorial_sixty_by_script():
+    # each /d.i writes x = i-1 (W(2i-1)) and y = (i-1)! (W(2i)); the query
+    # writes z = 60! (W121)
+    n = 60
+    outcome, _, _ = run_game("fact.kb", "fact.coli", [n])
+    assert outcome.won
+    assert outcome.result == Atom("fact", (Num(n), Num(factorial(n))))
+    want = {}
+    for i in range(1, n + 1):
+        want[f"W{2 * i - 1}"] = Num(i - 1)
+        want[f"W{2 * i}"] = Num(factorial(i - 1))
+    want[f"W{2 * n + 1}"] = Num(factorial(n))
+    assert outcome.subst.bindings == want
 
 
 def test_close_zero_case():
