@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import formulas as F
 from .errors import DepthLimitError, ExpandError, KBError, ParseError
 from .graphs import FormulaGraph, GNode
-from .parser import FormulaParser, TokenStream, parse_pattern, tokenize
+from .parser import parse_formula, parse_pattern
 from .solver import eval_ground
 from .terms import App, Num, Term, Var, is_ground, pretty_term
 
@@ -89,28 +89,28 @@ def match_pattern(pattern: Term, arg: Term):
     """Bindings making pattern equal arg, or None.  Numerals interoperate
     with the successor function: s(X) matches 3 with X = 2."""
     bindings: dict[str, Term] = {}
+    return bindings if _match(pattern, arg, bindings) else None
 
-    def go(p, a):
-        if isinstance(p, Var):
-            if p.name in bindings:
-                return bindings[p.name] == a
-            bindings[p.name] = a
-            return True
-        if isinstance(p, Num):
-            if isinstance(a, Num):
-                return p.value == a.value
-            return False
-        if isinstance(p, App):
-            if p.fn == "s" and isinstance(a, Num):
-                if a.value == 0:
-                    return False
-                return go(p.args[0], Num(a.value - 1))
-            if isinstance(a, App) and a.fn == p.fn and len(a.args) == len(p.args):
-                return all(go(pp, aa) for pp, aa in zip(p.args, a.args))
-            return False
-        return p == a
 
-    return bindings if go(pattern, arg) else None
+def _match(p: Term, a: Term, bindings: dict) -> bool:
+    if isinstance(p, Var):
+        if p.name in bindings:
+            return bindings[p.name] == a
+        bindings[p.name] = a
+        return True
+    if isinstance(p, Num):
+        if isinstance(a, Num):
+            return p.value == a.value
+        return False
+    if isinstance(p, App):
+        if p.fn == "s" and isinstance(a, Num):
+            if a.value == 0:
+                return False
+            return _match(p.args[0], Num(a.value - 1), bindings)
+        if isinstance(a, App) and a.fn == p.fn and len(a.args) == len(p.args):
+            return all(_match(pp, aa, bindings) for pp, aa in zip(p.args, a.args))
+        return False
+    return p == a
 
 
 def _patterns_overlap(p: Term, q: Term) -> bool:
@@ -202,6 +202,9 @@ def expand(table: DirectoryTable, ref: F.DirRef,
         graph.root = build(ref, 0)
     finally:
         sys.setrecursionlimit(previous_limit)
+        # build's closure holds build itself: break that cycle so the
+        # expansion's garbage is freed now, not by the cycle collector
+        del build
     return graph
 
 
@@ -226,7 +229,7 @@ def load_kb(text: str) -> DirectoryTable:
                 table.query = rest[1:].strip()
                 continue
             name, pattern, params, rhs = _split_definition(line)
-            body = _parse_body(rhs, params)
+            body = parse_formula(rhs, params)
             if pattern is None:
                 pending.pop(name, None)
                 define_directory(table, name, [(None, body)])
@@ -259,11 +262,3 @@ def _split_definition(line: str):
         return name.strip(), pattern, params, rhs
     return head.strip(), None, (), rhs
 
-
-def _parse_body(text: str, params) -> F.Formula:
-    ts = TokenStream(tokenize(text))
-    f = FormulaParser(ts, params).formula()
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return f

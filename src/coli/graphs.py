@@ -32,6 +32,11 @@ class GNode:
                 "recur": "$"}[self.op]
 
 
+_CONNECTIVES = {"neg": F.Neg, "and": F.And, "or": F.Or, "implies": F.Implies,
+                "recur": F.Recur}
+_BINDERS = {"all": F.All, "exists": F.Exists}
+
+
 def preorder(nodes: dict, roots, replicas: dict | None = None):
     """Yield the node ids reachable from roots, depth-first preorder, each once.
 
@@ -69,26 +74,34 @@ class FormulaGraph:
         return nid
 
     def to_formula(self, nid: int | None = None) -> F.Formula:
-        """Unfold the graph below nid (default: root) into a formula tree."""
-        node = self.nodes[self.root if nid is None else nid]
-        if node.op == "atom":
-            return F.Atom(node.pred, node.args)
-        kids = tuple(self.to_formula(c) for c in node.children)
-        if node.op == "neg":
-            return F.Neg(kids[0])
-        if node.op == "and":
-            return F.And(kids[0], kids[1])
-        if node.op == "or":
-            return F.Or(kids[0], kids[1])
-        if node.op == "implies":
-            return F.Implies(kids[0], kids[1])
-        if node.op == "all":
-            return F.All(node.var, kids[0])
-        if node.op == "exists":
-            return F.Exists(node.var, kids[0])
-        if node.op == "recur":
-            return F.Recur(kids[0])
-        raise ColiError(f"unknown node op {node.op!r}")
+        """Unfold the graph below nid (default: root) into a formula tree.
+
+        The walk is postorder on an explicit stack, so depth costs no
+        interpreter frames; a shared node is built once and its formula reused.
+        """
+        nodes, built = self.nodes, {}
+        root = self.root if nid is None else nid
+        stack = [root]
+        while stack:
+            top = stack[-1]
+            if top in built:
+                stack.pop()
+                continue
+            node = nodes[top]
+            missing = [c for c in node.children if c not in built]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if node.op == "atom":
+                built[top] = F.Atom(node.pred, node.args)
+            elif node.op in _BINDERS:
+                built[top] = _BINDERS[node.op](node.var, built[node.children[0]])
+            elif node.op in _CONNECTIVES:
+                built[top] = _CONNECTIVES[node.op](*(built[c] for c in node.children))
+            else:
+                raise ColiError(f"unknown node op {node.op!r}")
+        return built[root]
 
     def reachable(self, roots=None) -> list:
         """Node ids reachable from the given roots (default: the root), preorder,

@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for formulas and terms.
+"""Lexer and operator-precedence parser for formulas and terms.
 
 Grammar (quantifier bodies bind tight; parenthesize to widen scope):
 
@@ -15,270 +15,286 @@ Grammar (quantifier bodies bind tight; parenthesize to widen scope):
 
 Lowercase identifiers are constants unless bound by an enclosing quantifier;
 uppercase identifiers must be declared directory parameters.
+
+The lexer is one regular expression: tokens are plain strings whose first
+character gives their kind, and "" ends every token list.  A ParseError finds
+its line and column (a tab is one column) by lexing again up to its token.
+The parser keeps operators, prefixes, parentheses and applications on
+explicit stacks, so no nesting depth of the input costs interpreter frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
 from .formulas import All, And, Atom, DirRef, Exists, Formula, Implies, Neg, Or, Recur
 from .terms import App, Const, Num, Term, Var
 
-_TWO_CHAR = ("/\\", "\\/", "->", "<=", ">=")
-_ONE_CHAR = "()[],.~@#$!/=:;{}<>+*"
+# numeral | identifier (no leading underscore: those name eigenvariables)
+# | two-character operator | one-character operator; blanks match nothing
+_TOKEN = re.compile(r"\d+|[^\W\d_]\w*|/\\|\\/|->|<=|>=|[()\[\],.~@#$!/=:;{}<>+*]")
+_BLANKS = re.compile(r"[ \t\r\n]*")
+# operator: (left power, right power, constructor).  A pending operator is
+# reduced when its right power reaches the next one's left power, so "->",
+# whose right power is lower, associates to the right.
+_BINARY = {"/\\": (3, 3, And), "\\/": (2, 2, Or), "->": (1, 0, Implies)}
+_PREFIX = {"~": Neg, "$": Recur}
+_QUANTIFIER = {"@": All, "#": Exists}
+_ARITH = {"+": (1, 1, lambda a, b: App("+", (a, b))),
+          "*": (2, 2, lambda a, b: App("*", (a, b)))}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT | IDENT | UIDENT | OP | EOF
-    value: str
-    line: int
-    col: int
+def _strip_comments(text: str, comment: str | None) -> str:
+    # a comment never ends a line, so every token keeps its line and column
+    return re.sub(re.escape(comment) + "[^\n]*", "", text) if comment else text
 
 
-def tokenize(text: str, comment: str | None = None) -> list[Token]:
-    """Split text into tokens; `comment` (e.g. "%") skips to end of line."""
-    toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if comment and ch == comment:
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            toks.append(Token("OP", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():  # leading underscores are reserved for eigenvariables
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "UIDENT" if word[0].isupper() else "IDENT"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def tokenize(text: str, comment: str | None = None) -> list[str]:
+    """Split text into tokens, then ""; `comment` (e.g. "%") skips to end of line."""
+    text = _strip_comments(text, comment)
+    tokens = _TOKEN.findall(text)
+    blanks = text.count(" ") + text.count("\t") + text.count("\r") + text.count("\n")
+    if sum(map(len, tokens)) + blanks != len(text):
+        # findall stepped over a character that starts no token: find the first
+        pos = _BLANKS.match(text).end()
+        while m := _TOKEN.match(text, pos):
+            pos = _BLANKS.match(text, m.end()).end()
+        raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
+    tokens.append("")
+    return tokens
+
+
+def _reduce(pending: list, right, power: int = 0):
+    """Fold the pending entries whose right power is at least `power` into right."""
+    while pending and pending[-1][1] >= power:
+        left, _, build = pending.pop()
+        right = build(left, right)
+    return right
+
+
+def kind(tok: str) -> str:
+    """INT, UIDENT, IDENT or OP, from the token's first character; EOF for ""."""
+    if not tok:
+        return "EOF"
+    first = tok[0]
+    return ("INT" if first.isdecimal() else "UIDENT" if first.isupper()
+            else "IDENT" if first.isalnum() else "OP")
 
 
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """The tokens of one text, read by index."""
+
+    def __init__(self, text: str, comment: str | None = None):
+        self.text, self.comment = text, comment
+        self.tokens = tokenize(text, comment)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        # look ahead only from a token other than the final "", which ends the list
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok:
             self.pos += 1
         return tok
 
-    def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "EOF" or tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def expect(self, value: str) -> str:
+        if self.tokens[self.pos] != value:
+            self.expected(repr(value))
+        self.pos += 1
+        return value
 
     def at(self, value: str) -> bool:
-        return self.peek().kind != "EOF" and self.peek().value == value
+        return self.tokens[self.pos] == value
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def finish(self, result=None):
+        """Return result if the input is used up, else raise a ParseError."""
+        tok = self.tokens[self.pos]
+        if tok:
+            self.error(f"trailing input {tok!r}")
+        return result
+
+    def expected(self, what: str, index: int | None = None):
+        """Raise "expected <what>, found <token>" at the token at index."""
+        index = self.pos if index is None else index
+        found = self.tokens[index] or "end of input"
+        self.error(f"expected {what}, found {found!r}", index)
+
+    def error(self, message: str, index: int | None = None):
+        """Raise a ParseError at the token at index (default: the current one)."""
+        text = _strip_comments(self.text, self.comment)
+        starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+        index = self.pos if index is None else index
+        raise ParseError(message, *_line_col(text, starts[index]))
 
 
 class FormulaParser:
-    """Parses one formula; tracks quantifier scope and directory parameters."""
+    """Parses formulas and terms; tracks quantifier scope and directory
+    parameters.  A pattern parser takes every UpperIdent as a parameter and
+    lists them in `names`, in order of first occurrence."""
 
-    def __init__(self, stream: TokenStream, params=()):
+    def __init__(self, stream: TokenStream, params=(), pattern: bool = False):
         self.ts = stream
-        self.params = set(params)
+        self.params = frozenset(params)
+        self.names: list[str] | None = [] if pattern else None
         self.bound: list[str] = []
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.ts.at("->"):
-            self.ts.next()
-            return Implies(left, self.formula())
-        return left
+    def formula(self, unary: bool = False) -> Formula:
+        """Parse a formula, or with `unary` one `un` of the grammar."""
+        ts, toks, bound = self.ts, self.ts.tokens, self.bound
+        i = ts.pos
+        frames = []    # open parentheses: the (pending, prefixes) outside each
+        pending = []   # (left operand, right power, constructor) of connectives
+        prefixes = []  # (constructor, quantified variable or None), innermost last
+        while True:
+            tok = toks[i]
+            if tok in _PREFIX:
+                prefixes.append((_PREFIX[tok], None))
+                i += 1
+                continue
+            if tok in _QUANTIFIER:
+                var = toks[i + 1]
+                if kind(var) != "IDENT":
+                    ts.expected("quantifier variable", i + 1)
+                if toks[i + 2] != ".":
+                    ts.expected("'.'", i + 2)
+                prefixes.append((_QUANTIFIER[tok], var))
+                bound.append(var)
+                i += 3
+                continue
+            if tok == "(":
+                frames.append((pending, prefixes))
+                pending, prefixes = [], []
+                i += 1
+                continue
+            if tok == "!" or tok == "/":
+                if tok == "!":
+                    i += 1
+                if toks[i] != "/":
+                    ts.expected("'/'", i)
+                name = toks[i + 1]
+                if kind(name) != "IDENT":
+                    ts.expected("directory name", i + 1)
+                args, i = self._args(i + 2)
+                f = DirRef(name, args, tok == "!")
+            elif kind(tok) == "IDENT":
+                args, i = self._args(i + 1)
+                f = Atom(tok, args)
+            else:
+                ts.expected("a formula", i)
+            while True:  # f is a complete operand
+                while prefixes:
+                    build, var = prefixes.pop()
+                    if var is None:
+                        f = build(f)
+                    else:
+                        bound.pop()
+                        f = build(var, f)
+                if unary and not frames:
+                    ts.pos = i
+                    return f
+                tok = toks[i]
+                op = _BINARY.get(tok)
+                if op is not None:
+                    pending.append((_reduce(pending, f, op[0]),) + op[1:])
+                    i += 1
+                    break
+                f = _reduce(pending, f)
+                if not frames:
+                    ts.pos = i
+                    return f
+                if tok != ")":
+                    ts.expected("')'", i)
+                i += 1
+                pending, prefixes = frames.pop()
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.ts.at("\\/"):
-            self.ts.next()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.ts.at("/\\"):
-            self.ts.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.ts.peek()
-        if tok.value == "~":
-            self.ts.next()
-            return Neg(self.unary())
-        if tok.value in ("@", "#"):
-            self.ts.next()
-            name = self._ident("quantifier variable")
-            self.ts.expect(".")
-            self.bound.append(name)
-            body = self.unary()
-            self.bound.pop()
-            return All(name, body) if tok.value == "@" else Exists(name, body)
-        if tok.value == "$":
-            self.ts.next()
-            return Recur(self.unary())
-        if tok.value == "(":
-            self.ts.next()
-            f = self.formula()
-            self.ts.expect(")")
-            return f
-        if tok.value in ("!", "/"):
-            return self.dirref()
-        if tok.kind == "IDENT":
-            return self.atom()
-        self.ts.error(f"expected a formula, found {tok.value or 'end of input'!r}")
-
-    def dirref(self) -> DirRef:
-        copy = False
-        if self.ts.at("!"):
-            self.ts.next()
-            copy = True
-        self.ts.expect("/")
-        name = self._ident("directory name")
-        args = self._arglist()
-        return DirRef(name, args, copy)
-
-    def atom(self) -> Atom:
-        name = self._ident("atom")
-        return Atom(name, self._arglist())
-
-    def _arglist(self) -> tuple:
-        if not self.ts.at("("):
-            return ()
-        self.ts.next()
-        args = [self.term()]
-        while self.ts.at(","):
-            self.ts.next()
-            args.append(self.term())
-        self.ts.expect(")")
-        return tuple(args)
+    def _args(self, i: int) -> tuple[tuple, int]:
+        if self.ts.tokens[i] != "(":
+            return (), i
+        return self._term(i + 1, [])
 
     # terms ----------------------------------------------------------
 
     def term(self) -> Term:
-        t = self._prod()
-        while self.ts.at("+"):
-            self.ts.next()
-            t = App("+", (t, self._prod()))
+        t, self.ts.pos = self._term(self.ts.pos)
         return t
 
-    def _prod(self) -> Term:
-        t = self._factor()
-        while self.ts.at("*"):
-            self.ts.next()
-            t = App("*", (t, self._factor()))
-        return t
-
-    def _factor(self) -> Term:
-        tok = self.ts.peek()
-        if tok.kind == "INT":
-            self.ts.next()
-            return Num(int(tok.value))
-        if tok.kind == "UIDENT":
-            if tok.value not in self.params:
-                raise ParseError(f"unbound variable {tok.value!r}", tok.line, tok.col)
-            self.ts.next()
-            return Var(tok.value)
-        if tok.kind == "IDENT":
-            self.ts.next()
-            if self.ts.at("("):
-                return App(tok.value, self._term_args())
-            if tok.value in self.bound:
-                return Var(tok.value)
-            return Const(tok.value)
-        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
-                         tok.line, tok.col)
-
-    def _term_args(self) -> tuple:
-        self.ts.expect("(")
-        args = [self.term()]
-        while self.ts.at(","):
-            self.ts.next()
-            args.append(self.term())
-        self.ts.expect(")")
-        return tuple(args)
-
-    def _ident(self, what: str) -> str:
-        tok = self.ts.peek()
-        if tok.kind != "IDENT":
-            raise ParseError(f"expected {what}, found {tok.value or 'end of input'!r}",
-                             tok.line, tok.col)
-        self.ts.next()
-        return tok.value
+    def _term(self, i: int, arglist: list | None = None):
+        """Parse the term at token i, or with `arglist` the rest of an argument
+        list through its ")"; returns the term (or the arguments) and the
+        index after it."""
+        ts, toks, params, names, bound = (self.ts, self.ts.tokens, self.params,
+                                          self.names, self.bound)
+        calls = []    # open applications: (function, arguments, pending outside)
+        if arglist is not None:
+            calls.append((None, arglist, []))
+        pending = []  # (left operand, right power, constructor) of "+" and "*"
+        while True:
+            tok = toks[i]
+            if tok.isdecimal():
+                t = Num(int(tok))
+            elif tok[:1].isupper():
+                if names is None:
+                    if tok not in params:
+                        ts.error(f"unbound variable {tok!r}", i)
+                elif tok not in names:
+                    names.append(tok)
+                t = Var(tok)
+            elif tok[:1].isalnum():
+                if toks[i + 1] == "(":
+                    calls.append((tok, [], pending))
+                    pending = []
+                    i += 2
+                    continue
+                t = Var(tok) if tok in bound else Const(tok)
+            else:
+                ts.expected("a term", i)
+            i += 1
+            while True:  # t is a complete operand
+                tok = toks[i]
+                op = _ARITH.get(tok)
+                if op is not None:
+                    pending.append((_reduce(pending, t, op[0]),) + op[1:])
+                    i += 1
+                    break
+                t = _reduce(pending, t)
+                if not calls:
+                    return t, i
+                fn, args, outside = calls[-1]
+                args.append(t)
+                if tok == ",":
+                    i += 1
+                    break
+                if tok != ")":
+                    ts.expected("')'", i)
+                i += 1
+                calls.pop()
+                if fn is None:
+                    return tuple(args), i
+                t, pending = App(fn, tuple(args)), outside
 
 
 def parse_formula(text: str, params=()) -> Formula:
     """Parse a complete formula; `params` names permitted UpperIdent parameters."""
-    ts = TokenStream(tokenize(text))
-    f = FormulaParser(ts, params).formula()
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return f
+    parser = FormulaParser(TokenStream(text), params)
+    return parser.ts.finish(parser.formula())
 
 
 def parse_term(text: str, params=()) -> Term:
-    ts = TokenStream(tokenize(text))
-    t = FormulaParser(ts, params).term()
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return t
+    parser = FormulaParser(TokenStream(text), params)
+    return parser.ts.finish(parser.term())
 
 
 def parse_dirref(text: str) -> DirRef:
     """Parse a directory reference such as ``/m(s(0))`` or ``!/n``."""
-    ts = TokenStream(tokenize(text))
-    f = FormulaParser(ts).unary()
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    parser = FormulaParser(TokenStream(text))
+    f = parser.ts.finish(parser.formula(unary=True))
     if not isinstance(f, DirRef):
         raise ParseError("not a directory reference")
     return f
@@ -286,21 +302,5 @@ def parse_dirref(text: str) -> DirRef:
 
 def parse_pattern(text: str) -> tuple[Term, tuple[str, ...]]:
     """Parse a clause pattern; UpperIdents bind and are returned as parameters."""
-    ts = TokenStream(tokenize(text))
-    names: list[str] = []
-
-    class _PatternParser(FormulaParser):
-        def _factor(self):
-            tok = self.ts.peek()
-            if tok.kind == "UIDENT":
-                self.ts.next()
-                if tok.value not in names:
-                    names.append(tok.value)
-                return Var(tok.value)
-            return super()._factor()
-
-    t = _PatternParser(ts).term()
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return t, tuple(names)
+    parser = FormulaParser(TokenStream(text), pattern=True)
+    return parser.ts.finish(parser.term()), tuple(parser.names)

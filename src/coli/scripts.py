@@ -30,8 +30,8 @@ from . import formulas as F
 from .configuration import (Configuration, Path, ReadMove, ReplicateMove,
                             WriteMove, apply_read, apply_write, move_line,
                             replicate, resolve_node)
-from .errors import ChannelError, ConfigError, ParseError
-from .parser import TokenStream, tokenize
+from .errors import ChannelError, ConfigError
+from .parser import TokenStream, kind
 from .prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction, Step,
                      Strategy, prove, validate_restrictions)
 from .solver import Substitution, close_elementary
@@ -120,36 +120,34 @@ class Script:
 # parsing --------------------------------------------------------------
 
 def parse_script(text: str) -> Script:
-    ts = TokenStream(tokenize(text, comment="%"))
-    _expect_word(ts, "algorithm")
+    ts = TokenStream(text, comment="%")
+    ts.expect("algorithm")
     name = _ident(ts, "algorithm name")
     ts.expect("{")
     body = _stmts(ts)
     ts.expect("}")
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    ts.finish()
     return Script(name, body)
 
 
 def _stmts(ts: TokenStream) -> tuple:
     out = []
-    while not ts.at("}") and ts.peek().kind != "EOF":
+    while ts.peek() not in ("}", ""):
         out.append(_stmt(ts))
     return tuple(out)
 
 
 def _stmt(ts: TokenStream) -> Statement:
     tok = ts.peek()
-    if tok.value == "prove":
+    if tok == "prove":
         ts.next()
         ts.expect(";")
         return ProveStmt()
-    if tok.value == "execute":
+    if tok == "execute":
         ts.next()
         ts.expect(";")
         return ExecuteStmt()
-    if tok.value in ("choose", "schoose"):
+    if tok in ("choose", "schoose"):
         ts.next()
         ts.expect("(")
         restrs = [_restriction(ts)]
@@ -158,19 +156,19 @@ def _stmt(ts: TokenStream) -> Statement:
             restrs.append(_restriction(ts))
         ts.expect(")")
         ts.expect(";")
-        return ChooseStmt(tuple(restrs), prioritized=tok.value == "schoose")
-    if tok.value == "for":
+        return ChooseStmt(tuple(restrs), prioritized=tok == "schoose")
+    if tok == "for":
         ts.next()
         var = _ident(ts, "loop variable")
         ts.expect("=")
         lo = _expr(ts)
-        _expect_word(ts, "to")
+        ts.expect("to")
         hi = _expr(ts)
         ts.expect("{")
         body = _stmts(ts)
         ts.expect("}")
         return ForStmt(var, lo, hi, body)
-    if tok.value == "if":
+    if tok == "if":
         ts.next()
         cond = _cond(ts)
         ts.expect("{")
@@ -183,9 +181,9 @@ def _stmt(ts: TokenStream) -> Statement:
             orelse = _stmts(ts)
             ts.expect("}")
         return IfStmt(cond, then, orelse)
-    if tok.value == "/":
+    if tok == "/":
         return _path_stmt(ts)
-    raise ParseError(f"unknown statement {tok.value!r}", tok.line, tok.col)
+    ts.error(f"unknown statement {tok!r}")
 
 
 def _path_stmt(ts: TokenStream) -> Statement:
@@ -195,25 +193,25 @@ def _path_stmt(ts: TokenStream) -> Statement:
     while ts.at("."):
         ts.next()
         tok = ts.peek()
-        if tok.kind == "INT":
+        if kind(tok) == "INT":
             ts.next()
-            segments.append(int(tok.value))
+            segments.append(int(tok))
             continue
-        if tok.kind != "IDENT":
-            raise ParseError(f"bad path segment {tok.value!r}", tok.line, tok.col)
-        if tok.value == "read" and ts.peek(1).value == "(":
+        if kind(tok) != "IDENT":
+            ts.error(f"bad path segment {tok!r}")
+        if tok == "read" and ts.peek(1) == "(":
             ts.next()
             ts.expect("(")
             var = _ident(ts, "script variable")
             ts.expect(")")
             ts.expect(";")
             return ReadStmt(PathExpr(name, tuple(segments)), var)
-        if tok.value == "write" and ts.peek(1).value == ";":
+        if tok == "write" and ts.peek(1) == ";":
             ts.next()
             ts.expect(";")
             return WriteStmt(PathExpr(name, tuple(segments)))
         ts.next()
-        segments.append(tok.value)
+        segments.append(tok)
     ts.error("path statement must end in .read(v) or .write")
 
 
@@ -223,16 +221,17 @@ def _restriction(ts: TokenStream):
     segments: list = []
     while ts.at("."):
         ts.next()
-        tok = ts.next()
-        if tok.kind == "INT":
-            segments.append(int(tok.value))
-        elif tok.kind == "IDENT":
-            segments.append(tok.value)
+        tok = ts.peek()
+        if kind(tok) == "INT":
+            segments.append(int(tok))
+        elif kind(tok) == "IDENT":
+            segments.append(tok)
         else:
-            raise ParseError(f"bad path segment {tok.value!r}", tok.line, tok.col)
+            ts.error(f"bad path segment {tok!r}")
+        ts.next()
     ts.expect(":")
     rules = [_rule(ts)]
-    while ts.at(",") and ts.peek(1).value != "/":
+    while ts.at(",") and ts.peek(1) != "/":
         ts.next()
         rules.append(_rule(ts))
     return PathExpr(name, tuple(segments)), tuple(rules)
@@ -240,12 +239,9 @@ def _restriction(ts: TokenStream):
 
 def _rule(ts: TokenStream) -> str:
     tok = ts.peek()
-    if tok.kind != "IDENT" or tok.value not in RULE_WORDS:
-        raise ParseError(f"unknown rule {tok.value!r} "
-                         f"(expected one of {', '.join(RULE_WORDS)})",
-                         tok.line, tok.col)
-    ts.next()
-    return tok.value
+    if tok not in RULE_WORDS:
+        ts.error(f"unknown rule {tok!r} (expected one of {', '.join(RULE_WORDS)})")
+    return ts.next()
 
 
 def _expr(ts: TokenStream):
@@ -266,41 +262,28 @@ def _expr_prod(ts: TokenStream):
 
 def _expr_atom(ts: TokenStream):
     tok = ts.peek()
-    if tok.kind == "INT":
+    if kind(tok) == "INT":
         ts.next()
-        return int(tok.value)
-    if tok.kind == "IDENT":
+        return int(tok)
+    if kind(tok) == "IDENT":
         ts.next()
-        return tok.value
-    raise ParseError(f"expected a number or script variable, found {tok.value!r}",
-                     tok.line, tok.col)
+        return tok
+    ts.error(f"expected a number or script variable, found {tok!r}")
 
 
 def _cond(ts: TokenStream):
     lhs = _expr(ts)
     tok = ts.peek()
-    if tok.value not in ("=", "<", "<=", ">", ">="):
-        raise ParseError(f"expected a comparison, found {tok.value!r}",
-                         tok.line, tok.col)
+    if tok not in ("=", "<", "<=", ">", ">="):
+        ts.error(f"expected a comparison, found {tok!r}")
     ts.next()
-    return (tok.value, lhs, _expr(ts))
+    return (tok, lhs, _expr(ts))
 
 
 def _ident(ts: TokenStream, what: str) -> str:
-    tok = ts.peek()
-    if tok.kind != "IDENT":
-        raise ParseError(f"expected {what}, found {tok.value or 'end of input'!r}",
-                         tok.line, tok.col)
-    ts.next()
-    return tok.value
-
-
-def _expect_word(ts: TokenStream, word: str):
-    tok = ts.peek()
-    if tok.kind != "IDENT" or tok.value != word:
-        raise ParseError(f"expected {word!r}, found {tok.value or 'end of input'!r}",
-                         tok.line, tok.col)
-    ts.next()
+    if kind(ts.peek()) != "IDENT":
+        ts.expected(what)
+    return ts.next()
 
 
 # environment channel ---------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,15 @@ def data_path(name: str) -> str:
 
 def factorial(n: int) -> int:
     return math.prod(range(1, n + 1))
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test at the interpreter's default recursion limit."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)
 
 
 def graph_depth(graph) -> int:

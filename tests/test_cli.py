@@ -101,6 +101,17 @@ def test_deep_prove_subprocess(tmp_path):
     assert proc.stderr == ""
 
 
+def test_expand_deep_reference_subprocess():
+    # the reference parses at 1,000 nested s(...); expansion hits its bound
+    ref = "/m(" + "s(" * 1000 + "0" + ")" * 1001
+    proc = subprocess.run(
+        [sys.executable, "-m", "coli", "expand", "--kb", data_path("rec.kb"), ref],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: expansion of /m exceeded depth 1024\n"
+
+
 def test_expand_recursive(capsys):
     code, out, _ = run_cli(capsys, "expand", "--kb", data_path("rec.kb"),
                            "/m(s(s(s(0))))")

@@ -1,11 +1,14 @@
 """Directory definitions, pattern clauses, and copy/shared expansion."""
 
+import gc
+
 import pytest
 
 from coli.directories import (DirectoryTable, define_directory, expand,
                               load_kb, match_pattern)
 from coli.errors import DepthLimitError, ExpandError, KBError
-from coli.formulas import Atom, DirRef, pretty
+from coli.formulas import And, Atom, DirRef, Neg, pretty
+from coli.graphs import FormulaGraph, GNode
 from coli.parser import parse_dirref, parse_formula
 from coli.terms import Num, Var, app
 
@@ -104,6 +107,46 @@ def test_expand_errors():
     with pytest.raises(DepthLimitError):
         expand(looping, parse_dirref("/a"))
 
+
+def test_deep_reference_reaches_the_depth_limit(default_recursion_limit):
+    # 1,000 nested s(...) parse without recursion; expansion stops at its bound
+    ref = parse_dirref("/m(" + "s(" * 1000 + "0" + ")" * 1001)
+    with pytest.raises(DepthLimitError, match="^expansion of /m exceeded depth 1024$"):
+        expand(_table(data_text("rec.kb")), ref)
+
+
+def test_to_formula_unfolds_a_deep_chain(default_recursion_limit):
+    graph = FormulaGraph()
+    nid = graph.add(GNode("atom", pred="p"))
+    for _ in range(3000):
+        nid = graph.add(GNode("neg", children=(nid,)))
+    graph.root = nid
+    f, depth = graph.to_formula(), 0
+    while isinstance(f, Neg):
+        f, depth = f.body, depth + 1
+    assert (depth, f) == (3000, Atom("p"))
+
+
+def test_to_formula_unfolds_shared_nodes():
+    table = _table("/h(0) = leaf\n/h(s(X)) = /h(X) /\\ /h(X)\n")
+    graph = expand(table, parse_dirref("/h(3)"))
+    assert len(graph.nodes) == 4
+    two = parse_formula("(leaf /\\ leaf) /\\ (leaf /\\ leaf)")
+    assert graph.to_formula() == And(two, two)
+
+
+def test_loading_and_expansion_leave_no_reference_cycles():
+    # cyclic garbage lives until the cycle collector runs, which sets the
+    # peak memory of a process that loads and expands large KBs
+    gc.collect()
+    gc.disable()
+    try:
+        table = load_kb(data_text("rec.kb") + "/o = /m(3) /\\ /m(3)\n")
+        expand(table, parse_dirref("/m(s(s(20)))"))
+        expand(table, parse_dirref("/o"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 def test_kb_comments_and_query():
     table = _table("# heading\n  # indented comment\n/c = fact(0,1)\nquery /c\n")

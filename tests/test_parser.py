@@ -1,16 +1,24 @@
-"""Formula syntax: the worked examples, precedence, errors, and round-trips
-over a structured fuzzer."""
+"""Formula syntax: the worked examples, precedence, errors, round-trips over a
+structured fuzzer, nesting depth, and a differential test against the
+recursive-descent parser the current one replaced."""
 
 import random
+import sys
+from dataclasses import dataclass
 
 import pytest
 
-from coli.errors import ParseError
+from coli import directories
+from coli.directories import load_kb
+from coli.errors import KBError, ParseError
 from coli.formulas import (All, And, Atom, DirRef, Exists, Implies, Neg, Or,
                            Recur, pretty)
-from coli.parser import parse_dirref, parse_formula, parse_term
-from coli.terms import App, Const, Num, Var, app
+from coli.parser import (TokenStream, parse_dirref, parse_formula, parse_pattern,
+                         parse_term, tokenize)
+from coli.scripts import parse_script
+from coli.terms import App, Const, Num, Var, app, pretty_term
 
+from conftest import DATA, data_text
 
 def test_parse_base_fact():
     assert parse_formula("fact(0,1)") == Atom("fact", (Num(0), Num(1)))
@@ -128,3 +136,468 @@ def test_expected_pretty_forms():
     assert pretty(parse_formula("p /\\ (p /\\ (p /\\ q))")) == "p /\\ (p /\\ (p /\\ q))"
     assert pretty(parse_formula("(p /\\ p) /\\ q")) == "p /\\ p /\\ q"
     assert pretty(parse_formula("@y. #z. fact(y,z)")) == "@y. #z. fact(y,z)"
+
+
+# deep nesting ----------------------------------------------------------
+
+def _peel(node, step):
+    """Follow step(node) until it returns None; the number of steps taken
+    and the last node, without recursion."""
+    depth = 0
+    while (inner := step(node)) is not None:
+        node, depth = inner, depth + 1
+    return depth, node
+
+
+def test_parse_at_any_nesting_depth(default_recursion_limit):
+    n = 5000
+    depth, leaf = _peel(parse_term("s(" * n + "0" + ")" * n),
+                        lambda t: t.args[0] if isinstance(t, App) else None)
+    assert (depth, leaf) == (n, Num(0))
+    assert parse_formula("(" * n + "p" + ")" * n) == Atom("p", ())
+    depth, leaf = _peel(parse_formula("~" * n + "p"),
+                        lambda f: f.body if isinstance(f, Neg) else None)
+    assert (depth, leaf) == (n, Atom("p", ()))
+    depth, leaf = _peel(parse_formula("@x. ~(" * n + "p(x)" + ")" * n),
+                        lambda f: f.body if isinstance(f, (All, Neg)) else None)
+    assert (depth, leaf) == (2 * n, Atom("p", (Var("x"),)))
+    ref = parse_dirref("!/m(" + "s(" * n + "0" + ")" * (n + 1))
+    depth, leaf = _peel(ref.args[0], lambda t: t.args[0] if isinstance(t, App) else None)
+    assert (ref.name, ref.copy, depth, leaf) == ("m", True, n, Num(0))
+
+
+# differential test against the recursive-descent parser --------------------
+#
+# The reference below is the character-loop lexer and recursive-descent
+# parser that coli.parser replaced, kept verbatim in behaviour.  Every
+# generated text must give both sides an equal AST, or a ParseError with the
+# same message, line and column.
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str  # INT | IDENT | UIDENT | OP | EOF
+    value: str
+    line: int
+    col: int
+
+
+def _ref_tokenize(text, comment=None):
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if comment and ch == comment:
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text[i:i + 2] in ("/\\", "\\/", "->", "<=", ">="):
+            toks.append(_Tok("OP", text[i:i + 2], line, col))
+            i += 2
+            col += 2
+            continue
+        if ch.isdigit() or ch.isalpha():
+            j = i + 1
+            if ch.isdigit():
+                while j < n and text[j].isdigit():
+                    j += 1
+                kind = "INT"
+            else:
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                kind = "UIDENT" if ch.isupper() else "IDENT"
+            toks.append(_Tok(kind, text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "()[],.~@#$!/=:;{}<>+*":
+            toks.append(_Tok("OP", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(_Tok("EOF", "", line, col))
+    return toks
+
+
+class _RefParser:
+    def __init__(self, text, params=(), pattern=False):
+        self.toks, self.pos = _ref_tokenize(text), 0
+        self.params, self.bound = set(params), []
+        self.names = [] if pattern else None
+
+    def peek(self):
+        return self.toks[min(self.pos, len(self.toks) - 1)]
+
+    def next(self):
+        tok = self.peek()
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def at(self, value):
+        return self.peek().kind != "EOF" and self.peek().value == value
+
+    def fail(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    def expect(self, value):
+        if not self.at(value):
+            self.fail(f"expected {value!r}, found {self.peek().value or 'end of input'!r}")
+        return self.next()
+
+    def done(self, result):
+        if self.peek().kind != "EOF":
+            self.fail(f"trailing input {self.peek().value!r}")
+        return result
+
+    def formula(self):
+        left = self.disjunction()
+        if self.at("->"):
+            self.next()
+            return Implies(left, self.formula())
+        return left
+
+    def disjunction(self):
+        f = self.conjunction()
+        while self.at("\\/"):
+            self.next()
+            f = Or(f, self.conjunction())
+        return f
+
+    def conjunction(self):
+        f = self.unary()
+        while self.at("/\\"):
+            self.next()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self):
+        tok = self.peek()
+        if tok.value in ("~", "$"):
+            self.next()
+            body = self.unary()
+            return Neg(body) if tok.value == "~" else Recur(body)
+        if tok.value in ("@", "#"):
+            self.next()
+            name = self.ident("quantifier variable")
+            self.expect(".")
+            self.bound.append(name)
+            body = self.unary()
+            self.bound.pop()
+            return All(name, body) if tok.value == "@" else Exists(name, body)
+        if tok.value == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if tok.value in ("!", "/"):
+            copy = self.at("!")
+            if copy:
+                self.next()
+            self.expect("/")
+            return DirRef(self.ident("directory name"), self.arglist(), copy)
+        if tok.kind == "IDENT":
+            return Atom(self.ident("atom"), self.arglist())
+        self.fail(f"expected a formula, found {tok.value or 'end of input'!r}")
+
+    def arglist(self):
+        if not self.at("("):
+            return ()
+        self.next()
+        args = [self.term()]
+        while self.at(","):
+            self.next()
+            args.append(self.term())
+        self.expect(")")
+        return tuple(args)
+
+    def term(self):
+        t = self.prod()
+        while self.at("+"):
+            self.next()
+            t = App("+", (t, self.prod()))
+        return t
+
+    def prod(self):
+        t = self.factor()
+        while self.at("*"):
+            self.next()
+            t = App("*", (t, self.factor()))
+        return t
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "INT":
+            self.next()
+            return Num(int(tok.value))
+        if tok.kind == "UIDENT":
+            if self.names is not None:
+                if tok.value not in self.names:
+                    self.names.append(tok.value)
+            elif tok.value not in self.params:
+                self.fail(f"unbound variable {tok.value!r}")
+            self.next()
+            return Var(tok.value)
+        if tok.kind == "IDENT":
+            self.next()
+            if self.at("("):
+                return App(tok.value, self.arglist())
+            return Var(tok.value) if tok.value in self.bound else Const(tok.value)
+        self.fail(f"expected a term, found {tok.value or 'end of input'!r}")
+
+    def ident(self, what):
+        tok = self.peek()
+        if tok.kind != "IDENT":
+            self.fail(f"expected {what}, found {tok.value or 'end of input'!r}")
+        return self.next().value
+
+
+def _ref_formula(text, params=()):
+    p = _RefParser(text, params)
+    return p.done(p.formula())
+
+
+def _ref_pattern(text):
+    p = _RefParser(text, pattern=True)
+    return p.done((p.term(), tuple(p.names)))
+
+
+def _ref_dirref(text):
+    p = _RefParser(text)
+    f = p.done(p.unary())
+    if not isinstance(f, DirRef):
+        raise ParseError("not a directory reference")
+    return f
+
+
+
+def _ref_term(text, params=()):
+    p = _RefParser(text, params)
+    return p.done(p.term())
+
+
+# (parser, reference, extra arguments) for every text entry point
+ENTRY_POINTS = [(parse_formula, _ref_formula, ()),
+                (parse_formula, _ref_formula, (("X", "Y"),)),
+                (parse_term, _ref_term, (("X",),)),
+                (parse_pattern, _ref_pattern, ()),
+                (parse_dirref, _ref_dirref, ())]
+BLANKS = ["", " ", " ", "  ", "\t", "\n", " \n\t", "\r\n"]
+NOISE = "pqxXY0129s(),.~@#$!/\\-><=+*:;{}[]_'%&é\x0c \t\n"
+SOUP = ["p", "q(", "r", "x", "y", "X", "Y", "s(", "f(", "0", "12", "(", ")",
+        ")", ",", ".", "~", "$", "@x.", "#y.", "@", "#", "/\\", "\\/", "->",
+        "/m", "!/n(", "/", "!", "+", "*", "=", "<=", ":", "_", "'", "é", "-"]
+
+
+def _outcome(parse, text, *args):
+    try:
+        return "ok", parse(text, *args)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+
+
+def _respace(rng, text):
+    # rejoin text's tokens with random blanks; "" may fuse two words into one
+    toks = [tok.value for tok in _ref_tokenize(text)[:-1]]
+    return rng.choice(BLANKS) + "".join(tok + rng.choice(BLANKS) for tok in toks)
+
+
+def _mutate(rng, text):
+    i = rng.randrange(len(text) + 1)
+    edit = rng.randrange(4)
+    if edit == 0:
+        return text[:i] + rng.choice(NOISE) + text[i:]
+    if edit == 1:
+        return text[:i] + text[i + 1:]
+    if edit == 2:
+        return text[:i]
+    return text[:i] + text[i:i + 2][::-1] + text[i + 2:]  # swap two characters
+
+
+def _random_texts(rng, count):
+    for _ in range(count):
+        pick = rng.randrange(4)
+        if pick == 0:
+            text = pretty(_random_formula(rng, set(), rng.randrange(1, 6)))
+            if rng.random() < 0.5:  # constants named like quantified variables
+                text = text.translate(str.maketrans("abc", "xyz"))
+        elif pick == 1:
+            text = pretty_term(_random_term(rng, {"X", "y"}, rng.randrange(1, 5)))
+        elif pick == 2:
+            text = "".join(rng.choice(SOUP) + rng.choice(BLANKS)
+                           for _ in range(rng.randrange(1, 12)))
+        else:
+            text = "/m(" + pretty_term(_random_term(rng, {"X"}, 3)) + ")"
+        if pick != 2:
+            text = _respace(rng, text)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            text = _mutate(rng, text)
+        yield text
+
+
+def test_parser_matches_recursive_descent_reference():
+    rng = random.Random(5005)
+    wants = []
+    for text in _random_texts(rng, 1500):
+        for parse, ref, args in ENTRY_POINTS:
+            wants.append(_outcome(ref, text, *args))
+            assert _outcome(parse, text, *args) == wants[-1], (parse.__name__, text, args)
+    # the texts reach every error of the grammar, also past the first line
+    messages = " ".join(want[1] for want in wants if want[0] == "error")
+    for prefix in ("unexpected character", "expected a formula", "expected a term",
+                   "expected ')'", "expected '.'", "expected '/'", "expected quantifier",
+                   "expected directory name", "unbound variable", "trailing input",
+                   "not a directory reference", "(line 3,"):
+        assert prefix in messages
+    assert sum(want[0] == "ok" for want in wants) > len(wants) // 4
+
+
+def test_kb_lines_match_reference(monkeypatch):
+    rng = random.Random(5006)
+    texts = []
+    for _ in range(300):
+        lines = []
+        for _ in range(rng.randrange(1, 4)):
+            pattern = pretty_term(_random_term(rng, {"X"}, 2))
+            body = _respace(rng, pretty(_random_formula(rng, set(), 3)))
+            body = body.replace("a", "X") if "X" in pattern else body
+            head = rng.choice(["/m", "/n(" + pattern + ")"])
+            lines.append(f"{head} = {body}")
+        text = "\n".join(lines)
+        texts.append(_mutate(rng, text) if rng.random() < 0.5 else text)
+
+    def load(text):
+        try:
+            table = load_kb(text)
+        except KBError as exc:
+            return "error", str(exc)
+        return "ok", {name: (d.arity, d.clauses) for name, d in table.defs.items()}
+
+    got = [load(text) for text in texts]
+    monkeypatch.setattr(directories, "parse_formula", _ref_formula)
+    monkeypatch.setattr(directories, "parse_pattern", _ref_pattern)
+    want = [load(text) for text in texts]
+    for text, g, w in zip(texts, got, want):
+        assert g == w, text
+    assert {w[0] for w in want} == {"ok", "error"}
+
+
+def _script_variants(rng):
+    for name in ("fact.coli", "fact_short.coli", "q_restricted.coli", "ident.coli"):
+        base = data_text(name)
+        for _ in range(25):
+            lines = []
+            for line in base.splitlines():
+                line = line.replace("  ", rng.choice(["  ", "\t", " \t"]))
+                if rng.random() < 0.3:
+                    line += rng.choice([" % note", "%", "\t% x % y"])
+                lines.append(line)
+            text = "\n".join(lines) + rng.choice(["", "\n", " % end", "\n\t"])
+            yield _mutate(rng, text) if rng.random() < 0.3 else text
+
+
+def test_token_positions_in_scripts_match_reference():
+    rng = random.Random(5007)
+    for text in _script_variants(rng):
+        try:
+            ref = _ref_tokenize(text, "%")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                tokenize(text, "%")
+            assert (str(err.value), err.value.line, err.value.col) == (
+                str(exc), exc.line, exc.col)
+            continue
+        assert tokenize(text, "%") == [tok.value for tok in ref]
+        ts = TokenStream(text, "%")
+        for index, tok in enumerate(ref):
+            with pytest.raises(ParseError) as err:
+                ts.error("here", index)
+            assert (err.value.line, err.value.col) == (tok.line, tok.col), (text, index)
+
+
+def test_every_text_path_lexes_through_tokenize(monkeypatch):
+    # bench/tracer.py replaces coli.parser.tokenize wherever a coli module
+    # holds it and reports the lengths it returns as parser.tokens
+    lexed = []
+
+    def counting(text, comment=None):
+        lexed.append(len(tokenize(text, comment)))
+        return tokenize(text, comment)
+
+    for name, module in list(sys.modules.items()):
+        if name == "coli" or name.startswith("coli."):
+            for key, value in list(vars(module).items()):
+                if value is tokenize:
+                    monkeypatch.setattr(module, key, counting)
+
+    def ref_lengths(*texts, comment=None):
+        return [len(_ref_tokenize(text, comment)) for text in texts]
+
+    paths = [
+        (load_kb, data_text("rec.kb"), ref_lengths("0", "q", "s(X)", "p /\\ !/m(X)")),
+        (parse_pattern, "f(X, s(Y))", ref_lengths("f(X, s(Y))")),
+        (parse_dirref, "!/m(3)", ref_lengths("!/m(3)")),
+        (parse_formula, "@y. #z. fact(y,z)", ref_lengths("@y. #z. fact(y,z)")),
+        (parse_script, data_text("fact.coli"),
+         ref_lengths(data_text("fact.coli"), comment="%")),
+    ]
+    for parse, text, lengths in paths:
+        lexed.clear()
+        parse(text)
+        assert lexed == lengths, parse.__name__
+
+
+def test_token_counts_of_data_files_match_reference():
+    for path in sorted(DATA.iterdir()):
+        comment = "%" if path.suffix == ".coli" else None
+        text = path.read_text()
+        assert len(tokenize(text, comment)) == len(_ref_tokenize(text, comment)), path.name
+
+@pytest.mark.parametrize("text, message", [
+    ('algorithm a {\n\t/q.read(n)\n}',
+     "expected ';', found '}' (line 3, col 1)"),
+    ('algorithm a { % c\n  for i = 1 to n {\n\t/d.i.wrote;\n  }\n}',
+     'path statement must end in .read(v) or .write (line 3, col 12)'),
+    ('algorithm a {\n  choose(/q.1: jump);\n}',
+     "unknown rule 'jump' (expected one of read, write, replicate, close) (line 2, col 16)"),
+    ('algorithm a {\n  prove; % done',
+     "expected '}', found 'end of input' (line 2, col 10)"),
+    ('algorithm a {\n  prove; % done\n\t',
+     "expected '}', found 'end of input' (line 3, col 2)"),
+    ('algorithm a {\n  if n ! 2 { prove; }\n}',
+     "expected a comparison, found '!' (line 2, col 8)"),
+    ('algorithm a {\n  /q.(.write;\n}',
+     "bad path segment '(' (line 2, col 6)"),
+    ('algorithm a {\n  choose(/q.$: write);\n}',
+     "bad path segment '$' (line 2, col 13)"),
+    ('algorithm a {\n  bogus;\n}',
+     "unknown statement 'bogus' (line 2, col 3)"),
+    ('algorithm a {\n  for i = ; to 2 {}\n}',
+     "expected a number or script variable, found ';' (line 2, col 11)"),
+    ('algorithm a { prove; } execute;',
+     "trailing input 'execute' (line 1, col 24)"),
+    ('algo a {}',
+     "expected 'algorithm', found 'algo' (line 1, col 1)"),
+    ('algorithm 1 {}',
+     "expected algorithm name, found '1' (line 1, col 11)"),
+    ('algorithm a {\n\t\t/q.read(n); ?\n}',
+     "unexpected character '?' (line 2, col 15)"),
+    ('algorithm a {\n  /q\n}',
+     'path statement must end in .read(v) or .write (line 3, col 1)'),
+    ('algorithm a {\n  schoose(/q.1: write, /r: read close, /s: write);\n}',
+     "expected ')', found 'close' (line 2, col 33)"),
+])
+def test_script_error_positions(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_script(text)
+    assert str(err.value) == message
