@@ -59,14 +59,9 @@ def define_directory(table: DirectoryTable, name: str, clauses) -> DirectoryTabl
     """Install a definition, replacing any previous one under the same name.
 
     All clauses must agree on arity and their patterns must be pairwise
-    non-overlapping.
+    non-overlapping; each clause is checked against the clauses before it.
     """
-    built = []
-    for pattern, body in clauses:
-        params = ()
-        if pattern is not None:
-            params = tuple(sorted(F.free_vars(F.Atom("_", (pattern,)))))
-        built.append(Clause(pattern, params, body))
+    built = [_clause(pattern, body) for pattern, body in clauses]
     arities = {0 if c.pattern is None else 1 for c in built}
     if len(arities) != 1:
         raise KBError(f"/{name}: clauses disagree on arity")
@@ -75,14 +70,38 @@ def define_directory(table: DirectoryTable, name: str, clauses) -> DirectoryTabl
     if prev is not None and prev.arity != arity:
         raise KBError(f"/{name}: redefinition changes arity "
                       f"({prev.arity} -> {arity})")
-    for i, a in enumerate(built):
-        for b in built[i + 1:]:
-            if a.pattern is not None and _patterns_overlap(a.pattern, b.pattern):
-                raise KBError(
-                    f"/{name}: overlapping patterns {pretty_term(a.pattern)} "
-                    f"and {pretty_term(b.pattern)}")
+    if arity:
+        for i, clause in enumerate(built):
+            _check_disjoint(name, built[:i], clause.pattern)
     table.defs[name] = DirectoryDef(name, arity, tuple(built))
     return table
+
+
+def _clause(pattern: Term | None, body: F.Formula) -> Clause:
+    params = ()
+    if pattern is not None:
+        params = tuple(sorted(F.free_vars(F.Atom("_", (pattern,)))))
+    return Clause(pattern, params, body)
+
+
+def _check_disjoint(name: str, earlier, pattern: Term):
+    for clause in earlier:
+        if _patterns_overlap(clause.pattern, pattern):
+            raise KBError(
+                f"/{name}: overlapping patterns {pretty_term(clause.pattern)} "
+                f"and {pretty_term(pattern)}")
+
+
+def _extend_directory(table: DirectoryTable, name: str, pattern: Term,
+                      body: F.Formula):
+    """Append one pattern clause to /name, checked only against the clauses
+    it already has, so k clauses cost k(k-1)/2 overlap checks."""
+    prev = table.defs.get(name)
+    if prev is None or prev.arity == 0:
+        define_directory(table, name, [(pattern, body)])
+        return
+    _check_disjoint(name, prev.clauses, pattern)
+    table.defs[name] = DirectoryDef(name, 1, prev.clauses + (_clause(pattern, body),))
 
 
 def match_pattern(pattern: Term, arg: Term):
@@ -211,12 +230,6 @@ def expand(table: DirectoryTable, ref: F.DirRef,
 def load_kb(text: str) -> DirectoryTable:
     """Parse a knowledge-base file into a directory table."""
     table = DirectoryTable()
-    pending: dict[str, list] = {}
-
-    def flush(name):
-        if name in pending:
-            define_directory(table, name, pending.pop(name))
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -231,14 +244,9 @@ def load_kb(text: str) -> DirectoryTable:
             name, pattern, params, rhs = _split_definition(line)
             body = parse_formula(rhs, params)
             if pattern is None:
-                pending.pop(name, None)
                 define_directory(table, name, [(None, body)])
             else:
-                prev = table.defs.get(name)
-                if name not in pending and prev is not None and prev.arity == 1:
-                    pending[name] = [(c.pattern, c.body) for c in prev.clauses]
-                pending.setdefault(name, []).append((pattern, body))
-                flush(name)
+                _extend_directory(table, name, pattern, body)
         except ParseError as exc:
             raise KBError(f"line {lineno}: {exc}") from exc
         except KBError as exc:

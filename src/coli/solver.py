@@ -228,7 +228,20 @@ def close_elementary(cfg) -> ClosureResult:
     which rules, and succeeds as soon as the output formula is classically
     satisfied by the derived facts (conjunction: all parts, disjunction: one
     part, atoms by unification).  Search states are memoized on structural
-    keys: multisets of atoms with the current substitution applied.
+    keys: the multisets of facts and of unfired rules, and the output, all
+    with the current substitution applied.
+
+    A rule's own variables occur in no fact, not in the output and in no
+    other rule; the rest are shared.  An unfired rule's own variables are
+    unbound and occur nowhere else, so renaming them apart gives the rule a
+    canonical form.  Two unfired rules with equal forms (replicas of one
+    service, say) are twins: swapping them, and their own variables, maps
+    the search state onto itself and each one's subtree onto the other's.
+    So a twin fails whenever the first one tried does, and a frame fires
+    only the first rule of each class, which leaves the first success, its
+    substitution and the trace as they were.  The forms rename nothing but
+    the rule's own variables: a shared variable bound to another rule's
+    private one (X -> P) stays literal, because firing through it binds P.
     """
     blocker = _interactive_blocker(cfg)
     if blocker:
@@ -249,21 +262,17 @@ def close_elementary(cfg) -> ClosureResult:
     visited: set = set()
     # variables shared beyond a single rule: binding them can matter later,
     # so only firings that touch nothing shared are prunable as redundant
-    shared_gvars: set = set()
     per_rule: list = []
     for ante, cons in acc.rules:
         mine: set = set()
         for a in ante + cons:
             mine |= _formula_gvars(a)
         per_rule.append(mine)
-    outside = set()
+    outside = _formula_gvars(out)
     for f in acc.facts:
         outside |= _formula_gvars(f)
-    outside |= _formula_gvars(out)
-    for i, mine in enumerate(per_rule):
-        others = outside.union(*(per_rule[:i] + per_rule[i + 1:])) \
-            if len(per_rule) > 1 else outside
-        shared_gvars |= mine & others
+    uses = Counter(g for mine in per_rule for g in mine)
+    shared_gvars = {g for g, n in uses.items() if n > 1 or g in outside}
 
     def sat(f: F.Formula, s: Substitution, facts):
         """Yield substitutions classically satisfying f against the facts."""
@@ -294,13 +303,15 @@ def close_elementary(cfg) -> ClosureResult:
             return
         raise _NotElementary(f"output is not elementary: {F.pretty(f)}")
 
+    own = [mine - shared_gvars for mine in per_rule]
+
     def canon_rule(ri, s):
-        # interchangeable replicas must collide: rename each rule's private
-        # variables locally, keep shared ones literal
-        names: dict = {}
+        # rename the rule's own variables only, never a foreign one that a
+        # shared variable is bound to
+        mine, names = own[ri], {}
 
         def blind(t):
-            if isinstance(t, GVar) and t.name not in shared_gvars:
+            if isinstance(t, GVar) and t.name in mine:
                 if t.name not in names:
                     names[t.name] = f"_r{len(names)}"
                 return GVar(names[t.name])
@@ -312,12 +323,30 @@ def close_elementary(cfg) -> ClosureResult:
         return tuple(F.Atom(atom.pred, tuple(blind(s.apply(t)) for t in atom.args))
                      for atom in ante + cons)
 
+    # a rule with nothing shared has the same form under every substitution
+    static = [None if per_rule[ri] & shared_gvars else canon_rule(ri, Substitution())
+              for ri in range(len(acc.rules))]
+
+    def classes(unfired, s):
+        """The multiset of rule forms and the first position of each form."""
+        counts: Counter = Counter()
+        firsts = []
+        for pos, ri in enumerate(unfired):
+            form = static[ri]
+            if form is None:
+                form = canon_rule(ri, s)
+            if form not in counts:
+                firsts.append(pos)
+            counts[form] += 1
+        return frozenset(counts.items()), firsts
+
     def dfs(facts, unfired, s, fired):
         hit = next(sat(out, s, facts), None)
         if hit is not None:
             return hit
         applied = [s.apply_formula(a) for a in facts]
-        key = (_multiset(canon_rule(ri, s) for ri in unfired), _multiset(applied))
+        forms, firsts = classes(unfired, s)
+        key = (forms, _multiset(applied), s.apply_formula(out))
         if key in visited:
             return None
         visited.add(key)
@@ -332,7 +361,9 @@ def close_elementary(cfg) -> ClosureResult:
                 open_facts.append(a)
             else:
                 ground.add(a)
-        for pos, ri in enumerate(unfired):
+        # a later twin fails whenever the first one does (see above)
+        for pos in firsts:
+            ri = unfired[pos]
             ante, cons = acc.rules[ri]
             for s2 in _match_all(ante, facts, s):
                 derived = [s2.apply_formula(c) for c in cons]

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from coli.prover import Bounds
 from coli.scripts import ListChannel, ScriptEnv, parse_script, run_script
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def data_text(name: str) -> str:
@@ -17,6 +20,14 @@ def data_text(name: str) -> str:
 
 def data_path(name: str) -> str:
     return str(DATA / name)
+
+
+def run_coli(*args) -> subprocess.CompletedProcess:
+    """``python -m coli ARGS`` in a child process that imports coli from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "coli", *args],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def factorial(n: int) -> int:

@@ -2,7 +2,6 @@
 interactive mode."""
 
 import io
-import subprocess
 import sys
 
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from coli import cli
 from coli.cli import main
 
-from conftest import data_path, data_text
+from conftest import data_path, data_text, run_coli
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +45,15 @@ def test_run_trace_matches_golden(capsys):
                            "--inputs", "3", "--trace")
     assert code == 0
     assert out == data_text("fact3.trace")
+
+
+def test_prove_trace_matches_golden(capsys):
+    # read n = 9, then `prove` finds the strategy that `execute` replays
+    code, out, _ = run_cli(capsys, "run", "--kb", data_path("fact.kb"),
+                           "--script", data_path("fact_short.coli"),
+                           "--inputs", "9", "--trace")
+    assert code == 0
+    assert out == data_text("fact_short9.trace")
 
 
 def test_run_restricted_q_exits_1(capsys):
@@ -93,9 +101,7 @@ def test_deep_prove_subprocess(tmp_path):
     # 330 nested conjunctions: every walk of a prove fits the default stack
     kb = tmp_path / "deep.kb"
     kb.write_text(data_text("rec.kb") + "/query = /m(330)\nquery /query\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "coli", "prove", "--kb", str(kb)],
-        capture_output=True, text=True, timeout=60)
+    proc = run_coli("prove", "--kb", str(kb))
     assert proc.returncode == 1
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
     assert proc.stderr == ""
@@ -104,9 +110,7 @@ def test_deep_prove_subprocess(tmp_path):
 def test_expand_deep_reference_subprocess():
     # the reference parses at 1,000 nested s(...); expansion hits its bound
     ref = "/m(" + "s(" * 1000 + "0" + ")" * 1001
-    proc = subprocess.run(
-        [sys.executable, "-m", "coli", "expand", "--kb", data_path("rec.kb"), ref],
-        capture_output=True, text=True, timeout=60)
+    proc = run_coli("expand", "--kb", data_path("rec.kb"), ref)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: expansion of /m exceeded depth 1024\n"
@@ -244,9 +248,7 @@ def test_interactive_strategy_branch(capsys, monkeypatch):
 
 
 def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "coli", "run", "--kb", data_path("fact.kb"),
-         "--script", data_path("fact.coli"), "--inputs", "3"],
-        capture_output=True, text=True, timeout=60)
+    proc = run_coli("run", "--kb", data_path("fact.kb"),
+                    "--script", data_path("fact.coli"), "--inputs", "3")
     assert proc.returncode == 0
     assert proc.stdout == "RESULT fact(3,6)\n"

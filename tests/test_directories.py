@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from coli import directories
 from coli.directories import (DirectoryTable, define_directory, expand,
                               load_kb, match_pattern)
 from coli.errors import DepthLimitError, ExpandError, KBError
@@ -47,6 +48,32 @@ def test_overlapping_patterns_rejected():
         _table("/m(s(X)) = p\n/m(s(0)) = q\n")
     with pytest.raises(KBError):
         _table("/m(X) = p\n/m(0) = q\n")
+
+
+def test_overlap_names_the_earliest_clause():
+    text = "/m(0) = p\n/n = q\n/m(s(0)) = p\n/m(s(X)) = q\n/m(2) = p\n"
+    with pytest.raises(KBError, match=r"^line 4: /m: overlapping patterns "
+                                      r"s\(0\) and s\(X\)$"):
+        _table(text)
+
+
+def test_clauses_added_one_line_at_a_time():
+    table = _table("/m(0) = p\n/n = q\n/m(s(X)) = r\n")
+    assert [c.pattern for c in table.defs["m"].clauses] == [Num(0), app("s", Var("X"))]
+    assert table.defs["m"].clauses[1].params == ("X",)
+
+
+def test_load_checks_each_pair_of_clauses_once(monkeypatch):
+    # each clause line is checked against the earlier clauses only
+    calls = []
+    real = directories._patterns_overlap
+    monkeypatch.setattr(directories, "_patterns_overlap",
+                        lambda p, q: calls.append((p, q)) or real(p, q))
+    k = 60
+    table = _table("".join(f"/f({i}) = p\n" for i in range(k)))
+    assert len(table.defs["f"].clauses) == k
+    assert len(calls) == k * (k - 1) // 2
+    assert len(set(calls)) == len(calls)
 
 
 def test_match_pattern_numeral_interop():

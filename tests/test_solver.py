@@ -3,7 +3,9 @@ enumeration of firing orders."""
 
 import itertools
 import random
+from collections import Counter
 
+from coli import solver
 from coli.configuration import Path, apply_write, init_configuration
 from coli.directories import DirectoryTable, define_directory
 from coli.formulas import And, Atom, Implies, Or, pretty
@@ -380,7 +382,16 @@ def oracle_close(facts, rules, output):
         for s2 in sat(output, s, facts):
             results.add(pretty(s2.apply_formula(output)))
 
+    seen = set()
+
     def rec(facts, remaining, s):
+        # a state reached twice is enumerated once; states compare exactly,
+        # with no renaming of variables
+        state = (frozenset(Counter(facts).items()), tuple(remaining),
+                 frozenset(s.bindings.items()))
+        if state in seen:
+            return
+        seen.add(state)
         note(facts, s)
         for i, (ante, cons) in enumerate(remaining):
             for fact in facts:
@@ -402,6 +413,20 @@ def _random_atom(rng, preds, consts, gvars=()):
     return Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
 
 
+def _kb_config(facts, rules, output):
+    """A configuration whose one input service holds the facts and rules."""
+    table = DirectoryTable()
+    kb = facts[0]
+    for f in facts[1:]:
+        kb = And(kb, f)
+    for ante, cons in rules:
+        kb = And(kb, Implies(ante, cons))
+    define_directory(table, "kb", [(None, kb)])
+    define_directory(table, "query", [(None, output)])
+    table.query = "query"
+    return init_configuration(table, input_names=["kb"])
+
+
 def test_close_matches_exhaustive_oracle():
     rng = random.Random(11)
     preds = [("p", 1), ("q", 1), ("r", 2)]
@@ -421,18 +446,7 @@ def test_close_matches_exhaustive_oracle():
                              And(out_atoms[0], out_atoms[1]),
                              Or(out_atoms[0], out_atoms[1])])
 
-        table = DirectoryTable()
-        body = facts[0]
-        for f in facts[1:]:
-            body = And(body, f)
-        for ante, cons in rules:
-            body = And(body, Implies(ante, cons))
-        define_directory(table, "kb", [(None, body)])
-        define_directory(table, "query", [(None, output)])
-        table.query = "query"
-        cfg = init_configuration(table, input_names=["kb"])
-
-        mine = close_elementary(cfg)
+        mine = close_elementary(_kb_config(facts, rules, output))
         expected = oracle_close(facts, rules, output)
         assert mine.ok == bool(expected), (trial, facts, rules, output)
         if mine.ok:
@@ -466,16 +480,7 @@ def test_close_with_written_output_matches_oracle():
             args[0] = Var("v")
             out = Exists("v", Atom(pred, tuple(args)))
 
-        table = DirectoryTable()
-        kb = facts[0]
-        for f in facts[1:]:
-            kb = And(kb, f)
-        for ante, cons in rules:
-            kb = And(kb, Implies(ante, cons))
-        define_directory(table, "kb", [(None, kb)])
-        define_directory(table, "query", [(None, out)])
-        table.query = "query"
-        cfg = init_configuration(table, input_names=["kb"])
+        cfg = _kb_config(facts, rules, out)
         if arity:
             cfg = apply_write(cfg, Path("query"))
 
@@ -487,3 +492,116 @@ def test_close_with_written_output_matches_oracle():
             wins += 1
             assert pretty(mine.output) in expected
     assert wins > 10
+
+
+# --- closure: interchangeable rules --------------------------------------
+
+def test_close_twins_keep_foreign_private_variables():
+    # once f(X) -> g(a) fires on f(P), the rule g(X) -> h(a) reads g(P),
+    # and P belongs to k(c) -> f(P): it is no twin of g(Q) -> h(a), whose
+    # firing leaves P free to become b
+    P, X, Q = GVar("P"), GVar("X"), GVar("Q")
+    a, b, c = Const("a"), Const("b"), Const("c")
+    facts = [Atom("k", (c,))]
+    rules = [(Atom("k", (c,)), Atom("f", (P,))),
+             (Atom("f", (X,)), Atom("g", (a,))),
+             (Atom("g", (X,)), Atom("h", (a,))),
+             (Atom("g", (Q,)), Atom("h", (a,)))]
+    output = And(Atom("f", (b,)), Atom("h", (a,)))
+    assert oracle_close(facts, rules, output) == {"f(b) /\\ h(a)"}
+    result = close_elementary(_kb_config(facts, rules, output))
+    assert result.ok and pretty(result.output) == "f(b) /\\ h(a)"
+
+
+def test_close_memo_tells_output_bindings_apart():
+    # q(Y) -> t fired on q(1) or on q(2) leaves the same facts and rules,
+    # but only Y = 2 lets p(Y) /\ u hold once t -> u fires
+    Y = GVar("Y")
+    facts = [Atom("q", (Num(1),)), Atom("q", (Num(2),)), Atom("p", (Num(2),))]
+    rules = [(Atom("q", (Y,)), Atom("t", ())), (Atom("t", ()), Atom("u", ()))]
+    output = And(Atom("p", (Y,)), Atom("u", ()))
+    assert oracle_close(facts, rules, output) == {"p(2) /\\ u"}
+    result = close_elementary(_kb_config(facts, rules, output))
+    assert result.ok and pretty(result.output) == "p(2) /\\ u"
+
+
+def _count_unify_atoms(monkeypatch):
+    calls = [0]
+    real = solver.unify_atoms
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "unify_atoms", counting)
+    return calls
+
+
+def test_close_fires_one_replica_per_class(monkeypatch):
+    # the replicas of /d are interchangeable: firing every one of them,
+    # to be stopped by the memo, took 2,637 unifications here
+    calls = _count_unify_atoms(monkeypatch)
+    outcome, _, _ = run_game("fact.kb", "fact_short.coli", [12])
+    assert outcome.won and outcome.steps == 181
+    assert calls[0] <= 1100
+
+
+def test_close_winning_chain_costs_the_same(monkeypatch):
+    # the first replica tried already wins, so no twin is ever skipped
+    calls = _count_unify_atoms(monkeypatch)
+    outcome, _, _ = run_game("fact.kb", "fact.coli", [60])
+    assert outcome.won
+    assert calls[0] == 3721
+
+
+def _renamed(atom, names):
+    return Atom(atom.pred, tuple(GVar(names.get(t.name, t.name))
+                                 if isinstance(t, GVar) else t
+                                 for t in atom.args))
+
+
+def test_close_with_twin_rules_matches_oracle():
+    # rules mix constants, shared variables and private ones of their own,
+    # and each antecedent reads a predicate that a fact or an earlier
+    # consequent holds.  Every case gets twins, copies with fresh private
+    # variables; half of them also get fresh variables for the shared ones,
+    # which makes them look alike without being interchangeable.  The rules
+    # come in shuffled order.
+    rng = random.Random(13)
+    preds = ["p", "q", "r", "s"]
+    consts = [Const("a"), Const("b")]
+    shared = [GVar("X"), GVar("Y")]
+    wins = losses = 0
+    for trial in range(600):
+        facts = [Atom(rng.choice(preds), (rng.choice(consts),))
+                 for _ in range(rng.randrange(1, 3))]
+        live = [f.pred for f in facts]
+        rules = []
+        for i in range(rng.randrange(2, 4)):
+            P, Q = GVar(f"P{i}"), GVar(f"Q{i}")
+            ante = Atom(rng.choice(live), (rng.choice(shared + [P] + consts),))
+            cons = Atom(rng.choice(preds),
+                        (rng.choice(shared + [P, Q, Q] + consts),))
+            live.append(cons.pred)
+            rules.append((ante, cons))
+        originals = list(rules)
+        for k in range(rng.choice([1, 1, 2])):
+            ante, cons = rng.choice(originals)
+            names = {f"{v}{i}": f"{v}{i}t{k}" for v in "PQ" for i in range(3)}
+            if rng.random() < 0.5:
+                names.update({v.name: f"{v.name}t{k}" for v in shared})
+            rules.append((_renamed(ante, names), _renamed(cons, names)))
+        rng.shuffle(rules)
+        outs = [Atom(rng.choice(live), (rng.choice(shared + consts),))
+                for _ in range(2)]
+        output = rng.choice([outs[0], And(*outs), Or(*outs)])
+
+        mine = close_elementary(_kb_config(facts, rules, output))
+        expected = oracle_close(facts, rules, output)
+        assert mine.ok == bool(expected), (trial, facts, rules, output)
+        if mine.ok:
+            wins += 1
+            assert pretty(mine.output) in expected
+        else:
+            losses += 1
+    assert wins > 100 and losses > 50
