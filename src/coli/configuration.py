@@ -1,7 +1,9 @@
 """The live game state: expanded services, polarity-aware moves, replication.
 
 Services are kept in one node store so that moves can rewrite a single node
-(peeling a quantifier) while leaving every other address stable.  A node
+(peeling a quantifier, adding a replica) while leaving every other address
+stable.  A recurrence node lists its replicas as (index, root) pairs, and a
+path's integer segment at a recurrence names a replica.  A node
 with in-degree > 1 in a service's expansion is a shared (cirquent) node;
 the configuration records these once, when it imports the services.  A
 shared node and everything below it are read-only: moves never enter one
@@ -21,7 +23,7 @@ initial configuration reproduces the final one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import formulas as F
 from .directories import DirectoryTable, expand
@@ -86,16 +88,15 @@ class MoveOption:
 
 
 class Configuration:
+    """Node ids are dense and never freed, so the next one is len(nodes);
+    the fresh global variables so far are W1 .. W{next_gvar - 1}."""
+
     def __init__(self):
         self.nodes: dict[int, GNode] = {}
         self.roots: dict[str, int] = {}
-        self.sides: dict[str, str] = {}
         self.output: str = ""
-        self.replicas: dict[int, dict[int, int]] = {}
         self.shared: frozenset[int] = frozenset()
-        self.gvars: list[str] = []
         self.trace: list[Move] = []
-        self.next_node = 0
         self.next_gvar = 1
         self.replica_limit = DEFAULT_REPLICA_LIMIT
 
@@ -103,13 +104,9 @@ class Configuration:
         out = Configuration.__new__(Configuration)
         out.nodes = dict(self.nodes)
         out.roots = dict(self.roots)
-        out.sides = dict(self.sides)
         out.output = self.output
-        out.replicas = {k: dict(v) for k, v in self.replicas.items()}
         out.shared = self.shared
-        out.gvars = list(self.gvars)
         out.trace = list(self.trace)
-        out.next_node = self.next_node
         out.next_gvar = self.next_gvar
         out.replica_limit = self.replica_limit
         return out
@@ -125,49 +122,29 @@ class Configuration:
         return FormulaGraph(nodes=self.nodes, root=nid).to_formula()
 
     def input_contents(self):
-        """(node id, replica index) pairs of the content in play, per input.
+        """Node ids of the content in play, per input.
 
         For a service whose root is a recurrence the content is its replicas
         (an unused recurrence root contributes nothing); otherwise it is the
         root itself.
         """
         for name, root in self.roots.items():
-            if self.sides[name] != "input":
+            if name == self.output:
                 continue
             node = self.nodes[root]
             if node.op == "recur":
-                for idx in sorted(self.replicas.get(root, {})):
-                    yield self.replicas[root][idx], idx
+                yield from (rep for _idx, rep in node.replicas)
             else:
-                yield root, None
-
-    def structure(self):
-        """Node-id-independent snapshot for structural comparison."""
-        def walk(nid):
-            node = self.nodes[nid]
-            base = (node.op, node.pred, node.args, node.var)
-            kids = tuple(walk(c) for c in node.children)
-            if node.op == "recur":
-                reps = tuple((i, walk(r))
-                             for i, r in sorted(self.replicas.get(nid, {}).items()))
-                return base + (kids, reps)
-            return base + (kids,)
-
-        services = tuple((name, self.sides[name], walk(root))
-                         for name, root in self.roots.items())
-        return services, tuple(self.gvars)
+                yield root
 
     def _import_graph(self, graph: FormulaGraph) -> dict:
         """Copy the graph's nodes into the store; returns the renumbering."""
         mapping = {}
         for old in sorted(graph.nodes):  # children precede parents
             node = graph.nodes[old]
-            kids = tuple(mapping[c] for c in node.children)
-            mapping[old] = self.next_node
-            self.nodes[self.next_node] = GNode(node.op, children=kids,
-                                               pred=node.pred, args=node.args,
-                                               var=node.var)
-            self.next_node += 1
+            mapping[old] = len(self.nodes)
+            self.nodes[mapping[old]] = _with_children(
+                node, tuple(mapping[c] for c in node.children))
         return mapping
 
 
@@ -190,7 +167,6 @@ def init_configuration(table: DirectoryTable, input_names=None,
         graph = expand(table, F.DirRef(name))
         mapping = cfg._import_graph(graph)
         cfg.roots[name] = mapping[graph.root]
-        cfg.sides[name] = "output" if name == output_name else "input"
         shared.update(mapping[nid] for nid, degree in graph.in_degrees().items()
                       if degree > 1)
     cfg.shared = frozenset(shared)
@@ -199,19 +175,20 @@ def init_configuration(table: DirectoryTable, input_names=None,
 
 # path resolution ------------------------------------------------------
 
-def _resolve(cfg: Configuration, path: Path, create: bool):
+def resolve(cfg: Configuration, path: Path, create: bool = False):
     """Follow a path to a node; returns (cfg, node id, polarity sign).
 
     Integer segments index structural children (1-based) except at a
     recurrence, where they name replicas; with `create`, missing replicas
-    are created on demand (recording the implicit replicate move).  A path
-    that enters a shared node raises SharedNodeError; one that steps into
-    the body of a quantifier not yet played raises ConfigError.
+    are created on demand and the returned configuration records the
+    implicit replicate moves.  A path that enters a shared node raises
+    SharedNodeError; one that steps into the body of a quantifier not yet
+    played raises ConfigError.
     """
     if path.dir not in cfg.roots:
         raise ConfigError(f"unknown service in path {path}")
     cur = cfg.roots[path.dir]
-    sign = 1 if cfg.sides[path.dir] == "output" else -1
+    sign = 1 if path.dir == cfg.output else -1
     consumed: list = []
     for seg in path.segments:
         if not isinstance(seg, int):
@@ -221,11 +198,13 @@ def _resolve(cfg: Configuration, path: Path, create: bool):
             if seg < 1:
                 raise ConfigError(f"replica indices start at 1: {path}")
             here = Path(path.dir, tuple(consumed))
-            if seg not in cfg.replicas.get(cur, {}):
+            reps = dict(node.replicas)
+            if seg not in reps:
                 if not create:
                     raise ConfigError(f"replica {seg} of {here} does not exist")
                 cfg = replicate(cfg, here, seg)
-            cur = cfg.replicas[cur][seg]
+                reps = dict(cfg.nodes[cur].replicas)
+            cur = reps[seg]
         else:
             kids = node.children
             if not 1 <= seg <= len(kids):
@@ -244,14 +223,10 @@ def _resolve(cfg: Configuration, path: Path, create: bool):
     return cfg, cur, sign
 
 
-def resolve_node(cfg: Configuration, path: Path, create: bool = False):
-    """Public path lookup: (configuration, node, polarity sign).
-
-    With `create`, missing replicas along the path are created on demand and
-    the returned configuration records the implicit replicate moves.
-    """
-    cfg, nid, sign = _resolve(cfg, path, create)
-    return cfg, cfg.nodes[nid], sign
+def _with_children(node: GNode, kids: tuple) -> GNode:
+    """node with the given children.  Nodes are immutable, so one whose
+    children stay the same (a leaf, say) is shared rather than rebuilt."""
+    return node if kids == node.children else replace(node, children=kids)
 
 
 def _is_machine(op: str, sign: int) -> bool:
@@ -267,17 +242,13 @@ def _subst_nodes(cfg: Configuration, nid: int, var: str, value: Term):
     node = cfg.nodes[nid]
     if node.op == "atom":
         if any(var in term_vars(t) for t in node.args):
-            cfg.nodes[nid] = GNode("atom", pred=node.pred,
-                                   args=tuple(subst_var(t, var, value)
-                                              for t in node.args))
+            cfg.nodes[nid] = replace(node, args=tuple(subst_var(t, var, value)
+                                                      for t in node.args))
         return
     if node.op in ("all", "exists") and node.var == var:
         return
     for c in node.children:
         _subst_nodes(cfg, c, var, value)
-    if node.op == "recur":
-        for _, rep in sorted(cfg.replicas.get(nid, {}).items()):
-            _subst_nodes(cfg, rep, var, value)
 
 
 def _peel(cfg: Configuration, nid: int, value: Term):
@@ -299,7 +270,7 @@ def apply_read(cfg: Configuration, path: Path, value: int, var: str) -> Configur
     """Environment resolves its choice quantifier at path with a natural."""
     if not isinstance(value, int) or value < 0:
         raise ConfigError(f"read value must be a natural, got {value!r}")
-    cfg, nid, sign = _resolve(cfg, path, create=True)
+    cfg, nid, sign = resolve(cfg, path, create=True)
     node = cfg.nodes[nid]
     if node.op not in ("all", "exists"):
         raise ConfigError(f"read needs a choice quantifier at {path}, "
@@ -315,7 +286,7 @@ def apply_read(cfg: Configuration, path: Path, value: int, var: str) -> Configur
 def peel_env_symbolic(cfg: Configuration, path: Path, value: Term):
     """Peel an environment quantifier with a symbolic constant (proof search
     only; records no move).  Returns (configuration, bound variable name)."""
-    cfg, nid, sign = _resolve(cfg, path, create=False)
+    cfg, nid, sign = resolve(cfg, path)
     node = cfg.nodes[nid]
     if node.op not in ("all", "exists") or _is_machine(node.op, sign):
         raise ConfigError(f"no environment quantifier at {path}")
@@ -332,14 +303,14 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
     replicas yet, a write commits to a single copy: the recurrence collapses
     and the write applies to its principal quantifier.
     """
-    cfg, nid, sign = _resolve(cfg, path, create=True)
+    cfg, nid, sign = resolve(cfg, path, create=True)
     node = cfg.nodes[nid]
     out = cfg._clone()
     if node.op == "recur":
         if sign < 0:
             raise ConfigError(f"cannot collapse input recurrence {path}; "
                               "replicate instead")
-        if out.replicas.get(nid):
+        if node.replicas:
             raise ConfigError(f"{path} already has replicas; write inside one")
         if node.children[0] in out.shared:
             raise SharedNodeError(f"recurrence body at {path} is a shared "
@@ -357,7 +328,6 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
     if term is None:
         name = f"W{out.next_gvar}"
         out.next_gvar += 1
-        out.gvars.append(name)
         _peel(out, nid, GVar(name))
         out.trace.append(WriteMove(path, gvar=name))
     else:
@@ -369,16 +339,15 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
 def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
     """Create replica `index` of the recurrence at path as a fresh copy of its
     unshared nodes; the copy points at the same shared nodes."""
-    cfg, nid, _sign = _resolve(cfg, path, create=False)
+    cfg, nid, _sign = resolve(cfg, path)
     node = cfg.nodes[nid]
     if node.op != "recur":
         raise ConfigError(f"{path} is not a recurrence")
     if index < 1:
         raise ConfigError(f"replica indices start at 1, got {index}")
-    reps = cfg.replicas.get(nid, {})
-    if index in reps:
+    if index in dict(node.replicas):
         raise ConfigError(f"replica {index} of {path} already exists")
-    if len(reps) >= cfg.replica_limit or index > cfg.replica_limit:
+    if len(node.replicas) >= cfg.replica_limit or index > cfg.replica_limit:
         raise BoundError(f"replica limit {cfg.replica_limit} exceeded at {path}")
     out = cfg._clone()
 
@@ -387,13 +356,12 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
             return old
         n = out.nodes[old]
         kids = tuple(copy(c) for c in n.children)
-        new = out.next_node
-        out.next_node += 1
-        out.nodes[new] = GNode(n.op, children=kids, pred=n.pred,
-                               args=n.args, var=n.var)
+        new = len(out.nodes)
+        out.nodes[new] = _with_children(n, kids)
         return new
 
-    out.replicas.setdefault(nid, {})[index] = copy(node.children[0])
+    pairs = node.replicas + ((index, copy(node.children[0])),)
+    out.nodes[nid] = replace(node, replicas=tuple(sorted(pairs)))
     out.trace.append(ReplicateMove(path, index))
     return out
 
@@ -407,35 +375,53 @@ def legal_moves(cfg: Configuration) -> list[MoveOption]:
     """
     options: list[MoveOption] = []
 
-    def walk(name, nid, sign, segs):
+    def walk(name, side, nid, sign, segs):
         if nid in cfg.shared:
             return
         node = cfg.nodes[nid]
         if node.op in ("and", "or", "implies"):
             for i, c in enumerate(node.children, start=1):
                 flip = node.op == "implies" and i == 1
-                walk(name, c, -sign if flip else sign, segs + (i,))
+                walk(name, side, c, -sign if flip else sign, segs + (i,))
         elif node.op == "neg":
-            walk(name, node.children[0], -sign, segs + (1,))
+            walk(name, side, node.children[0], -sign, segs + (1,))
         elif node.op in ("all", "exists"):
             kind = "write" if _is_machine(node.op, sign) else "read"
-            options.append(MoveOption(kind, Path(name, segs), cfg.sides[name]))
+            options.append(MoveOption(kind, Path(name, segs), side))
         elif node.op == "recur":
-            reps = cfg.replicas.get(nid, {})
+            reps = node.replicas
             if sign > 0 and not reps and node.children[0] not in cfg.shared:
                 body = cfg.nodes[node.children[0]]
                 if body.op in ("all", "exists") and _is_machine(body.op, sign):
-                    options.append(MoveOption("write", Path(name, segs),
-                                              cfg.sides[name], collapse=True))
-            options.append(MoveOption("replicate", Path(name, segs),
-                                      cfg.sides[name],
-                                      index=max(reps, default=0) + 1))
-            for idx in sorted(reps):
-                walk(name, reps[idx], sign, segs + (idx,))
+                    options.append(MoveOption("write", Path(name, segs), side,
+                                              collapse=True))
+            next_index = reps[-1][0] + 1 if reps else 1
+            options.append(MoveOption("replicate", Path(name, segs), side,
+                                      index=next_index))
+            for idx, rep in reps:
+                walk(name, side, rep, sign, segs + (idx,))
 
     for name, root in cfg.roots.items():
-        walk(name, root, 1 if cfg.sides[name] == "output" else -1, ())
+        output = name == cfg.output
+        walk(name, "output" if output else "input", root, 1 if output else -1, ())
     return options
+
+
+def apply_move(cfg: Configuration, move: Move) -> Configuration:
+    """Apply a recorded move; a fresh write must allocate the variable the
+    record names."""
+    if isinstance(move, ReadMove):
+        return apply_read(cfg, move.path, move.value, move.var)
+    if isinstance(move, ReplicateMove):
+        return replicate(cfg, move.path, move.index)
+    if not isinstance(move, WriteMove):
+        raise ConfigError(f"unknown move {move!r}")
+    out = apply_write(cfg, move.path, term=move.term)
+    allocated = out.trace[-1].gvar
+    if move.gvar is not None and allocated != move.gvar:
+        raise ConfigError(f"replay mismatch: expected {move.gvar}, "
+                          f"allocated {allocated}")
+    return out
 
 
 def replay(table: DirectoryTable, moves, input_names=None,
@@ -443,15 +429,5 @@ def replay(table: DirectoryTable, moves, input_names=None,
     """Fold a recorded trace over a fresh configuration."""
     cfg = init_configuration(table, input_names, output_name, replica_limit)
     for move in moves:
-        if isinstance(move, ReadMove):
-            cfg = apply_read(cfg, move.path, move.value, move.var)
-        elif isinstance(move, WriteMove):
-            cfg = apply_write(cfg, move.path, term=move.term)
-            if move.gvar is not None and cfg.gvars[-1] != move.gvar:
-                raise ConfigError(f"replay mismatch: expected {move.gvar}, "
-                                  f"allocated {cfg.gvars[-1]}")
-        elif isinstance(move, ReplicateMove):
-            cfg = replicate(cfg, move.path, move.index)
-        else:
-            raise ConfigError(f"unknown move {move!r}")
+        cfg = apply_move(cfg, move)
     return cfg

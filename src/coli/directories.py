@@ -193,7 +193,7 @@ def expand(table: DirectoryTable, ref: F.DirRef,
         if isinstance(f, F.DirRef):
             if f.copy:
                 return build(resolve_ref(table, f), depth + 1)
-            key = (f.name, tuple(pretty_term(eval_ground(a)) for a in f.args))
+            key = (f.name, tuple(eval_ground(a) for a in f.args))
             if key in shared:
                 return shared[key]
             nid = build(resolve_ref(table, f), depth + 1)

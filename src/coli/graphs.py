@@ -21,6 +21,7 @@ class GNode:
     pred: str | None = None
     args: tuple = ()
     var: str | None = None
+    replicas: tuple = ()  # (index, root) pairs of a recurrence, by index
 
     def label(self) -> str:
         if self.op == "atom":
@@ -37,12 +38,11 @@ _CONNECTIVES = {"neg": F.Neg, "and": F.And, "or": F.Or, "implies": F.Implies,
 _BINDERS = {"all": F.All, "exists": F.Exists}
 
 
-def preorder(nodes: dict, roots, replicas: dict | None = None):
+def preorder(nodes: dict, roots):
     """Yield the node ids reachable from roots, depth-first preorder, each once.
 
-    Children are visited left to right; with a replica map (recurrence id ->
-    {index: replica root}), a recurrence's replicas follow its children in
-    index order.  The walk keeps an explicit stack, so depth costs no
+    A node's children are visited left to right, then a recurrence's replicas
+    in index order.  The walk keeps an explicit stack, so depth costs no
     interpreter frames.
     """
     seen: set[int] = set()
@@ -54,11 +54,10 @@ def preorder(nodes: dict, roots, replicas: dict | None = None):
             continue
         seen.add(nid)
         yield nid
-        kids = nodes[nid].children
-        reps = replicas.get(nid) if replicas else None
-        if reps:
-            kids = kids + tuple(reps[idx] for idx in sorted(reps))
-        stack.extend(reversed(kids))
+        node = nodes[nid]
+        if node.replicas:
+            stack.extend(root for _idx, root in reversed(node.replicas))
+        stack.extend(reversed(node.children))
 
 
 @dataclass

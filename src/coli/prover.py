@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
-                            legal_moves, move_line, peel_env_symbolic, replicate)
+                            legal_moves, move_line, peel_env_symbolic, replicate,
+                            resolve)
 from .errors import ConfigError
 from .graphs import preorder
 from .solver import close_elementary
@@ -90,13 +91,12 @@ class ProveResult:
 
 
 def validate_restrictions(cfg: Configuration, restrictions) -> list[Restriction]:
-    from .configuration import _resolve
     checked = []
     for r in restrictions:
         for rule in r.rules:
             if rule not in RULE_NAMES:
                 raise ConfigError(f"unknown rule {rule!r} in restriction at {r.path}")
-        _resolve(cfg, r.path, create=False)  # dangling paths error here
+        resolve(cfg, r.path)  # dangling paths error here
         checked.append(r)
     return checked
 
@@ -138,7 +138,7 @@ def term_universe(cfg: Configuration) -> list:
             for a in t.args:
                 scan(a)
 
-    for nid in preorder(cfg.nodes, cfg.roots.values(), cfg.replicas):
+    for nid in preorder(cfg.nodes, cfg.roots.values()):
         for t in cfg.nodes[nid].args:
             scan(t)
     universe: list = [Num(0)]
@@ -162,8 +162,7 @@ def _priority(restrictions, path: Path, rule: str) -> int:
 
 def _output_has_neg(cfg: Configuration) -> bool:
     return any(cfg.nodes[nid].op == "neg"
-               for nid in preorder(cfg.nodes, [cfg.roots[cfg.output]],
-                                   cfg.replicas))
+               for nid in preorder(cfg.nodes, [cfg.roots[cfg.output]]))
 
 
 def _canonical_key(cfg: Configuration):
@@ -192,12 +191,11 @@ def _canonical_key(cfg: Configuration):
                 tuple(_canon_term(t, names) for t in node.args))
         kids = tuple(walk(c, names) for c in node.children)
         if node.op == "recur":
-            reps = cfg.replicas.get(nid, {})
-            ordered = tuple(sorted(walk(reps[idx], {}) for idx in sorted(reps)))
-            return base + (kids, ordered)
+            reps = tuple(sorted(walk(rep, {}) for _idx, rep in node.replicas))
+            return base + (kids, reps)
         return base + (kids,)
 
-    return tuple((name, cfg.sides[name], walk(root, {}))
+    return tuple((name, name == cfg.output, walk(root, {}))
                  for name, root in cfg.roots.items())
 
 

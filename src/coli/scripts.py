@@ -27,9 +27,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import formulas as F
-from .configuration import (Configuration, Path, ReadMove, ReplicateMove,
-                            WriteMove, apply_read, apply_write, move_line,
-                            replicate, resolve_node)
+from .configuration import (Configuration, Path, WriteMove, apply_move,
+                            apply_read, apply_write, move_line, resolve)
 from .errors import ChannelError, ConfigError
 from .parser import TokenStream, kind
 from .prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction, Step,
@@ -370,7 +369,8 @@ def _run_block(stmts, cfg, env):
 def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
     if isinstance(stmt, ReadStmt):
         path = stmt.path.resolve(env.variables)
-        cfg2, node, _sign = resolve_node(cfg, path, create=True)
+        cfg2, nid, _sign = resolve(cfg, path, create=True)
+        node = cfg2.nodes[nid]
         fvar = node.var if node.op in ("all", "exists") else "?"
         value = env.channel.next_value(str(path), fvar)
         cfg3 = apply_read(cfg2, path, value, stmt.var)
@@ -432,15 +432,7 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
                 return Outcome("won", subst=closed.subst, result=closed.output), cfg
             return Outcome("lost", f"closure: {closed.reason}"), cfg
         if isinstance(node, Step):
-            move = node.move
-            if isinstance(move, WriteMove):
-                cfg2 = apply_write(cfg, move.path, term=move.term)
-            elif isinstance(move, ReplicateMove):
-                cfg2 = replicate(cfg, move.path, move.index)
-            elif isinstance(move, ReadMove):
-                cfg2 = apply_read(cfg, move.path, move.value, move.var)
-            else:
-                raise ConfigError(f"unknown strategy move {move!r}")
+            cfg2 = apply_move(cfg, node.move)
             _emit_new(cfg, cfg2, env.trace_sink)
             cfg = cfg2
             node = node.rest

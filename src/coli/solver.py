@@ -210,7 +210,7 @@ def _interactive_blocker(cfg) -> str | None:
                 return op
         return None
 
-    found = first_live([root for root, _index in cfg.input_contents()])
+    found = first_live(cfg.input_contents())
     if found:
         return f"input replica holds a live {found}"
     found = first_live([cfg.root_of(cfg.output)])
@@ -248,7 +248,7 @@ def close_elementary(cfg) -> ClosureResult:
         return ClosureResult(False, reason=f"not elementary: {blocker}")
     acc = _Inputs()
     try:
-        for root, _index in cfg.input_contents():
+        for root in cfg.input_contents():
             _decompose_input(cfg.formula_at(root), acc)
         out = cfg.formula_at(cfg.root_of(cfg.output))
         _check_output_elementary(out)
@@ -272,7 +272,7 @@ def close_elementary(cfg) -> ClosureResult:
     for f in acc.facts:
         outside |= _formula_gvars(f)
     uses = Counter(g for mine in per_rule for g in mine)
-    shared_gvars = {g for g, n in uses.items() if n > 1 or g in outside}
+    shared_gvars = {g for g, n in uses.items() if n > 1} | outside
 
     def sat(f: F.Formula, s: Substitution, facts):
         """Yield substitutions classically satisfying f against the facts."""

@@ -56,6 +56,13 @@ def graph_depth(graph) -> int:
     return depth(graph.root)
 
 
+def snapshot(cfg):
+    """Everything a move may change: two configurations with equal
+    snapshots hold the same position under the same node ids."""
+    return (dict(cfg.nodes), dict(cfg.roots), list(cfg.trace), cfg.next_gvar,
+            cfg.shared)
+
+
 def run_game(kb: str, script: str, inputs, bounds: Bounds | None = None,
              trace=False):
     """Load KB + script from tests/data, play one session in process.

@@ -14,7 +14,7 @@ from coli.prover import Bounds, prove
 from coli.scripts import ListChannel, ScriptEnv, execute_strategy, parse_script, run_script
 from coli.solver import unify
 
-from conftest import data_path, data_text, factorial, graph_depth
+from conftest import data_path, data_text, factorial, graph_depth, snapshot
 from test_solver import _fuzz_term, oracle_unify
 from test_solver import test_close_matches_exhaustive_oracle as closure_oracle_check
 
@@ -149,9 +149,9 @@ def test_criterion_8_soundness_and_replay():
             env = ScriptEnv(channel=ListChannel([n]))
             outcome, final = run_script(parse_script(data_text(script)), cfg, env)
             assert outcome.won, (kb, n, outcome.reason)
-            # the emitted trace replays to a structurally equal state
+            # the emitted trace replays to the same state, node ids included
             again = replay(load_kb(data_text(kb)), final.trace)
-            assert again.structure() == final.structure(), (kb, n)
+            assert snapshot(again) == snapshot(final), (kb, n)
 
     # byte-identical traces across two consecutive runs
     def traced(kb, script, inputs):

@@ -6,13 +6,14 @@ import pytest
 
 from coli.configuration import (Path, ReadMove, ReplicateMove, WriteMove,
                                 apply_read, apply_write, init_configuration,
-                                legal_moves, move_line, replay, replicate)
+                                legal_moves, move_line, peel_env_symbolic,
+                                replay, replicate, resolve)
 from coli.directories import load_kb
 from coli.errors import BoundError, ConfigError, SharedNodeError
 from coli.formulas import Atom, Exists, Implies, pretty
-from coli.terms import GVar, Num, app
+from coli.terms import Const, GVar, Num, app
 
-from conftest import data_text, run_game
+from conftest import data_text, run_game, snapshot
 
 
 # a shared node holding a machine quantifier, beside an unshared one
@@ -28,10 +29,10 @@ def out_formula(cfg):
 def test_init_factorial(fact_table, fact_config):
     cfg = fact_config
     assert list(cfg.roots) == ["c", "d", "query"]
-    assert cfg.sides == {"c": "input", "d": "input", "query": "output"}
+    assert cfg.output == "query"
     assert pretty(cfg.formula_at(cfg.root_of("c"))) == "fact(0,1)"
     assert pretty(out_formula(cfg)) == "@y. #z. fact(y,z)"
-    assert cfg.trace == [] and cfg.gvars == []
+    assert cfg.trace == [] and cfg.next_gvar == 1
 
 
 def test_init_no_inputs():
@@ -83,14 +84,14 @@ def test_apply_write_output(fact_config):
     cfg = apply_read(fact_config, Path("query"), 3, "n")
     cfg = apply_write(cfg, Path("query"))
     assert out_formula(cfg) == Atom("fact", (Num(3), GVar("W1")))
-    assert cfg.gvars == ["W1"]
+    assert cfg.trace[-1].gvar == "W1" and cfg.next_gvar == 2
 
 
 def test_apply_write_twice_peels_successive(fact_config):
     cfg = replicate(fact_config, Path("d"), 1)
     cfg = apply_write(cfg, Path("d", (1,)))
     cfg = apply_write(cfg, Path("d", (1,)))
-    replica = cfg.formula_at(cfg.replicas[cfg.root_of("d")][1])
+    replica = cfg.formula_at(dict(cfg.nodes[cfg.root_of("d")].replicas)[1])
     want = Implies(
         Atom("fact", (GVar("W1"), GVar("W2"))),
         Atom("fact", (app("+", GVar("W1"), Num(1)),
@@ -106,7 +107,7 @@ def test_apply_write_on_atom_errors():
 
 def test_replicate_explicit_and_errors(fact_config):
     cfg = replicate(fact_config, Path("d"), 1)
-    replica = cfg.formula_at(cfg.replicas[cfg.root_of("d")][1])
+    replica = cfg.formula_at(dict(cfg.nodes[cfg.root_of("d")].replicas)[1])
     assert pretty(replica) == "@x. @y. (fact(x,y) -> fact(x+1,x*y+y))"
     with pytest.raises(ConfigError):
         replicate(cfg, Path("d"), 1)  # already created
@@ -117,7 +118,7 @@ def test_replicate_explicit_and_errors(fact_config):
 def test_replicate_on_demand(fact_config):
     cfg = apply_write(fact_config, Path("d", (2,)))
     root = cfg.root_of("d")
-    assert sorted(cfg.replicas[root]) == [2]
+    assert [idx for idx, _rep in cfg.nodes[root].replicas] == [2]
     assert [type(m).__name__ for m in cfg.trace] == ["ReplicateMove", "WriteMove"]
 
 
@@ -154,11 +155,12 @@ def test_no_path_into_an_unplayed_quantifier():
     with pytest.raises(ConfigError, match="quantifier not yet played"):
         apply_write(cfg, Path("q", (1, 1)))
     cfg = apply_write(cfg, Path("q"))
-    assert cfg.replicas == {}
+    assert not any(node.replicas for node in cfg.nodes.values())
     assert [(o.kind, str(o.path)) for o in legal_moves(cfg)] == \
         [("replicate", "/q")]
     cfg = replicate(cfg, Path("q"), 1)
-    assert list(cfg.replicas) == [cfg.root_of("q")]
+    assert [nid for nid, node in cfg.nodes.items() if node.replicas] == \
+        [cfg.root_of("q")]
     assert pretty(out_formula(cfg)) == "$p(W1)"
 
 
@@ -178,7 +180,7 @@ def test_recurrence_over_a_shared_body():
         apply_write(cfg, Path("o", (1,)))
     cfg = replicate(cfg, Path("o", (1,)), 1)
     recur = cfg.nodes[cfg.root_of("o")].children[0]
-    assert cfg.replicas[recur][1] == cfg.nodes[recur].children[0]
+    assert cfg.nodes[recur].replicas == ((1, cfg.nodes[recur].children[0]),)
     with pytest.raises(SharedNodeError):
         apply_write(cfg, Path("o", (1, 1)))
 
@@ -196,7 +198,7 @@ def _all_paths(cfg, inside_shared=False):
             return
         node = cfg.nodes[nid]
         if node.op == "recur":
-            for idx, rep in sorted(cfg.replicas.get(nid, {}).items()):
+            for idx, rep in node.replicas:
                 walk(name, rep, segs + (idx,), depth + 1, below)
         else:
             for i, child in enumerate(node.children, start=1):
@@ -247,9 +249,7 @@ def _in_degrees(cfg):
             continue
         seen.add(nid)
         node = cfg.nodes[nid]
-        kids = list(node.children)
-        if node.op == "recur":
-            kids += cfg.replicas.get(nid, {}).values()
+        kids = list(node.children) + [rep for _idx, rep in node.replicas]
         for kid in kids:
             degrees[kid] += 1
             stack.append(kid)
@@ -300,15 +300,40 @@ def test_gvar_count_matches_fresh_writes():
     fresh = [m for m in cfg.trace
              if isinstance(m, WriteMove) and m.gvar is not None]
     assert outcome.won
-    assert len(cfg.gvars) == len(fresh) == 9
+    assert cfg.next_gvar - 1 == len(fresh) == 9
+    assert [m.gvar for m in fresh] == [f"W{i}" for i in range(1, 10)]
 
 
 def test_trace_replay_reproduces_configuration(fact_table):
     outcome, cfg, _ = run_game("fact.kb", "fact.coli", [3])
     assert outcome.won
     again = replay(fact_table, cfg.trace)
-    assert again.structure() == cfg.structure()
-    assert again.trace == cfg.trace
+    assert snapshot(again) == snapshot(cfg)
+
+
+def test_moves_leave_their_input_unchanged(fact_config):
+    # configurations are values: a move returns a new one and changes
+    # nothing that its input holds
+    read = apply_read(fact_config, Path("query"), 3, "n")
+    one = replicate(fact_config, Path("d"), 1)
+    q = init_configuration(load_kb(data_text("q.kb")))
+    moves = [
+        (fact_config, lambda c: apply_read(c, Path("query"), 3, "n")),
+        (read, lambda c: apply_write(c, Path("query"))),
+        (read, lambda c: apply_write(c, Path("query"), term=Num(6))),
+        (q, lambda c: apply_write(c, Path("q", (1,)))),  # collapse
+        (fact_config, lambda c: replicate(c, Path("d"), 1)),
+        (one, lambda c: replicate(c, Path("d"), 2)),
+        (one, lambda c: apply_write(c, Path("d", (3,)))),  # replicates /d.3
+        (one, lambda c: resolve(c, Path("d", (2,)), create=True)[0]),
+        (fact_config,
+         lambda c: peel_env_symbolic(c, Path("query"), Const("_e1"))[0]),
+    ]
+    for cfg, move in moves:
+        before = snapshot(cfg)
+        after = move(cfg)
+        assert snapshot(cfg) == before
+        assert snapshot(after) != before
 
 
 def test_move_line_formats():
@@ -352,5 +377,5 @@ def test_quantifier_under_negation_flips_polarity():
 def test_sides_and_untouched_services(fact_config):
     before = fact_config.formula_at(fact_config.root_of("c"))
     cfg = apply_read(fact_config, Path("query"), 2, "n")
-    assert cfg.sides == fact_config.sides
+    assert (cfg.roots, cfg.output) == (fact_config.roots, fact_config.output)
     assert cfg.formula_at(cfg.root_of("c")) == before

@@ -11,7 +11,7 @@ from coli.errors import DepthLimitError, ExpandError, KBError
 from coli.formulas import And, Atom, DirRef, Neg, pretty
 from coli.graphs import FormulaGraph, GNode
 from coli.parser import parse_dirref, parse_formula
-from coli.terms import Num, Var, app
+from coli.terms import Const, Num, Var, app
 
 from conftest import data_text, graph_depth
 
@@ -112,6 +112,17 @@ def test_expand_copy_vs_shared():
              if shared.nodes[nid].op == "atom"]
     assert len(atoms) == 1
     assert shared.in_degrees()[atoms[0]] == 2
+
+
+def test_shared_references_to_distinct_terms_stay_apart():
+    # a*(b+c) and a*b+c print alike, because the term grammar has no
+    # parentheses, but they are different terms and get a node each
+    table = _table("/m(X) = p(X)\n/k(X) = /m(a*X) /\\ /m(a*b+c)\n/o = /k(b+c)\n")
+    graph = expand(table, parse_dirref("/o"))
+    a, b, c = Const("a"), Const("b"), Const("c")
+    assert graph.to_formula() == And(Atom("p", (app("*", a, app("+", b, c)),)),
+                                     Atom("p", (app("+", app("*", a, b), c),)))
+    assert sorted(graph.in_degrees().values()) == [0, 1, 1]
 
 
 def test_expand_never_leaves_refs():

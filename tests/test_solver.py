@@ -8,7 +8,7 @@ from collections import Counter
 from coli import solver
 from coli.configuration import Path, apply_write, init_configuration
 from coli.directories import DirectoryTable, define_directory
-from coli.formulas import And, Atom, Implies, Or, pretty
+from coli.formulas import And, Atom, Implies, Neg, Or, pretty
 from coli.parser import parse_formula
 from coli.solver import Substitution, close_elementary, eval_ground, unify
 from coli.terms import App, Const, GVar, Num, app, pretty_term, subst_gvar, term_gvars
@@ -523,6 +523,18 @@ def test_close_memo_tells_output_bindings_apart():
     assert oracle_close(facts, rules, output) == {"p(2) /\\ u"}
     result = close_elementary(_kb_config(facts, rules, output))
     assert result.ok and pretty(result.output) == "p(2) /\\ u"
+
+
+def test_close_binds_a_variable_no_rule_holds():
+    # W1 occurs in a fact and in the output but in no rule; the firing that
+    # re-derives p(a) binds it to a, after which ~s(a) holds
+    W1 = GVar("W1")
+    facts = [Atom("p", (W1,))]
+    rules = [(Atom("p", (Const("a"),)), Atom("p", (Const("a"),)))]
+    output = Neg(Atom("s", (W1,)))
+    result = close_elementary(_kb_config(facts, rules, output))
+    assert result.ok, result.reason
+    assert result.subst.bindings == {"W1": Const("a")}
 
 
 def _count_unify_atoms(monkeypatch):
