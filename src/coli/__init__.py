@@ -16,7 +16,7 @@ from .errors import (BoundError, ChannelError, ColiError, ConfigError,
                      DepthLimitError, ExpandError, KBError, ParseError,
                      SharedNodeError)
 from .formulas import (All, And, Atom, DirRef, Exists, Formula, Implies, Neg,
-                       Or, Recur, pretty, substitute)
+                       Or, Recur, pretty)
 from .graphs import FormulaGraph, GNode
 from .parser import parse_dirref, parse_formula, parse_term
 from .prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction, Step,

@@ -95,9 +95,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ColiError(f"{path}: not UTF-8 text ({exc.reason} "
+                        f"at byte {exc.start})") from None
+
+
 def _load_table(args):
-    with open(args.kb, encoding="utf-8") as handle:
-        table = load_kb(handle.read())
+    table = load_kb(_read_text(args.kb))
     if args.query:
         name = args.query
         table.query = name[1:] if name.startswith("/") else name
@@ -112,8 +120,7 @@ def _bounds(args) -> Bounds:
 
 def cmd_run(args) -> int:
     table = _load_table(args)
-    with open(args.script, encoding="utf-8") as handle:
-        script = parse_script(handle.read())
+    script = parse_script(_read_text(args.script))
     if args.interactive and args.inputs is not None:
         raise ColiError("choose one of --inputs and --interactive")
     if args.interactive:
@@ -163,8 +170,7 @@ def cmd_expand(args) -> int:
 def cmd_check(args) -> int:
     _load_table(args)
     if getattr(args, "script", None):
-        with open(args.script, encoding="utf-8") as handle:
-            parse_script(handle.read())
+        parse_script(_read_text(args.script))
     print("OK")
     return EXIT_WON
 

@@ -24,7 +24,7 @@ from .errors import DepthLimitError, ExpandError, KBError, ParseError
 from .graphs import FormulaGraph, GNode
 from .parser import parse_formula, parse_pattern
 from .solver import eval_ground
-from .terms import App, Num, Term, Var, is_ground, pretty_term
+from .terms import App, Num, Term, Var, is_ground, pretty_term, subst_var
 
 DEFAULT_DEPTH_LIMIT = 1024
 
@@ -32,7 +32,6 @@ DEFAULT_DEPTH_LIMIT = 1024
 @dataclass(frozen=True)
 class Clause:
     pattern: Term | None  # None for parameterless directories
-    params: tuple
     body: F.Formula
 
 
@@ -61,7 +60,7 @@ def define_directory(table: DirectoryTable, name: str, clauses) -> DirectoryTabl
     All clauses must agree on arity and their patterns must be pairwise
     non-overlapping; each clause is checked against the clauses before it.
     """
-    built = [_clause(pattern, body) for pattern, body in clauses]
+    built = [Clause(pattern, body) for pattern, body in clauses]
     arities = {0 if c.pattern is None else 1 for c in built}
     if len(arities) != 1:
         raise KBError(f"/{name}: clauses disagree on arity")
@@ -75,13 +74,6 @@ def define_directory(table: DirectoryTable, name: str, clauses) -> DirectoryTabl
             _check_disjoint(name, built[:i], clause.pattern)
     table.defs[name] = DirectoryDef(name, arity, tuple(built))
     return table
-
-
-def _clause(pattern: Term | None, body: F.Formula) -> Clause:
-    params = ()
-    if pattern is not None:
-        params = tuple(sorted(F.free_vars(F.Atom("_", (pattern,)))))
-    return Clause(pattern, params, body)
 
 
 def _check_disjoint(name: str, earlier, pattern: Term):
@@ -101,7 +93,7 @@ def _extend_directory(table: DirectoryTable, name: str, pattern: Term,
         define_directory(table, name, [(pattern, body)])
         return
     _check_disjoint(name, prev.clauses, pattern)
-    table.defs[name] = DirectoryDef(name, 1, prev.clauses + (_clause(pattern, body),))
+    table.defs[name] = DirectoryDef(name, 1, prev.clauses + (Clause(pattern, body),))
 
 
 def match_pattern(pattern: Term, arg: Term):
@@ -149,35 +141,41 @@ def _patterns_overlap(p: Term, q: Term) -> bool:
     return p == q
 
 
-def resolve_ref(table: DirectoryTable, ref: F.DirRef) -> F.Formula:
-    """The body a reference stands for, with parameters substituted."""
-    defn = table.defs.get(ref.name)
+def resolve_ref(table: DirectoryTable, name: str,
+                args: tuple) -> tuple[F.Formula, dict]:
+    """The clause body that the ground reference /name(args) stands for, and
+    the bindings of the clause's parameters that its pattern match made.  The
+    body is returned as written; `expand` binds the parameters as it builds
+    nodes."""
+    defn = table.defs.get(name)
     if defn is None:
-        raise ExpandError(f"undefined directory /{ref.name}")
-    if len(ref.args) != defn.arity:
-        raise ExpandError(f"/{ref.name} takes {defn.arity} argument(s), "
-                          f"got {len(ref.args)}")
+        raise ExpandError(f"undefined directory /{name}")
+    if len(args) != defn.arity:
+        raise ExpandError(f"/{name} takes {defn.arity} argument(s), "
+                          f"got {len(args)}")
     if defn.arity == 0:
-        return defn.clauses[0].body
-    arg = eval_ground(ref.args[0])
+        return defn.clauses[0].body, {}
+    arg = eval_ground(args[0])
     if not is_ground(arg):
-        raise ExpandError(f"/{ref.name}: argument {pretty_term(arg)} is not ground")
+        raise ExpandError(f"/{name}: argument {pretty_term(arg)} is not ground")
     for clause in defn.clauses:
         bindings = match_pattern(clause.pattern, arg)
         if bindings is not None:
-            body = clause.body
-            for name, value in bindings.items():
-                body = F.substitute(body, name, value)
-            return body
-    raise ExpandError(f"/{ref.name}: no clause matches {pretty_term(arg)}")
+            return clause.body, bindings
+    raise ExpandError(f"/{name}: no clause matches {pretty_term(arg)}")
 
 
 def expand(table: DirectoryTable, ref: F.DirRef,
            depth_limit: int = DEFAULT_DEPTH_LIMIT) -> FormulaGraph:
     """Expand a reference into a graph with no DirRef nodes left.
 
-    Copy references produce fresh subtrees on every occurrence; shared
-    references are expanded once and reused, giving in-degree > 1.
+    Clause bodies are walked as written, with the parameter bindings of the
+    reference that reached them: an atom's or a reference's arguments are
+    bound as its node is built.  Parameters are uppercase and quantified
+    variables lowercase, and a binding's value is ground, so no binder can
+    capture a bound value and none needs renaming.  Copy references produce
+    fresh subtrees on every occurrence; shared references are expanded once
+    per name and evaluated arguments and reused, giving in-degree > 1.
     """
     graph = FormulaGraph()
     shared: dict = {}
@@ -186,22 +184,29 @@ def expand(table: DirectoryTable, ref: F.DirRef,
     previous_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(previous_limit, depth_limit * 10 + 500))
 
-    def build(f: F.Formula, depth: int) -> int:
+    def bind(args: tuple, env: dict) -> tuple:
+        for name, value in env.items():
+            args = tuple(subst_var(t, name, value) for t in args)
+        return args
+
+    def build(f: F.Formula, env: dict, depth: int) -> int:
         if depth > depth_limit:
             raise DepthLimitError(
                 f"expansion of /{ref.name} exceeded depth {depth_limit}")
         if isinstance(f, F.DirRef):
+            args = bind(f.args, env)
             if f.copy:
-                return build(resolve_ref(table, f), depth + 1)
-            key = (f.name, tuple(eval_ground(a) for a in f.args))
+                return build(*resolve_ref(table, f.name, args), depth + 1)
+            key = (f.name, tuple(eval_ground(a) for a in args))
             if key in shared:
                 return shared[key]
-            nid = build(resolve_ref(table, f), depth + 1)
+            nid = build(*resolve_ref(table, f.name, args), depth + 1)
             shared[key] = nid
             return nid
         if isinstance(f, F.Atom):
-            return graph.add(GNode("atom", pred=f.pred, args=f.args))
-        kids = tuple(build(c, depth + 1) for c in F.children(f))
+            args = bind(f.args, env)
+            return graph.add(GNode("atom", pred=f.pred, args=args))
+        kids = tuple(build(c, env, depth + 1) for c in F.children(f))
         if isinstance(f, F.Neg):
             return graph.add(GNode("neg", children=kids))
         if isinstance(f, F.And):
@@ -218,7 +223,7 @@ def expand(table: DirectoryTable, ref: F.DirRef,
         raise ExpandError(f"cannot expand {f!r}")
 
     try:
-        graph.root = build(ref, 0)
+        graph.root = build(ref, {}, 0)
     finally:
         sys.setrecursionlimit(previous_limit)
         # build's closure holds build itself: break that cycle so the

@@ -1,5 +1,8 @@
 """Formula ASTs: parallel connectives, choice quantifiers, recurrence, directory refs.
 
+The parser builds these trees and the printer renders them; expansion turns
+them into formula graphs, which is what the game is played on.
+
 Concrete syntax (see parser.py):
 
     ~F        negation
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Term, Var, pretty_term, subst_var, term_vars
+from .terms import pretty_term
 
 
 @dataclass(frozen=True)
@@ -97,57 +100,6 @@ def with_children(f: Formula, kids: tuple) -> Formula:
     if isinstance(f, Recur):
         return Recur(kids[0])
     return f
-
-
-def free_vars(f: Formula) -> set:
-    """Names of Vars free in f (quantifiers bind; DirRef args count)."""
-    if isinstance(f, Atom):
-        out = set()
-        for t in f.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(f, DirRef):
-        out = set()
-        for t in f.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(f, (All, Exists)):
-        return free_vars(f.body) - {f.var}
-    out = set()
-    for c in children(f):
-        out |= free_vars(c)
-    return out
-
-
-def substitute(f: Formula, var: str, value: Term) -> Formula:
-    """Capture-avoiding substitution of `value` for free Var(var) in f.
-
-    Inner binders of the same name shadow.  A binder whose name occurs free
-    in `value` is renamed before descending, so the substituted term can
-    never be captured.
-    """
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(subst_var(t, var, value) for t in f.args))
-    if isinstance(f, DirRef):
-        return DirRef(f.name, tuple(subst_var(t, var, value) for t in f.args), f.copy)
-    if isinstance(f, (All, Exists)):
-        if f.var == var:
-            return f
-        clash = term_vars(value)
-        if f.var in clash and var in free_vars(f.body):
-            fresh = _fresh_name(f.var, clash | free_vars(f.body) | {var})
-            body = substitute(f.body, f.var, Var(fresh))
-            return type(f)(fresh, substitute(body, var, value))
-        return type(f)(f.var, substitute(f.body, var, value))
-    kids = tuple(substitute(c, var, value) for c in children(f))
-    return with_children(f, kids)
-
-
-def _fresh_name(base: str, avoid: set) -> str:
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
 
 
 # Precedence levels for printing; parenthesize any child that binds

@@ -11,7 +11,7 @@ Grammar (quantifier bodies bind tight; parenthesize to widen scope):
     dirref  := "!"? "/" ident ("(" terms ")")?
     atom    := ident ("(" terms ")")?
     term    := sum ; sum := prod ("+" prod)* ; prod := factor ("*" factor)*
-    factor  := numeral | ident ("(" terms ")")? | UpperIdent
+    factor  := numeral | ident ("(" terms ")")? | UpperIdent | "(" term ")"
 
 Lowercase identifiers are constants unless bound by an enclosing quantifier;
 uppercase identifiers must be declared directory parameters.
@@ -119,6 +119,14 @@ class TokenStream:
         if tok:
             self.error(f"trailing input {tok!r}")
         return result
+
+    def numeral(self, index: int | None = None) -> int:
+        """The value of the numeral token at index (default: the current one)."""
+        index = self.pos if index is None else index
+        try:
+            return int(self.tokens[index])
+        except ValueError:  # more digits than int() converts
+            self.error(f"numeral too long ({len(self.tokens[index])} digits)", index)
 
     def expected(self, what: str, index: int | None = None):
         """Raise "expected <what>, found <token>" at the token at index."""
@@ -231,14 +239,16 @@ class FormulaParser:
         index after it."""
         ts, toks, params, names, bound = (self.ts, self.ts.tokens, self.params,
                                           self.names, self.bound)
-        calls = []    # open applications: (function, arguments, pending outside)
+        # open applications and parentheses: (function, arguments, pending
+        # outside); the function is "(" for a parenthesized term
+        calls = []
         if arglist is not None:
             calls.append((None, arglist, []))
         pending = []  # (left operand, right power, constructor) of "+" and "*"
         while True:
             tok = toks[i]
             if tok.isdecimal():
-                t = Num(int(tok))
+                t = Num(ts.numeral(i))
             elif tok[:1].isupper():
                 if names is None:
                     if tok not in params:
@@ -253,6 +263,11 @@ class FormulaParser:
                     i += 2
                     continue
                 t = Var(tok) if tok in bound else Const(tok)
+            elif tok == "(":
+                calls.append(("(", [], pending))
+                pending = []
+                i += 1
+                continue
             else:
                 ts.expected("a term", i)
             i += 1
@@ -268,7 +283,7 @@ class FormulaParser:
                     return t, i
                 fn, args, outside = calls[-1]
                 args.append(t)
-                if tok == ",":
+                if tok == "," and fn != "(":
                     i += 1
                     break
                 if tok != ")":
@@ -277,7 +292,8 @@ class FormulaParser:
                 calls.pop()
                 if fn is None:
                     return tuple(args), i
-                t, pending = App(fn, tuple(args)), outside
+                t = args[0] if fn == "(" else App(fn, tuple(args))
+                pending = outside
 
 
 def parse_formula(text: str, params=()) -> Formula:

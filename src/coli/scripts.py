@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from . import formulas as F
 from .configuration import (Configuration, Path, WriteMove, apply_move,
                             apply_read, apply_write, move_line, resolve)
-from .errors import ChannelError, ConfigError
+from .errors import ChannelError, ConfigError, ParseError
 from .parser import TokenStream, kind
 from .prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction, Step,
                      Strategy, prove, validate_restrictions)
@@ -193,8 +193,8 @@ def _path_stmt(ts: TokenStream) -> Statement:
         ts.next()
         tok = ts.peek()
         if kind(tok) == "INT":
+            segments.append(ts.numeral())
             ts.next()
-            segments.append(int(tok))
             continue
         if kind(tok) != "IDENT":
             ts.error(f"bad path segment {tok!r}")
@@ -222,7 +222,7 @@ def _restriction(ts: TokenStream):
         ts.next()
         tok = ts.peek()
         if kind(tok) == "INT":
-            segments.append(int(tok))
+            segments.append(ts.numeral())
         elif kind(tok) == "IDENT":
             segments.append(tok)
         else:
@@ -262,8 +262,9 @@ def _expr_prod(ts: TokenStream):
 def _expr_atom(ts: TokenStream):
     tok = ts.peek()
     if kind(tok) == "INT":
+        value = ts.numeral()
         ts.next()
-        return int(tok)
+        return value
     if kind(tok) == "IDENT":
         ts.next()
         return tok
@@ -291,7 +292,17 @@ class ListChannel:
     """Environment values supplied up front, consumed strictly in order."""
 
     def __init__(self, values):
-        self.values = [int(v) for v in values]
+        self.values = []
+        for k, v in enumerate(values, start=1):
+            try:
+                self.values.append(int(v))
+            except ValueError:
+                text = str(v).strip()
+                if text.isdecimal():  # more digits than int() converts
+                    raise ParseError(f"numeral too long ({len(text)} digits) "
+                                     f"in environment value {k}") from None
+                raise ChannelError(
+                    f"environment values must be naturals, got {v!r}") from None
         self.pos = 0
 
     def next_value(self, path: str, var: str) -> int:
@@ -319,8 +330,11 @@ class InteractiveChannel:
             if line == "":
                 raise ChannelError("environment input closed")
             line = line.strip()
-            if line.isdigit():
-                return int(line)
+            if line.isdecimal():
+                try:
+                    return int(line)
+                except ValueError:  # more digits than int() converts: a strike
+                    pass
         raise ChannelError("three non-numeric environment inputs")
 
 

@@ -144,6 +144,8 @@ def unify(t1: Term, t2: Term, subst: Substitution | None = None):
 
 
 def unify_atoms(a1: F.Atom, a2: F.Atom, subst: Substitution):
+    """Extension of subst equating the atoms, or None.  Either side may be
+    anything with .pred and .args, such as an atom node."""
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return None
     s = subst
@@ -168,35 +170,39 @@ class _Inputs:
     rules: list = field(default_factory=list)        # (antecedent atoms, consequent atoms)
 
 
-def _conjuncts(f: F.Formula) -> list:
-    if isinstance(f, F.And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
-
-
-def _decompose_input(f: F.Formula, acc: _Inputs):
-    for part in _conjuncts(f):
-        if isinstance(part, F.Atom):
-            acc.facts.append(part)
-        elif isinstance(part, F.Implies):
-            ante = _conjuncts(part.left)
-            cons = _conjuncts(part.right)
-            if not all(isinstance(a, F.Atom) for a in ante + cons):
-                raise _NotElementary(f"unsupported input shape: {F.pretty(part)}")
-            acc.rules.append((tuple(ante), tuple(cons)))
+def _conjuncts(nodes: dict, nid: int):
+    """Ids of the parts of the conjunction at nid, left to right."""
+    stack = [nid]
+    while stack:
+        top = stack.pop()
+        node = nodes[top]
+        if node.op == "and":
+            stack.extend(reversed(node.children))
         else:
-            raise _NotElementary(f"input is not elementary: {F.pretty(part)}")
+            yield top
 
 
-class _NotElementary(Exception):
-    pass
+def _atom(node) -> F.Atom:
+    return F.Atom(node.pred, node.args)
 
 
-def _check_output_elementary(f: F.Formula):
-    if isinstance(f, (F.All, F.Exists, F.Recur)):
-        raise _NotElementary(f"output is not elementary: {F.pretty(f)}")
-    for c in F.children(f):
-        _check_output_elementary(c)
+def _decompose_input(cfg, root: int, acc: _Inputs) -> str | None:
+    """Add the facts and rules of the input conjunction at root to acc, or
+    return the reason why its first other part is not elementary."""
+    nodes = cfg.nodes
+    for part in _conjuncts(nodes, root):
+        node = nodes[part]
+        if node.op == "atom":
+            acc.facts.append(_atom(node))
+        elif node.op == "implies":
+            ante = [nodes[c] for c in _conjuncts(nodes, node.children[0])]
+            cons = [nodes[c] for c in _conjuncts(nodes, node.children[1])]
+            if any(n.op != "atom" for n in ante + cons):
+                return f"unsupported input shape: {F.pretty(cfg.formula_at(part))}"
+            acc.rules.append((tuple(map(_atom, ante)), tuple(map(_atom, cons))))
+        else:
+            return f"input is not elementary: {F.pretty(cfg.formula_at(part))}"
+    return None
 
 
 def _interactive_blocker(cfg) -> str | None:
@@ -228,8 +234,10 @@ def close_elementary(cfg) -> ClosureResult:
     which rules, and succeeds as soon as the output formula is classically
     satisfied by the derived facts (conjunction: all parts, disjunction: one
     part, atoms by unification).  Search states are memoized on structural
-    keys: the multisets of facts and of unfired rules, and the output, all
-    with the current substitution applied.
+    keys: the multisets of facts and of unfired rules, and the output's
+    atoms in preorder, all with the current substitution applied.  Closure
+    reads the configuration's nodes; it builds a formula tree only for the
+    reason of a shape error and for the output of a win.
 
     A rule's own variables occur in no fact, not in the output and in no
     other rule; the rest are shared.  An unfired rule's own variables are
@@ -247,15 +255,12 @@ def close_elementary(cfg) -> ClosureResult:
     if blocker:
         return ClosureResult(False, reason=f"not elementary: {blocker}")
     acc = _Inputs()
-    try:
-        for root in cfg.input_contents():
-            _decompose_input(cfg.formula_at(root), acc)
-        out = cfg.formula_at(cfg.root_of(cfg.output))
-        _check_output_elementary(out)
-    except _NotElementary as exc:
-        return ClosureResult(False, reason=str(exc))
-
-    if not _possibly_coverable(out, acc):
+    for root in cfg.input_contents():
+        reason = _decompose_input(cfg, root, acc)
+        if reason:
+            return ClosureResult(False, reason=reason)
+    nodes, out = cfg.nodes, cfg.root_of(cfg.output)
+    if not _possibly_coverable(nodes, out, acc):
         return ClosureResult(False, reason="no derivation covers the output")
 
     max_firings = len(acc.rules) + 8
@@ -268,40 +273,47 @@ def close_elementary(cfg) -> ClosureResult:
         for a in ante + cons:
             mine |= _formula_gvars(a)
         per_rule.append(mine)
-    outside = _formula_gvars(out)
-    for f in acc.facts:
-        outside |= _formula_gvars(f)
+    # the output's atoms in preorder: its connectives are fixed, so these
+    # atoms under a substitution stand for the output under it
+    atoms = {nid: _atom(nodes[nid]) for nid in preorder(nodes, [out])
+             if nodes[nid].op == "atom"}
+    out_atoms = tuple(atoms.values())
+    outside = set()
+    for a in out_atoms + tuple(acc.facts):
+        outside |= _formula_gvars(a)
     uses = Counter(g for mine in per_rule for g in mine)
     shared_gvars = {g for g, n in uses.items() if n > 1} | outside
 
-    def sat(f: F.Formula, s: Substitution, facts):
-        """Yield substitutions classically satisfying f against the facts."""
-        if isinstance(f, F.Atom):
+    def sat(nid: int, s: Substitution, facts):
+        """Yield substitutions classically satisfying the output node nid
+        against the facts."""
+        node = nodes[nid]
+        if node.op == "atom":
             for fact in facts:
-                s2 = unify_atoms(f, fact, s)
+                s2 = unify_atoms(node, fact, s)
                 if s2 is not None:
                     yield s2
             return
-        if isinstance(f, F.And):
-            for s1 in sat(f.left, s, facts):
-                yield from sat(f.right, s1, facts)
+        if node.op == "and":
+            for s1 in sat(node.children[0], s, facts):
+                yield from sat(node.children[1], s1, facts)
             return
-        if isinstance(f, F.Or):
-            yield from sat(f.left, s, facts)
-            yield from sat(f.right, s, facts)
+        if node.op == "or":
+            yield from sat(node.children[0], s, facts)
+            yield from sat(node.children[1], s, facts)
             return
-        if isinstance(f, F.Implies):
-            yield from sat(F.Or(F.Neg(f.left), f.right), s, facts)
+        # neg, or implies read as ~left \/ right
+        yield from absent(node.children[0], s, facts)
+        if node.op == "implies":
+            yield from sat(node.children[1], s, facts)
+
+    def absent(nid: int, s: Substitution, facts):
+        # negation as absence: only decidable when the body is ground
+        if any(_formula_gvars(s.apply_formula(atoms[a]))
+               for a in preorder(nodes, [nid]) if a in atoms):
             return
-        if isinstance(f, F.Neg):
-            # negation as absence: only decidable when the body is ground
-            body = s.apply_formula(f.body)
-            if _formula_gvars(body):
-                return
-            if next(sat(body, s, facts), None) is None:
-                yield s
-            return
-        raise _NotElementary(f"output is not elementary: {F.pretty(f)}")
+        if next(sat(nid, s, facts), None) is None:
+            yield s
 
     own = [mine - shared_gvars for mine in per_rule]
 
@@ -346,7 +358,8 @@ def close_elementary(cfg) -> ClosureResult:
             return hit
         applied = [s.apply_formula(a) for a in facts]
         forms, firsts = classes(unfired, s)
-        key = (forms, _multiset(applied), s.apply_formula(out))
+        key = (forms, _multiset(applied),
+               tuple(s.apply_formula(a) for a in out_atoms))
         if key in visited:
             return None
         visited.add(key)
@@ -378,13 +391,11 @@ def close_elementary(cfg) -> ClosureResult:
                     return found
         return None
 
-    try:
-        final = dfs(list(acc.facts), tuple(range(len(acc.rules))), Substitution(), 0)
-    except _NotElementary as exc:
-        return ClosureResult(False, reason=str(exc))
+    final = dfs(list(acc.facts), tuple(range(len(acc.rules))), Substitution(), 0)
     if final is None:
         return ClosureResult(False, reason="no derivation covers the output")
-    return ClosureResult(True, subst=final, output=final.apply_formula(out))
+    return ClosureResult(True, subst=final,
+                         output=final.apply_formula(cfg.formula_at(out)))
 
 
 def _multiset(items) -> frozenset:
@@ -402,7 +413,7 @@ def _match_all(atoms, facts, s):
             yield from _match_all(atoms[1:], facts, s2)
 
 
-def _possibly_coverable(out: F.Formula, acc: _Inputs) -> bool:
+def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
     """Cheap upper bound on satisfiability: every fact the chaining can ever
     derive instantiates a fact or rule-consequent template, so an output
     atom incompatible with all templates is dead.  Negations count as
@@ -441,29 +452,21 @@ def _possibly_coverable(out: F.Formula, acc: _Inputs) -> bool:
                    and all(compat(a, b) for a, b in zip(atom.args, t.args))
                    for t in templates)
 
-    def upper(f):
-        if isinstance(f, F.Atom):
-            return alive(f)
-        if isinstance(f, F.And):
-            return upper(f.left) and upper(f.right)
-        if isinstance(f, F.Or):
-            return upper(f.left) or upper(f.right)
-        if isinstance(f, F.Implies):
-            return True  # the negated side may hold
-        if isinstance(f, F.Neg):
-            return True
-        return True
+    def upper(nid):
+        node = nodes[nid]
+        if node.op == "atom":
+            return alive(node)
+        if node.op == "and":
+            return upper(node.children[0]) and upper(node.children[1])
+        if node.op == "or":
+            return upper(node.children[0]) or upper(node.children[1])
+        return True  # the negated side of ~ or -> may hold
 
     return upper(out)
 
 
-def _formula_gvars(f: F.Formula) -> set:
-    if isinstance(f, F.Atom):
-        out = set()
-        for t in f.args:
-            out |= term_gvars(t)
-        return out
+def _formula_gvars(atom: F.Atom) -> set:
     out = set()
-    for c in F.children(f):
-        out |= _formula_gvars(c)
+    for t in atom.args:
+        out |= term_gvars(t)
     return out

@@ -113,8 +113,8 @@ def is_ground(t: Term) -> bool:
 
 
 # Precedence: '+' chains loosest, '*' tighter, everything else is atomic.
-# The term grammar has no parentheses, so printing never adds any; the
-# parser only ever produces sums of products, which round-trip exactly.
+# Both associate to the left, so a child is parenthesized when it binds
+# looser than its context, and a right child of equal precedence is too.
 _PREC = {"+": 1, "*": 2}
 
 
@@ -128,7 +128,8 @@ def pretty_term(t: Term, prec: int = 0) -> str:
             p = _PREC[t.fn]
             left = pretty_term(t.args[0], p)
             right = pretty_term(t.args[1], p + 1)
-            return f"{left}{t.fn}{right}"
+            text = f"{left}{t.fn}{right}"
+            return f"({text})" if p < prec else text
         inner = ",".join(pretty_term(a) for a in t.args)
         return f"{t.fn}({inner})"
     raise TypeError(f"not a term: {t!r}")

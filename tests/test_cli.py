@@ -2,6 +2,7 @@
 interactive mode."""
 
 import io
+import json
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from coli import cli
 from coli.cli import main
 
+import golden_cases
 from conftest import data_path, data_text, run_coli
 
 
@@ -39,21 +41,11 @@ def test_run_missing_kb(capsys):
     assert "error" in err
 
 
-def test_run_trace_matches_golden(capsys):
-    code, out, _ = run_cli(capsys, "run", "--kb", data_path("fact.kb"),
-                           "--script", data_path("fact.coli"),
-                           "--inputs", "3", "--trace")
-    assert code == 0
-    assert out == data_text("fact3.trace")
-
-
-def test_prove_trace_matches_golden(capsys):
-    # read n = 9, then `prove` finds the strategy that `execute` replays
-    code, out, _ = run_cli(capsys, "run", "--kb", data_path("fact.kb"),
-                           "--script", data_path("fact_short.coli"),
-                           "--inputs", "9", "--trace")
-    assert code == 0
-    assert out == data_text("fact_short9.trace")
+@pytest.mark.parametrize("name", list(golden_cases.CASES))
+def test_cli_matches_golden(name):
+    code, out = golden_cases.run_case(name)
+    assert out == golden_cases.stdout_path(name).read_text()
+    assert code == json.loads(golden_cases.EXIT_CODES.read_text())[name]
 
 
 def test_run_restricted_q_exits_1(capsys):
@@ -191,6 +183,70 @@ def test_interactive_reprompts_then_succeeds(capsys, monkeypatch):
     assert code == 0
     assert out.endswith("RESULT fact(2,2)\n")
     assert out.count("ENV move at /query (@y): ") == 2
+
+
+def test_interactive_unconvertible_numerals_are_strikes(capsys, monkeypatch):
+    # "²" is a digit but no decimal; 4,301 digits are more than int() converts
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\u00b2\n" + "9" * 4301 + "\n3\n"))
+    code, out, err = run_cli(capsys, "run", "--kb", data_path("fact.kb"),
+                             "--script", data_path("fact.coli"), "--interactive")
+    assert (code, err) == (0, "")
+    assert out.endswith("RESULT fact(3,6)\n")
+    assert out.count("ENV move at /query (@y): ") == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "3.5"])
+def test_non_numeric_input_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "run", "--kb", data_path("fact.kb"),
+                             "--script", data_path("fact.coli"), "--inputs", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: environment values must be naturals, got {value!r}\n"
+
+
+@pytest.mark.parametrize("which, text, byte", [
+    ("kb", b"/c = fact(0,1)\n# caf\xe9\n", 20),
+    ("script", b"algorithm a {\n  execute; % \xff\n}\n", 27),
+], ids=["kb", "script"])
+def test_file_not_utf8_exits_2(capsys, tmp_path, which, text, byte):
+    files = {"kb": data_path("fact.kb"), "script": data_path("fact.coli")}
+    files[which] = str(tmp_path / f"bad.{which}")
+    (tmp_path / f"bad.{which}").write_bytes(text)
+    code, out, err = run_cli(capsys, "run", "--kb", files["kb"],
+                             "--script", files["script"], "--inputs", "3")
+    assert (code, out) == (2, "")
+    reason = "invalid continuation" if which == "kb" else "invalid start"
+    assert err == f"error: {files[which]}: not UTF-8 text ({reason} byte at byte {byte})\n"
+
+
+HUGE = "7" * 4301  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("kb, script, inputs, message", [
+    (f"/c = p({HUGE})\nquery /c\n", None, "3",
+     "line 1: numeral too long (4301 digits) (line 1, col 3)"),
+    (None, f"algorithm a {{\n  /c.{HUGE}.write;\n}}\n", "3",
+     "numeral too long (4301 digits) (line 2, col 6)"),
+    (None, None, f"1,{HUGE}",
+     "numeral too long (4301 digits) in environment value 2"),
+], ids=["kb", "script", "inputs"])
+def test_huge_numeral_is_a_parse_error(capsys, tmp_path, kb, script, inputs, message):
+    kb_path, script_path = data_path("fact.kb"), data_path("fact.coli")
+    if kb is not None:
+        kb_path = str(tmp_path / "huge.kb")
+        (tmp_path / "huge.kb").write_text(kb)
+    if script is not None:
+        script_path = str(tmp_path / "huge.coli")
+        (tmp_path / "huge.coli").write_text(script)
+    code, out, err = run_cli(capsys, "run", "--kb", kb_path, "--script",
+                             script_path, "--inputs", inputs)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_expand_parenthesizes_terms(capsys, tmp_path):
+    kb = tmp_path / "terms.kb"
+    kb.write_text("/m(X) = p(X)\n/k(X) = /m(a*X) /\\ /m(a*b+c)\n/o = /k(b+c)\n")
+    code, out, _ = run_cli(capsys, "expand", "--kb", str(kb), "/o")
+    assert (code, out) == (0, "p(a*(b+c)) /\\ p(a*b+c)\n")
 
 
 def test_inputs_and_interactive_conflict(capsys):

@@ -8,9 +8,9 @@ from coli import directories
 from coli.directories import (DirectoryTable, define_directory, expand,
                               load_kb, match_pattern)
 from coli.errors import DepthLimitError, ExpandError, KBError
-from coli.formulas import And, Atom, DirRef, Neg, pretty
+from coli.formulas import All, And, Atom, DirRef, Exists, Neg, pretty
 from coli.graphs import FormulaGraph, GNode
-from coli.parser import parse_dirref, parse_formula
+from coli.parser import parse_dirref, parse_formula, parse_pattern
 from coli.terms import Const, Num, Var, app
 
 from conftest import data_text, graph_depth
@@ -58,9 +58,52 @@ def test_overlap_names_the_earliest_clause():
 
 
 def test_clauses_added_one_line_at_a_time():
-    table = _table("/m(0) = p\n/n = q\n/m(s(X)) = r\n")
+    table = _table("/m(0) = p\n/n = q\n/m(s(X)) = r(X)\n")
     assert [c.pattern for c in table.defs["m"].clauses] == [Num(0), app("s", Var("X"))]
-    assert table.defs["m"].clauses[1].params == ("X",)
+    # the pattern's parameter is in scope in the body, which keeps it unbound
+    assert table.defs["m"].clauses[1].body == Atom("r", (Var("X"),))
+
+
+def test_parse_pattern_returns_parameter_names():
+    # in order of first occurrence; lowercase names are constants
+    assert parse_pattern("f(X, s(Y), X, a)") == (
+        app("f", Var("X"), app("s", Var("Y")), Var("X"), Const("a")), ("X", "Y"))
+
+
+@pytest.mark.parametrize("binder", ["@", "#"])
+def test_uppercase_quantifier_variables_are_rejected(binder):
+    # so a quantifier never binds a parameter's name
+    with pytest.raises(KBError, match=r"^line 1: expected quantifier variable, "
+                                      r"found 'X' \(line 1, col 2\)$"):
+        _table(f"/m(X) = {binder}X. p(X)\n")
+
+
+def test_expand_binds_parameters_under_binders_and_in_references():
+    table = _table("/m(X) = @x. (p(x,X) /\\ #y. /n(s(X)))\n/n(Y) = q(Y)\n")
+    graph = expand(table, parse_dirref("/m(2)"))
+    assert graph.to_formula() == All("x", And(Atom("p", (Var("x"), Num(2))),
+                                              Exists("y", Atom("q", (Num(3),)))))
+
+
+def test_expand_never_captures_a_parameter_value():
+    # the value x is a constant; the binder's x stays a variable of its own
+    table = _table("/m(X) = @x. p(x,X)\n")
+    graph = expand(table, parse_dirref("/m(x)"))
+    assert graph.to_formula() == All("x", Atom("p", (Var("x"), Const("x"))))
+
+
+def test_expand_binds_every_parameter_of_a_pattern():
+    table = _table("/m(f(X,Y)) = p(X,Y) /\\ q(Y,s(X))\n")
+    graph = expand(table, parse_dirref("/m(f(1,a))"))
+    assert graph.to_formula() == And(Atom("p", (Num(1), Const("a"))),
+                                     Atom("q", (Const("a"), app("s", Num(1)))))
+
+
+def test_expand_leaves_bodies_without_parameters_unchanged():
+    table = _table("/c = @x. #y. (p(x,y,a) -> ~q(x))\n/m(X) = @x. r(x,b)\n")
+    for ref, name in (("/c", "c"), ("/m(5)", "m")):
+        graph = expand(table, parse_dirref(ref))
+        assert graph.to_formula() == table.defs[name].clauses[0].body
 
 
 def test_load_checks_each_pair_of_clauses_once(monkeypatch):
@@ -115,8 +158,7 @@ def test_expand_copy_vs_shared():
 
 
 def test_shared_references_to_distinct_terms_stay_apart():
-    # a*(b+c) and a*b+c print alike, because the term grammar has no
-    # parentheses, but they are different terms and get a node each
+    # a*(b+c) and a*b+c are different terms and get a node each
     table = _table("/m(X) = p(X)\n/k(X) = /m(a*X) /\\ /m(a*b+c)\n/o = /k(b+c)\n")
     graph = expand(table, parse_dirref("/o"))
     a, b, c = Const("a"), Const("b"), Const("c")

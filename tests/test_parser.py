@@ -96,15 +96,17 @@ def _random_term(rng, scope, depth):
     if pick < 0.5:
         return app("s", _random_term(rng, scope, depth - 1))
     if pick < 0.7:
-        # keep the grammar's parenthesis-free shape: sums of products
-        return app("+", _random_term(rng, scope, 0), _random_term(rng, scope, 0))
+        # either operand may be any term: a sum under a product, or to the
+        # right of a sum, prints in parentheses
+        return app(rng.choice("+*"), _random_term(rng, scope, depth - 1),
+                   _random_term(rng, scope, depth - 1))
     return app("f", _random_term(rng, scope, depth - 1))
 
 
 def _random_formula(rng, scope, depth):
     if depth <= 0 or rng.random() < 0.3:
         pred = rng.choice("pqr")
-        args = tuple(_random_term(rng, scope, 1)
+        args = tuple(_random_term(rng, scope, 2)
                      for _ in range(rng.randrange(3)))
         return Atom(pred, args)
     kind = rng.randrange(8)
@@ -353,6 +355,11 @@ class _RefParser:
             if self.at("("):
                 return App(tok.value, self.arglist())
             return Var(tok.value) if tok.value in self.bound else Const(tok.value)
+        if tok.value == "(":
+            self.next()
+            t = self.term()
+            self.expect(")")
+            return t
         self.fail(f"expected a term, found {tok.value or 'end of input'!r}")
 
     def ident(self, what):
@@ -558,7 +565,7 @@ def test_every_text_path_lexes_through_tokenize(monkeypatch):
 
 
 def test_token_counts_of_data_files_match_reference():
-    for path in sorted(DATA.iterdir()):
+    for path in sorted(p for p in DATA.iterdir() if p.is_file()):
         comment = "%" if path.suffix == ".coli" else None
         text = path.read_text()
         assert len(tokenize(text, comment)) == len(_ref_tokenize(text, comment)), path.name

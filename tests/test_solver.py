@@ -5,10 +5,13 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
 from coli import solver
 from coli.configuration import Path, apply_write, init_configuration
 from coli.directories import DirectoryTable, define_directory
 from coli.formulas import And, Atom, Implies, Neg, Or, pretty
+from coli.graphs import FormulaGraph
 from coli.parser import parse_formula
 from coli.solver import Substitution, close_elementary, eval_ground, unify
 from coli.terms import App, Const, GVar, Num, app, pretty_term, subst_gvar, term_gvars
@@ -301,6 +304,39 @@ def test_close_needs_elementary():
     table = load_kb(data_text("fact.kb"))
     result = close_elementary(init_configuration(table))
     assert not result.ok and "not elementary" in result.reason
+
+
+@pytest.mark.parametrize("kb, reason", [
+    ("/kb = p \\/ q\n/query = p\n", "input is not elementary: p \\/ q"),
+    ("/kb = r /\\ ~p\n/query = r\n", "input is not elementary: ~p"),
+    ("/kb = (p \\/ q) -> r\n/query = r\n", "unsupported input shape: p \\/ q -> r"),
+    # the live quantifier wins over an earlier input's bad shape
+    ("/a = p \\/ q\n/b = @x. p(x)\n/query = p(a)\n",
+     "not elementary: input replica holds a live all"),
+    ("/kb = p(a)\n/query = #x. p(x)\n", "not elementary: output holds a live exists"),
+    # no template can cover q(a); then q(a) is derivable, but not from p(a)
+    ("/kb = p(a)\n/query = q(a)\n", "no derivation covers the output"),
+    ("/kb = p(a) /\\ (p(b) -> q(a))\n/query = q(a)\n",
+     "no derivation covers the output"),
+], ids=["or", "neg", "shape", "live-all", "live-exists", "uncoverable", "underivable"])
+def test_close_reasons(kb, reason):
+    result = close_elementary(init_configuration(load_kb(kb + "query /query\n")))
+    assert (result.ok, result.reason) == (False, reason)
+
+
+def test_close_builds_no_formula_unless_it_wins(monkeypatch):
+    calls = []
+    real = FormulaGraph.to_formula
+    monkeypatch.setattr(FormulaGraph, "to_formula",
+                        lambda self, nid=None: calls.append(nid) or real(self, nid))
+    kb = "/kb = p(a) /\\ (p(b) -> q(a)) /\\ (p(a) -> r(a))\n"
+    lost = close_elementary(init_configuration(load_kb(
+        kb + "/query = q(a) \\/ (r(a) /\\ ~p(a))\nquery /query\n")))
+    assert not lost.ok and calls == []
+    won = close_elementary(init_configuration(load_kb(
+        kb + "/query = r(a) /\\ ~q(a)\nquery /query\n")))
+    assert won.ok and pretty(won.output) == "r(a) /\\ ~q(a)"
+    assert len(calls) == 1
 
 
 def test_close_each_replica_fires_once():
