@@ -19,17 +19,31 @@ and ``#`` to the machine; the input side flips, as does descending through
 Configurations are values: every operation returns a new configuration and
 appends the move it performed to the trace, so a trace replayed from the
 initial configuration reproduces the final one.
+
+A move changes one service, and inside it at most the replicas its path
+enters, so each configuration caches what proof search reads per region.  A
+region is a service root, or the root of one replica of a recurrence; it
+holds the nodes below its root except those of the replicas of its
+recurrences, which are regions of their own.  The cache maps a region's root
+id to the region's canonical key and its `MoveOption` list; a recurrence
+contributes its replicas' entries, the keys sorted and the option lists in
+index order.  Moves copy the cache with the node store and drop the entries
+of the regions along their path: the service root and every replica root the
+path enters.  Every other region keeps its nodes and its entry.  A region
+missing from the cache is walked once, on an explicit stack, by
+`legal_moves` or the prover's position key, whichever asks first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import formulas as F
 from .directories import DirectoryTable, expand
 from .errors import BoundError, ConfigError, SharedNodeError
 from .graphs import FormulaGraph, GNode
-from .terms import GVar, Num, Term, pretty_term, subst_var, term_vars
+from .terms import (App, Const, GVar, Num, Term, Var, pretty_term, subst_var,
+                    term_vars)
 
 DEFAULT_REPLICA_LIMIT = 256
 
@@ -89,7 +103,8 @@ class MoveOption:
 
 class Configuration:
     """Node ids are dense and never freed, so the next one is len(nodes);
-    the fresh global variables so far are W1 .. W{next_gvar - 1}."""
+    the fresh global variables so far are W1 .. W{next_gvar - 1}.
+    `regions` caches (key, options) per region root (module docstring)."""
 
     def __init__(self):
         self.nodes: dict[int, GNode] = {}
@@ -99,10 +114,15 @@ class Configuration:
         self.trace: list[Move] = []
         self.next_gvar = 1
         self.replica_limit = DEFAULT_REPLICA_LIMIT
+        self.regions: dict[int, tuple] = {}
 
-    def _clone(self) -> "Configuration":
+    def _clone(self, stale=()) -> "Configuration":
+        """A copy whose cache lacks the entries of the `stale` regions."""
         out = Configuration.__new__(Configuration)
         out.nodes = dict(self.nodes)
+        out.regions = dict(self.regions)
+        for root in stale:
+            out.regions.pop(root, None)
         out.roots = dict(self.roots)
         out.output = self.output
         out.shared = self.shared
@@ -185,9 +205,16 @@ def resolve(cfg: Configuration, path: Path, create: bool = False):
     SharedNodeError; one that steps into the body of a quantifier not yet
     played raises ConfigError.
     """
+    return _resolve(cfg, path, create)[:3]
+
+
+def _resolve(cfg: Configuration, path: Path, create: bool = False):
+    """`resolve`, plus the roots of the regions the path enters: the
+    service root and every replica root, outermost first."""
     if path.dir not in cfg.roots:
         raise ConfigError(f"unknown service in path {path}")
     cur = cfg.roots[path.dir]
+    regions = [cur]
     sign = 1 if path.dir == cfg.output else -1
     consumed: list = []
     for seg in path.segments:
@@ -197,14 +224,15 @@ def resolve(cfg: Configuration, path: Path, create: bool = False):
         if node.op == "recur":
             if seg < 1:
                 raise ConfigError(f"replica indices start at 1: {path}")
-            here = Path(path.dir, tuple(consumed))
-            reps = dict(node.replicas)
-            if seg not in reps:
+            rep = _replica(node, seg)
+            if rep is None:
+                here = Path(path.dir, tuple(consumed))
                 if not create:
                     raise ConfigError(f"replica {seg} of {here} does not exist")
                 cfg = replicate(cfg, here, seg)
-                reps = dict(cfg.nodes[cur].replicas)
-            cur = reps[seg]
+                rep = _replica(cfg.nodes[cur], seg)
+            cur = rep
+            regions.append(cur)
         else:
             kids = node.children
             if not 1 <= seg <= len(kids):
@@ -220,13 +248,23 @@ def resolve(cfg: Configuration, path: Path, create: bool = False):
         if node.op in ("all", "exists"):
             raise ConfigError(f"{Path(path.dir, tuple(consumed[:-1]))} is a "
                               "quantifier not yet played; its body has no path")
-    return cfg, cur, sign
+    return cfg, cur, sign, regions
+
+
+def _replica(node: GNode, index: int) -> int | None:
+    """The root of the recurrence's replica `index`, or None."""
+    for idx, rep in node.replicas:
+        if idx == index:
+            return rep
+    return None
 
 
 def _with_children(node: GNode, kids: tuple) -> GNode:
     """node with the given children.  Nodes are immutable, so one whose
     children stay the same (a leaf, say) is shared rather than rebuilt."""
-    return node if kids == node.children else replace(node, children=kids)
+    if kids == node.children:
+        return node
+    return GNode(node.op, kids, node.pred, node.args, node.var, node.replicas)
 
 
 def _is_machine(op: str, sign: int) -> bool:
@@ -242,8 +280,9 @@ def _subst_nodes(cfg: Configuration, nid: int, var: str, value: Term):
     node = cfg.nodes[nid]
     if node.op == "atom":
         if any(var in term_vars(t) for t in node.args):
-            cfg.nodes[nid] = replace(node, args=tuple(subst_var(t, var, value)
-                                                      for t in node.args))
+            args = tuple(subst_var(t, var, value) for t in node.args)
+            cfg.nodes[nid] = GNode(node.op, node.children, node.pred, args,
+                                   node.var, node.replicas)
         return
     if node.op in ("all", "exists") and node.var == var:
         return
@@ -270,14 +309,14 @@ def apply_read(cfg: Configuration, path: Path, value: int, var: str) -> Configur
     """Environment resolves its choice quantifier at path with a natural."""
     if not isinstance(value, int) or value < 0:
         raise ConfigError(f"read value must be a natural, got {value!r}")
-    cfg, nid, sign = resolve(cfg, path, create=True)
+    cfg, nid, sign, regions = _resolve(cfg, path, create=True)
     node = cfg.nodes[nid]
     if node.op not in ("all", "exists"):
         raise ConfigError(f"read needs a choice quantifier at {path}, "
                           f"found {node.label()}")
     if _is_machine(node.op, sign):
         raise ConfigError(f"wrong polarity: {path} is a machine quantifier")
-    out = cfg._clone()
+    out = cfg._clone(regions)
     _peel(out, nid, Num(value))
     out.trace.append(ReadMove(path, value, var))
     return out
@@ -286,11 +325,11 @@ def apply_read(cfg: Configuration, path: Path, value: int, var: str) -> Configur
 def peel_env_symbolic(cfg: Configuration, path: Path, value: Term):
     """Peel an environment quantifier with a symbolic constant (proof search
     only; records no move).  Returns (configuration, bound variable name)."""
-    cfg, nid, sign = resolve(cfg, path)
+    cfg, nid, sign, regions = _resolve(cfg, path)
     node = cfg.nodes[nid]
     if node.op not in ("all", "exists") or _is_machine(node.op, sign):
         raise ConfigError(f"no environment quantifier at {path}")
-    out = cfg._clone()
+    out = cfg._clone(regions)
     _peel(out, nid, value)
     return out, node.var
 
@@ -303,9 +342,9 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
     replicas yet, a write commits to a single copy: the recurrence collapses
     and the write applies to its principal quantifier.
     """
-    cfg, nid, sign = resolve(cfg, path, create=True)
+    cfg, nid, sign, regions = _resolve(cfg, path, create=True)
     node = cfg.nodes[nid]
-    out = cfg._clone()
+    out = cfg._clone(regions)
     if node.op == "recur":
         if sign < 0:
             raise ConfigError(f"cannot collapse input recurrence {path}; "
@@ -339,17 +378,17 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
 def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
     """Create replica `index` of the recurrence at path as a fresh copy of its
     unshared nodes; the copy points at the same shared nodes."""
-    cfg, nid, _sign = resolve(cfg, path)
+    cfg, nid, _sign, regions = _resolve(cfg, path)
     node = cfg.nodes[nid]
     if node.op != "recur":
         raise ConfigError(f"{path} is not a recurrence")
     if index < 1:
         raise ConfigError(f"replica indices start at 1, got {index}")
-    if index in dict(node.replicas):
+    if _replica(node, index) is not None:
         raise ConfigError(f"replica {index} of {path} already exists")
     if len(node.replicas) >= cfg.replica_limit or index > cfg.replica_limit:
         raise BoundError(f"replica limit {cfg.replica_limit} exceeded at {path}")
-    out = cfg._clone()
+    out = cfg._clone(regions)
 
     def copy(old: int) -> int:
         if old in out.shared:
@@ -361,7 +400,8 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
         return new
 
     pairs = node.replicas + ((index, copy(node.children[0])),)
-    out.nodes[nid] = replace(node, replicas=tuple(sorted(pairs)))
+    out.nodes[nid] = GNode(node.op, node.children, node.pred, node.args,
+                           node.var, tuple(sorted(pairs)))
     out.trace.append(ReplicateMove(path, index))
     return out
 
@@ -371,40 +411,133 @@ def legal_moves(cfg: Configuration) -> list[MoveOption]:
 
     Quantifiers stay inactive while an ancestor quantifier or an
     unreplicated recurrence shields them; replicas open a recurrence up.
-    Shared nodes are read-only, so the walk does not enter them.
+    Shared nodes are read-only, so the walk does not enter them.  The
+    options come from the region cache (module docstring).
     """
-    options: list[MoveOption] = []
+    return [opt for _key, options in service_regions(cfg) for opt in options]
 
-    def walk(name, side, nid, sign, segs):
-        if nid in cfg.shared:
-            return
-        node = cfg.nodes[nid]
-        if node.op in ("and", "or", "implies"):
-            for i, c in enumerate(node.children, start=1):
-                flip = node.op == "implies" and i == 1
-                walk(name, side, c, -sign if flip else sign, segs + (i,))
-        elif node.op == "neg":
-            walk(name, side, node.children[0], -sign, segs + (1,))
-        elif node.op in ("all", "exists"):
-            kind = "write" if _is_machine(node.op, sign) else "read"
+
+def service_regions(cfg: Configuration) -> list:
+    """The (key, options) entry of every service's region, in service order.
+    An entry missing from the cache is made now, by walking the region."""
+    regions = cfg.regions
+    entries = []
+    for name, root in cfg.roots.items():
+        entry = regions.get(root)
+        if entry is None:
+            output = name == cfg.output
+            entry = _fill_region(cfg, root, name, "output" if output else "input",
+                                 1 if output else -1, ())
+        entries.append(entry)
+    return entries
+
+
+def _fill_region(cfg, root, name, side, sign, segs):
+    """Walk the region at root into the cache, together with every replica
+    region inside it whose entry is missing, and return its entry.  Each
+    region's walk is a generator that yields the replica regions it needs
+    first, so nested recurrences cost no interpreter frames."""
+    walks = [_walk_region(cfg, root, name, side, sign, segs)]
+    while walks:
+        need = next(walks[-1], None)
+        if need is None:
+            walks.pop()
+        else:
+            walks.append(_walk_region(cfg, *need))
+    return cfg.regions[root]
+
+
+def _walk_region(cfg, root, name, side, sign, segs):
+    """Walk one region on an explicit stack and cache its (key, options).
+
+    A node's key is (op, pred, var, args, child keys), and a recurrence's
+    adds the sorted keys of its replicas; global variables are renamed in
+    first-occurrence order within the region.  Options are collected in
+    preorder while the walk is active, that is, not below a quantifier,
+    inside a recurrence's unreplicated body, or at or below a shared node.
+    A recurrence appends its replicas' options in index order.  Before a
+    recurrence is entered, each replica region without an entry is yielded
+    as the arguments of its own walk; the caller fills it and resumes."""
+    nodes, shared, regions = cfg.nodes, cfg.shared, cfg.regions
+    names: dict = {}
+    options: list[MoveOption] = []
+    keys: list = []  # keys of finished nodes whose parent is still open
+    # frames are (node id, sign, path segments or None when inactive,
+    # the node's own key part once entered, or None before)
+    stack = [(root, sign, segs, None)]
+    while stack:
+        nid, sign, segs, base = stack.pop()
+        node = nodes[nid]
+        kids = node.children
+        if base is not None:  # all children done: build the node's key
+            if kids:
+                done = tuple(keys[-len(kids):])
+                del keys[-len(kids):]
+            else:
+                done = ()
+            if node.op != "recur":
+                keys.append(base + (done,))
+                continue
+            entries = [regions[rep] for _idx, rep in node.replicas]
+            keys.append(base + (done, tuple(sorted(e[0] for e in entries))))
+            if segs is not None:
+                for _key, opts in entries:
+                    options += opts
+            continue
+        for idx, rep in node.replicas:
+            if rep not in regions:
+                yield (rep, name, side, sign,
+                       None if segs is None else segs + (idx,))
+        op = node.op
+        base = (op, node.pred or "", node.var or "",
+                tuple(_canon_term(t, names) for t in node.args))
+        if op == "atom":  # a leaf, which offers no move
+            keys.append(base + ((),))
+            continue
+        if segs is not None and nid in shared:
+            segs = None
+        stack.append((nid, sign, segs, base))
+        if segs is None:
+            stack.extend((c, sign, None, None) for c in reversed(kids))
+        elif op in ("and", "or", "implies"):
+            for i in range(len(kids), 0, -1):
+                flip = op == "implies" and i == 1
+                stack.append((kids[i - 1], -sign if flip else sign,
+                              segs + (i,), None))
+        elif op == "neg":
+            stack.append((kids[0], -sign, segs + (1,), None))
+        elif op in ("all", "exists"):
+            kind = "write" if _is_machine(op, sign) else "read"
             options.append(MoveOption(kind, Path(name, segs), side))
-        elif node.op == "recur":
+            stack.append((kids[0], sign, None, None))
+        else:  # recur
             reps = node.replicas
-            if sign > 0 and not reps and node.children[0] not in cfg.shared:
-                body = cfg.nodes[node.children[0]]
+            if sign > 0 and not reps and kids[0] not in shared:
+                body = nodes[kids[0]]
                 if body.op in ("all", "exists") and _is_machine(body.op, sign):
                     options.append(MoveOption("write", Path(name, segs), side,
                                               collapse=True))
             next_index = reps[-1][0] + 1 if reps else 1
             options.append(MoveOption("replicate", Path(name, segs), side,
                                       index=next_index))
-            for idx, rep in reps:
-                walk(name, side, rep, sign, segs + (idx,))
+            stack.append((kids[0], sign, None, None))
+    regions[root] = (keys.pop(), options)
 
-    for name, root in cfg.roots.items():
-        output = name == cfg.output
-        walk(name, "output" if output else "input", root, 1 if output else -1, ())
-    return options
+
+def _canon_term(t, names):
+    if isinstance(t, GVar):
+        if t.name not in names:
+            names[t.name] = f"g{len(names)}"
+        return ("g", names[t.name])
+    if isinstance(t, Const):
+        return ("c", t.name)
+    if isinstance(t, Num):
+        return ("n", t.value)
+    if isinstance(t, Var):
+        return ("v", t.name)
+    if isinstance(t, App):
+        return ("a", t.fn, tuple(_canon_term(x, names) for x in t.args))
+    return ("?", repr(t))
 
 
 def apply_move(cfg: Configuration, move: Move) -> Configuration:

@@ -233,7 +233,8 @@ def expand(table: DirectoryTable, ref: F.DirRef,
 
 
 def load_kb(text: str) -> DirectoryTable:
-    """Parse a knowledge-base file into a directory table."""
+    """Parse a knowledge-base file into a directory table.  A parse error
+    reports its line and column in the file."""
     table = DirectoryTable()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -246,8 +247,8 @@ def load_kb(text: str) -> DirectoryTable:
                     raise KBError("query line needs a /name")
                 table.query = rest[1:].strip()
                 continue
-            name, pattern, params, rhs = _split_definition(line)
-            body = parse_formula(rhs, params)
+            name, pattern, params, rhs, rhs_start = _split_definition(raw, lineno)
+            body = _parse_at(lineno, rhs_start, parse_formula, rhs, params)
             if pattern is None:
                 define_directory(table, name, [(None, body)])
             else:
@@ -259,11 +260,15 @@ def load_kb(text: str) -> DirectoryTable:
     return table
 
 
-def _split_definition(line: str):
-    eq = line.find("=")
+def _split_definition(raw: str, lineno: int):
+    """(name, pattern, params, rhs, where rhs starts in raw) of a definition
+    line; the pattern is parsed here."""
+    line = raw.strip()
+    eq = raw.find("=")
     if eq < 0:
         raise KBError(f"missing '=' in definition: {line!r}")
-    head, rhs = line[:eq].strip(), line[eq + 1:].strip()
+    head, rhs = raw[:eq].strip(), raw[eq + 1:]
+    rhs_start = eq + 1 + len(rhs) - len(rhs.lstrip())
     if not head.startswith("/"):
         raise KBError(f"definitions start with '/': {line!r}")
     head = head[1:]
@@ -271,7 +276,18 @@ def _split_definition(line: str):
         if not head.endswith(")"):
             raise KBError(f"unclosed pattern in {line!r}")
         name, pat_text = head[:-1].split("(", 1)
-        pattern, params = parse_pattern(pat_text)
-        return name.strip(), pattern, params, rhs
-    return head.strip(), None, (), rhs
+        pat_start = raw.index("(")
+        pattern, params = _parse_at(lineno, pat_start + 1, parse_pattern, pat_text)
+        return name.strip(), pattern, params, rhs.strip(), rhs_start
+    return head.strip(), None, (), rhs.strip(), rhs_start
 
+
+def _parse_at(lineno: int, start: int, parse, text: str, *args):
+    """parse(text, *args) for text that begins at offset `start` of the file's
+    line `lineno`; a parse error is moved to that line and column."""
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        if exc.col is None:
+            raise
+        raise ParseError(exc.reason, lineno, exc.col + start) from None

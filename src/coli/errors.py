@@ -13,6 +13,7 @@ class ParseError(ColiError):
     """Syntax error with source position."""
 
     def __init__(self, message, line=None, col=None):
+        self.reason = message
         self.line = line
         self.col = col
         if line is not None:

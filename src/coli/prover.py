@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
                             legal_moves, move_line, peel_env_symbolic, replicate,
-                            resolve)
+                            resolve, service_regions)
 from .errors import ConfigError
 from .graphs import preorder
 from .solver import close_elementary
-from .terms import App, Const, GVar, Num, Term, Var
+from .terms import App, Const, Num, Term
 
 RULE_NAMES = ("read", "write", "replicate", "close")
 
@@ -183,36 +183,18 @@ def _canonical_key(cfg: Configuration):
     so the renaming is injective overall) and under permuting the replicas
     of a recurrence (the facts and rules closure collects form a multiset,
     and its search tries every order).  Two positions with one key are
-    therefore both closable or both not."""
+    therefore both closable or both not.
 
-    def walk(nid, names):
-        node = cfg.nodes[nid]
-        base = (node.op, node.pred or "", node.var or "",
-                tuple(_canon_term(t, names) for t in node.args))
-        kids = tuple(walk(c, names) for c in node.children)
-        if node.op == "recur":
-            reps = tuple(sorted(walk(rep, {}) for _idx, rep in node.replicas))
-            return base + (kids, reps)
-        return base + (kids,)
-
-    return tuple((name, name == cfg.output, walk(root, {}))
-                 for name, root in cfg.roots.items())
-
-
-def _canon_term(t, names):
-    if isinstance(t, GVar):
-        if t.name not in names:
-            names[t.name] = f"g{len(names)}"
-        return ("g", names[t.name])
-    if isinstance(t, Const):
-        return ("c", t.name)
-    if isinstance(t, Num):
-        return ("n", t.value)
-    if isinstance(t, Var):
-        return ("v", t.name)
-    if isinstance(t, App):
-        return ("a", t.fn, tuple(_canon_term(x, names) for x in t.args))
-    return ("?", repr(t))
+    A region is a service, or one replica of a recurrence, without the
+    replicas nested in it.  Each region's key is cached in the
+    configuration beside its move options, and the key of a region holding
+    a recurrence takes its replicas' keys from their own entries.  A move
+    drops only the entries of the regions its path enters, so a search node
+    walks just the service and replica it touched (configuration's module
+    docstring)."""
+    return tuple((name, name == cfg.output, key)
+                 for name, (key, _options) in zip(cfg.roots,
+                                                  service_regions(cfg)))
 
 
 def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,

@@ -112,6 +112,22 @@ def is_ground(t: Term) -> bool:
     return True
 
 
+# str() refuses an int of more than 4,300 digits by default, so larger ones
+# are written out in chunks of _CHUNK_DIGITS digits
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, at any size, without changing interpreter-wide limits."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 # Precedence: '+' chains loosest, '*' tighter, everything else is atomic.
 # Both associate to the left, so a child is parenthesized when it binds
 # looser than its context, and a right child of equal precedence is too.
@@ -120,7 +136,7 @@ _PREC = {"+": 1, "*": 2}
 
 def pretty_term(t: Term, prec: int = 0) -> str:
     if isinstance(t, Num):
-        return str(t.value)
+        return _decimal(t.value)
     if isinstance(t, (Const, Var, GVar)):
         return t.name
     if isinstance(t, App):

@@ -99,6 +99,16 @@ def test_deep_prove_subprocess(tmp_path):
     assert proc.stderr == ""
 
 
+def test_deep_prove_past_the_default_stack_subprocess(tmp_path):
+    # 500 nested conjunctions: deeper than any recursive walk could go
+    kb = tmp_path / "deep.kb"
+    ref = "/m(" + "s(" * 500 + "0" + ")" * 501
+    kb.write_text(data_text("rec.kb") + f"/query = {ref}\nquery /query\n")
+    proc = run_coli("prove", "--kb", str(kb))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
+
+
 def test_expand_deep_reference_subprocess():
     # the reference parses at 1,000 nested s(...); expansion hits its bound
     ref = "/m(" + "s(" * 1000 + "0" + ")" * 1001
@@ -223,7 +233,7 @@ HUGE = "7" * 4301  # more digits than int() converts by default
 
 @pytest.mark.parametrize("kb, script, inputs, message", [
     (f"/c = p({HUGE})\nquery /c\n", None, "3",
-     "line 1: numeral too long (4301 digits) (line 1, col 3)"),
+     "line 1: numeral too long (4301 digits) (line 1, col 8)"),
     (None, f"algorithm a {{\n  /c.{HUGE}.write;\n}}\n", "3",
      "numeral too long (4301 digits) (line 2, col 6)"),
     (None, None, f"1,{HUGE}",
@@ -240,6 +250,33 @@ def test_huge_numeral_is_a_parse_error(capsys, tmp_path, kb, script, inputs, mes
     code, out, err = run_cli(capsys, "run", "--kb", kb_path, "--script",
                              script_path, "--inputs", inputs)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("line, col", [("/c = p(a,", 10),
+                                       ("/c   =   p(a,", 14),
+                                       ("  /m(s(X)) = p(a,", 18),
+                                       ("/m(s(X,) = p", 8)],
+                         ids=["rhs", "rhs-spaced", "indented", "pattern"])
+def test_kb_parse_error_reports_the_file_column(capsys, tmp_path, line, col):
+    kb = tmp_path / "bad.kb"
+    kb.write_text(f"# a comment\n/k = q\n{line}\n")
+    code, out, err = run_cli(capsys, "check", "--kb", str(kb))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: expected a term, found ")
+    assert err.endswith(f" (line 3, col {col})\n")
+
+
+def test_run_prints_numerals_past_4300_digits(capsys, tmp_path):
+    # str() refuses ints of more than 4,300 digits; the product has 4,400
+    ones, nines = "1" * 2200, "9" * 2200
+    kb = tmp_path / "big.kb"
+    kb.write_text(f"/c = p({ones}*{nines})\n/query = #z. p(z)\nquery /query\n")
+    script = tmp_path / "big.coli"
+    script.write_text("algorithm a {\n  /query.write;\n  execute;\n}\n")
+    code, out, err = run_cli(capsys, "run", "--kb", str(kb), "--script",
+                             str(script))
+    product = "1" * 2199 + "0" + "8" * 2199 + "9"  # as 11 * 99 = 1089
+    assert (code, out, err) == (0, f"RESULT p({product})\n", "")
 
 
 def test_expand_parenthesizes_terms(capsys, tmp_path):

@@ -1,17 +1,20 @@
-"""Game-state moves: polarity checks, replication, the replay property."""
+"""Game-state moves: polarity checks, replication, the replay property,
+and the per-region cache against cache-free reference walks."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from coli.configuration import (Path, ReadMove, ReplicateMove, WriteMove,
-                                apply_read, apply_write, init_configuration,
-                                legal_moves, move_line, peel_env_symbolic,
-                                replay, replicate, resolve)
+from coli.configuration import (MoveOption, Path, ReadMove, ReplicateMove,
+                                WriteMove, apply_read, apply_write,
+                                init_configuration, legal_moves, move_line,
+                                peel_env_symbolic, replay, replicate, resolve)
 from coli.directories import load_kb
 from coli.errors import BoundError, ConfigError, SharedNodeError
 from coli.formulas import Atom, Exists, Implies, pretty
-from coli.terms import Const, GVar, Num, app
+from coli.prover import _canonical_key
+from coli.terms import App, Const, GVar, Num, Var, app
 
 from conftest import data_text, run_game, snapshot
 
@@ -379,3 +382,136 @@ def test_sides_and_untouched_services(fact_config):
     cfg = apply_read(fact_config, Path("query"), 2, "n")
     assert (cfg.roots, cfg.output) == (fact_config.roots, fact_config.output)
     assert cfg.formula_at(cfg.root_of("c")) == before
+
+
+# --- the region cache against cache-free reference walks ----------------
+
+def reference_legal_moves(cfg):
+    """legal_moves as one recursive walk over the whole node store."""
+    options = []
+
+    def walk(name, side, nid, sign, segs):
+        if nid in cfg.shared:
+            return
+        node = cfg.nodes[nid]
+        if node.op in ("and", "or", "implies"):
+            for i, c in enumerate(node.children, start=1):
+                flip = node.op == "implies" and i == 1
+                walk(name, side, c, -sign if flip else sign, segs + (i,))
+        elif node.op == "neg":
+            walk(name, side, node.children[0], -sign, segs + (1,))
+        elif node.op in ("all", "exists"):
+            machine = (node.op == "exists") == (sign > 0)
+            options.append(MoveOption("write" if machine else "read",
+                                      Path(name, segs), side))
+        elif node.op == "recur":
+            reps = node.replicas
+            if sign > 0 and not reps and node.children[0] not in cfg.shared:
+                body = cfg.nodes[node.children[0]]
+                if body.op == "exists":
+                    options.append(MoveOption("write", Path(name, segs), side,
+                                              collapse=True))
+            options.append(MoveOption("replicate", Path(name, segs), side,
+                                      index=reps[-1][0] + 1 if reps else 1))
+            for idx, rep in reps:
+                walk(name, side, rep, sign, segs + (idx,))
+
+    for name, root in cfg.roots.items():
+        output = name == cfg.output
+        walk(name, "output" if output else "input", root, 1 if output else -1, ())
+    return options
+
+
+def reference_key(cfg):
+    """The prover's position key as one recursive walk over the store."""
+
+    def term(t, names):
+        if isinstance(t, GVar):
+            return ("g", names.setdefault(t.name, f"g{len(names)}"))
+        if isinstance(t, Const):
+            return ("c", t.name)
+        if isinstance(t, Num):
+            return ("n", t.value)
+        if isinstance(t, Var):
+            return ("v", t.name)
+        assert isinstance(t, App)
+        return ("a", t.fn, tuple(term(x, names) for x in t.args))
+
+    def walk(nid, names):
+        node = cfg.nodes[nid]
+        base = (node.op, node.pred or "", node.var or "",
+                tuple(term(t, names) for t in node.args))
+        kids = tuple(walk(c, names) for c in node.children)
+        if node.op == "recur":
+            reps = tuple(sorted(walk(rep, {}) for _idx, rep in node.replicas))
+            return base + (kids, reps)
+        return base + (kids,)
+
+    return tuple((name, name == cfg.output, walk(root, {}))
+                 for name, root in cfg.roots.items())
+
+
+# rec.kb's clauses under a nested input recurrence, an output recurrence a
+# write can collapse, a replicated shared node, an environment quantifier
+# on the output and a machine one under negation
+REC_GAME = ("/i = $ @x. (!/m(1) /\\ $ #u. q(x,u))\n"
+            "/query = ($ #z. (r(z) \\/ /m(1))) /\\ "
+            "(@y. ~(#w. s(y,w)) -> /m(1)) /\\ $ $ @v. t(v) /\\ $ /m(1)\n"
+            "query /query\n")
+
+
+def _random_move(rng, cfg):
+    """A random legal move of a kind the prover or a script makes."""
+    opt = rng.choice(legal_moves(cfg))
+    value = rng.choice([Num(rng.randrange(4)), Const("a"), app("s", Num(1))])
+    if opt.kind == "read":
+        if rng.random() < 0.5:
+            return peel_env_symbolic(cfg, opt.path, Const(f"_e{rng.randrange(3)}"))[0]
+        return apply_read(cfg, opt.path, rng.randrange(5), "v")
+    if opt.kind == "write":  # plain or collapsing
+        return apply_write(cfg, opt.path, value if rng.random() < 0.4 else None)
+    fresh = opt.index + rng.randrange(3)
+    if rng.random() < 0.5:
+        # on demand, through a path into a replica that does not exist yet;
+        # a replica root that is a shared node has no such path
+        path = Path(opt.path.dir, opt.path.segments + (fresh,))
+        for attempt in (lambda: apply_write(cfg, path),
+                        lambda: apply_read(cfg, path, rng.randrange(5), "v"),
+                        lambda: resolve(cfg, path, create=True)[0]):
+            try:
+                return attempt()
+            except ConfigError:
+                pass
+    return replicate(cfg, opt.path, fresh)
+
+
+@pytest.mark.parametrize("kb", [data_text("q.kb"), data_text("fact.kb"),
+                                data_text("ident.kb"),
+                                data_text("rec.kb") + REC_GAME],
+                         ids=["q", "fact", "ident", "rec"])
+def test_region_cache_matches_reference_walks(kb):
+    # after every move the cached options and key equal a walk of the whole
+    # store, in the child and in the parent it was made from; each
+    # configuration is asked before, after or never before its children
+    # are made, so children start from full, partial and empty caches
+    start = init_configuration(load_kb(kb))
+    rng = random.Random(9)
+    checked = 0
+    for _walk in range(40):
+        cfg = start
+        for _move in range(10):
+            if not reference_legal_moves(cfg):
+                break
+            if rng.random() < 0.5:
+                assert legal_moves(cfg) == reference_legal_moves(cfg)
+            if rng.random() < 0.5:
+                assert _canonical_key(cfg) == reference_key(cfg)
+            before = snapshot(cfg)
+            child = _random_move(rng, cfg)
+            for c in (child, cfg):
+                assert legal_moves(c) == reference_legal_moves(c)
+                assert _canonical_key(c) == reference_key(c)
+            assert snapshot(cfg) == before
+            cfg = child
+            checked += 1
+    assert checked > 100

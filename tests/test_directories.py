@@ -74,7 +74,7 @@ def test_parse_pattern_returns_parameter_names():
 def test_uppercase_quantifier_variables_are_rejected(binder):
     # so a quantifier never binds a parameter's name
     with pytest.raises(KBError, match=r"^line 1: expected quantifier variable, "
-                                      r"found 'X' \(line 1, col 2\)$"):
+                                      r"found 'X' \(line 1, col 10\)$"):
         _table(f"/m(X) = {binder}X. p(X)\n")
 
 

@@ -3,7 +3,7 @@ determinism, and soundness of returned strategies."""
 
 import pytest
 
-from coli import prover
+from coli import configuration, prover
 from coli.configuration import (Path, ReplicateMove, WriteMove, apply_read,
                                 init_configuration, legal_moves)
 from coli.directories import load_kb
@@ -217,3 +217,21 @@ def test_closure_cache_keeps_search_nodes(replicas, steps):
     result = prove(init_configuration(table), (), Bounds(max_replicas=replicas))
     assert result.reason == "bounded"
     assert result.steps == steps
+
+
+def test_search_walks_only_the_regions_a_move_touched(monkeypatch):
+    # a move changes one service and the replicas on its path, and only
+    # those regions are walked again; without the region cache every
+    # search node would walk all of its up to 17 regions
+    walks = []
+    walk_region = configuration._walk_region
+
+    def counting(cfg, root, *rest):
+        walks.append(root)
+        return walk_region(cfg, root, *rest)
+
+    monkeypatch.setattr(configuration, "_walk_region", counting)
+    table = load_kb(data_text("q.kb"))
+    result = prove(init_configuration(table), (), Bounds(max_replicas=16))
+    assert result.reason == "bounded" and result.steps == 1820
+    assert len(walks) <= 2 * result.steps

@@ -43,3 +43,11 @@ def test_pretty_term_arithmetic():
     assert pretty_term(app("+", Var("x"), Num(1))) == "x+1"
     assert pretty_term(app("s", app("s", Num(0)))) == "s(s(0))"
     assert pretty_term(app("fact", Num(3), GVar("W1"))) == "fact(3,W1)"
+
+
+def test_pretty_term_prints_numerals_of_any_size():
+    # str() refuses ints of more than 4,300 digits
+    assert pretty_term(Num(10 ** 4300)) == "1" + "0" * 4300
+    assert pretty_term(Num(10 ** 8001 + 5)) == "1" + "0" * 8000 + "5"
+    assert pretty_term(Num(int("9" * 4300) + 1)) == "1" + "0" * 4300
+    assert pretty_term(app("*", Num(7), Num(10 ** 4000))) == "7*1" + "0" * 4000
