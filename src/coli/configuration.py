@@ -25,13 +25,18 @@ enters, so each configuration caches what proof search reads per region.  A
 region is a service root, or the root of one replica of a recurrence; it
 holds the nodes below its root except those of the replicas of its
 recurrences, which are regions of their own.  The cache maps a region's root
-id to the region's canonical key and its `MoveOption` list; a recurrence
-contributes its replicas' entries, the keys sorted and the option lists in
+id to an entry of three parts: the region's canonical key, its `MoveOption`
+list, and its branch options, which are the options less those inside twin
+replicas.  Twins are replicas of one recurrence with equal keys; of each
+class only the first in index order keeps its options in the branch list,
+which is what proof search branches on (`branch_moves`).  A recurrence
+contributes its replicas' entries: the keys sorted, the option lists in
 index order.  Moves copy the cache with the node store and drop the entries
 of the regions along their path: the service root and every replica root the
 path enters.  Every other region keeps its nodes and its entry.  A region
 missing from the cache is walked once, on an explicit stack, by
-`legal_moves` or the prover's position key, whichever asks first.
+`legal_moves`, `branch_moves` or the prover's position key, whichever asks
+first.
 """
 
 from __future__ import annotations
@@ -390,16 +395,26 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
         raise BoundError(f"replica limit {cfg.replica_limit} exceeded at {path}")
     out = cfg._clone(regions)
 
-    def copy(old: int) -> int:
+    # copy the body on an explicit stack, children before their parent;
+    # `done` holds the new ids of copied nodes whose parent is still open
+    done: list = []
+    stack = [(node.children[0], False)]
+    while stack:
+        old, entered = stack.pop()
         if old in out.shared:
-            return old
+            done.append(old)
+            continue
         n = out.nodes[old]
-        kids = tuple(copy(c) for c in n.children)
-        new = len(out.nodes)
-        out.nodes[new] = _with_children(n, kids)
-        return new
-
-    pairs = node.replicas + ((index, copy(node.children[0])),)
+        if not entered:
+            stack.append((old, True))
+            stack.extend((c, False) for c in reversed(n.children))
+            continue
+        cut = len(done) - len(n.children)
+        kids = tuple(done[cut:])
+        del done[cut:]
+        done.append(len(out.nodes))
+        out.nodes[done[-1]] = _with_children(n, kids)
+    pairs = node.replicas + ((index, done.pop()),)
     out.nodes[nid] = GNode(node.op, node.children, node.pred, node.args,
                            node.var, tuple(sorted(pairs)))
     out.trace.append(ReplicateMove(path, index))
@@ -414,11 +429,22 @@ def legal_moves(cfg: Configuration) -> list[MoveOption]:
     Shared nodes are read-only, so the walk does not enter them.  The
     options come from the region cache (module docstring).
     """
-    return [opt for _key, options in service_regions(cfg) for opt in options]
+    return [opt for _key, options, _branch in service_regions(cfg)
+            for opt in options]
+
+
+def branch_moves(cfg: Configuration) -> list[MoveOption]:
+    """`legal_moves` without the moves inside twin replicas: of the replicas
+    of one recurrence whose region keys are equal, only the first in index
+    order keeps its moves.  Twins are interchangeable, so a search that has
+    tried the first has tried them all (prover's module docstring)."""
+    return [opt for _key, _options, branch in service_regions(cfg)
+            for opt in branch]
 
 
 def service_regions(cfg: Configuration) -> list:
-    """The (key, options) entry of every service's region, in service order.
+    """The (key, options, branch options) entry of every service's region,
+    in service order.
     An entry missing from the cache is made now, by walking the region."""
     regions = cfg.regions
     entries = []
@@ -448,83 +474,105 @@ def _fill_region(cfg, root, name, side, sign, segs):
 
 
 def _walk_region(cfg, root, name, side, sign, segs):
-    """Walk one region on an explicit stack and cache its (key, options).
+    """Walk one region in preorder, on an explicit stack, and cache its
+    (key, options, branch options).
 
-    A node's key is (op, pred, var, args, child keys), and a recurrence's
-    adds the sorted keys of its replicas; global variables are renamed in
-    first-occurrence order within the region.  Options are collected in
-    preorder while the walk is active, that is, not below a quantifier,
-    inside a recurrence's unreplicated body, or at or below a shared node.
-    A recurrence appends its replicas' options in index order.  Before a
-    recurrence is entered, each replica region without an entry is yielded
-    as the arguments of its own walk; the caller fills it and resumes."""
+    The key is flat: one (op, pred, var, args, number of children) item per
+    node in preorder, and a recurrence's item adds the sorted keys of its
+    replicas.  Global variables are renamed in first-occurrence order within
+    the region.  A nested key would be as deep as the formula, and comparing
+    two equal ones recurses once per level; a flat one nests only where
+    recurrences do.  Options are collected in preorder while the walk is
+    active, that is, not below a quantifier, inside a recurrence's
+    unreplicated body, or at or below a shared node.  A recurrence appends
+    its replicas' options in index order, and to the branch options those
+    of each replica whose key differs from every earlier replica's.  Before
+    a recurrence's replicas are read, each replica region without an entry
+    is yielded as the arguments of its own walk; the caller fills it and
+    resumes."""
     nodes, shared, regions = cfg.nodes, cfg.shared, cfg.regions
     names: dict = {}
+    key: list = []
     options: list[MoveOption] = []
-    keys: list = []  # keys of finished nodes whose parent is still open
-    # frames are (node id, sign, path segments or None when inactive,
-    # the node's own key part once entered, or None before)
-    stack = [(root, sign, segs, None)]
+    branch: list[MoveOption] = []  # options without those of twin replicas
+
+    def offer(opt):
+        options.append(opt)
+        branch.append(opt)
+
+    # frames are (node id, sign, path segments or None when inactive)
+    stack = [(root, sign, segs)]
     while stack:
-        nid, sign, segs, base = stack.pop()
+        nid, sign, segs = stack.pop()
         node = nodes[nid]
-        kids = node.children
-        if base is not None:  # all children done: build the node's key
-            if kids:
-                done = tuple(keys[-len(kids):])
-                del keys[-len(kids):]
-            else:
-                done = ()
-            if node.op != "recur":
-                keys.append(base + (done,))
-                continue
-            entries = [regions[rep] for _idx, rep in node.replicas]
-            keys.append(base + (done, tuple(sorted(e[0] for e in entries))))
-            if segs is not None:
-                for _key, opts in entries:
-                    options += opts
-            continue
-        for idx, rep in node.replicas:
-            if rep not in regions:
-                yield (rep, name, side, sign,
-                       None if segs is None else segs + (idx,))
-        op = node.op
-        base = (op, node.pred or "", node.var or "",
-                tuple(_canon_term(t, names) for t in node.args))
+        op, kids = node.op, node.children
+        item = (op, node.pred or "", node.var or "",
+                tuple(_canon_term(t, names) for t in node.args), len(kids))
         if op == "atom":  # a leaf, which offers no move
-            keys.append(base + ((),))
+            key.append(item)
             continue
         if segs is not None and nid in shared:
             segs = None
-        stack.append((nid, sign, segs, base))
+        if op == "recur":
+            reps = node.replicas
+            for idx, rep in reps:
+                if rep not in regions:
+                    yield (rep, name, side, sign,
+                           None if segs is None else segs + (idx,))
+            entries = [regions[rep] for _idx, rep in reps]
+            item += (tuple(sorted(e[0] for e in entries)),)
+        key.append(item)
         if segs is None:
-            stack.extend((c, sign, None, None) for c in reversed(kids))
+            stack.extend((c, sign, None) for c in reversed(kids))
         elif op in ("and", "or", "implies"):
             for i in range(len(kids), 0, -1):
                 flip = op == "implies" and i == 1
                 stack.append((kids[i - 1], -sign if flip else sign,
-                              segs + (i,), None))
+                              segs + (i,)))
         elif op == "neg":
-            stack.append((kids[0], -sign, segs + (1,), None))
+            stack.append((kids[0], -sign, segs + (1,)))
         elif op in ("all", "exists"):
             kind = "write" if _is_machine(op, sign) else "read"
-            options.append(MoveOption(kind, Path(name, segs), side))
-            stack.append((kids[0], sign, None, None))
+            offer(MoveOption(kind, Path(name, segs), side))
+            stack.append((kids[0], sign, None))
         else:  # recur
-            reps = node.replicas
             if sign > 0 and not reps and kids[0] not in shared:
                 body = nodes[kids[0]]
                 if body.op in ("all", "exists") and _is_machine(body.op, sign):
-                    options.append(MoveOption("write", Path(name, segs), side,
-                                              collapse=True))
-            next_index = reps[-1][0] + 1 if reps else 1
-            options.append(MoveOption("replicate", Path(name, segs), side,
-                                      index=next_index))
-            stack.append((kids[0], sign, None, None))
-    regions[root] = (keys.pop(), options)
+                    offer(MoveOption("write", Path(name, segs), side,
+                                     collapse=True))
+            offer(MoveOption("replicate", Path(name, segs), side,
+                             index=reps[-1][0] + 1 if reps else 1))
+            seen = set()
+            for rep_key, rep_options, rep_branch in entries:
+                options += rep_options
+                if rep_key not in seen:
+                    seen.add(rep_key)
+                    branch += rep_branch
+            stack.append((kids[0], sign, None))
+    regions[root] = (tuple(key), options, branch)
 
 
 def _canon_term(t, names):
+    """A term's key part: its symbols in preorder, an application as "a",
+    its function and its arity, and global variables renamed through
+    `names` in first-occurrence order.  Flat, like the region key, and
+    built on an explicit stack, so a term's depth costs no frames."""
+    if not isinstance(t, App):
+        return _canon_leaf(t, names)
+    flat: list = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            flat += ("a", t.fn, len(t.args))
+            stack.extend(reversed(t.args))
+        else:
+            flat += _canon_leaf(t, names)
+    return tuple(flat)
+
+
+def _canon_leaf(t, names):
     if isinstance(t, GVar):
         if t.name not in names:
             names[t.name] = f"g{len(names)}"
@@ -535,8 +583,6 @@ def _canon_term(t, names):
         return ("n", t.value)
     if isinstance(t, Var):
         return ("v", t.name)
-    if isinstance(t, App):
-        return ("a", t.fn, tuple(_canon_term(x, names) for x in t.args))
     return ("?", repr(t))
 
 

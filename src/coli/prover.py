@@ -17,6 +17,17 @@ the number of replications it may spend:
   A closure verdict depends only on the node's canonical position, so each
   `prove` call remembers the positions whose closure failed and does not
   try them again, in any deepening iteration.
+* Twin replicas are searched once.  Replicas of one recurrence whose
+  contents are equal up to renaming their global variables are twins, and
+  only the first of each class, in index order, offers its moves.  A move
+  into a later twin reaches the canonical position that the same move into
+  the first reached, at the same depth and budget: if that child won, the
+  search returned before the twin; if it failed, its position is in
+  `failed`, where the twin's child would stop at once, running no closure
+  and setting no flag.  Verdicts, strategies and closures are those of the
+  full search; only the count of search nodes falls.  A restriction names
+  replicas by index, which makes twins distinguishable, so with
+  restrictions every replica offers its moves.
 
 Failure is `exhausted` when the whole (restricted) space was explored within
 bounds and `bounded` when some branch was cut off by max_depth/max_replicas.
@@ -31,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
-                            legal_moves, move_line, peel_env_symbolic, replicate,
-                            resolve, service_regions)
+                            branch_moves, legal_moves, move_line,
+                            peel_env_symbolic, replicate, resolve,
+                            service_regions)
 from .errors import ConfigError
 from .graphs import preorder
 from .solver import close_elementary
@@ -175,7 +187,10 @@ def _canonical_key(cfg: Configuration):
     and permutations of interchangeable replicas, land on the same key.
     Sound for memoizing failures because a winning continuation from one
     such position maps onto any permuted twin.  Eigenvariables keep their
-    identity (they may span regions).
+    identity (they may span regions).  It is also why the search branches
+    into one replica per class of twins (replicas with equal region keys):
+    a move into a later twin lands on the key that the move into the first
+    landed on, which by then has won or is in `failed`.
 
     The same argument makes the key sound for caching closure verdicts:
     closure by unification is invariant under renaming the global
@@ -192,9 +207,8 @@ def _canonical_key(cfg: Configuration):
     drops only the entries of the regions its path enters, so a search node
     walks just the service and replica it touched (configuration's module
     docstring)."""
-    return tuple((name, name == cfg.output, key)
-                 for name, (key, _options) in zip(cfg.roots,
-                                                  service_regions(cfg)))
+    return tuple((name, name == cfg.output, entry[0])
+                 for name, entry in zip(cfg.roots, service_regions(cfg)))
 
 
 def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
@@ -323,7 +337,12 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
 def _branch_options(cfg, opts, restrictions) -> list[MoveOption]:
     """Machine choice points: per service, writes before replications;
     input services come before the output.  Input-side plain writes were
-    consumed by the forced phase, so what remains branches for real."""
+    consumed by the forced phase, so what remains branches for real.
+    Without restrictions only one replica of each class of twins offers its
+    moves (`branch_moves`); a restriction names replicas by index, under
+    which twins are no longer interchangeable, so it sees every move."""
+    if not restrictions:
+        opts = branch_moves(cfg)
     ordered: list[MoveOption] = []
     for name in cfg.roots:
         mine = [o for o in opts if o.path.dir == name]

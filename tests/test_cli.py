@@ -109,6 +109,29 @@ def test_deep_prove_past_the_default_stack_subprocess(tmp_path):
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
 
 
+def test_prove_deep_terms_subprocess(tmp_path):
+    # 600 nested s(...) in an atom's argument: position keys take no frame
+    # per level of a term
+    kb = tmp_path / "deep.kb"
+    term = "s(" * 600 + "0" + ")" * 600
+    kb.write_text(f"/c = q({term})\n/query = p({term})\nquery /query\n")
+    proc = run_coli("prove", "--kb", str(kb))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
+
+
+def test_prove_replicates_a_deep_body_subprocess(tmp_path):
+    # replicating a 500-deep recurrence body copies it without a frame per
+    # level, and equal deep positions compare without one either
+    kb = tmp_path / "deep.kb"
+    ref = "/m(" + "s(" * 500 + "0" + ")" * 501
+    kb.write_text(data_text("rec.kb") + f"/i = $ !{ref}\n"
+                  "/query = #z. r(z)\nquery /query\n")
+    proc = run_coli("prove", "--kb", str(kb), "--max-replicas", "1")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == "PROVE fail reason=bounded steps=7\n"
+
+
 def test_expand_deep_reference_subprocess():
     # the reference parses at 1,000 nested s(...); expansion hits its bound
     ref = "/m(" + "s(" * 1000 + "0" + ")" * 1001

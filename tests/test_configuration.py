@@ -8,8 +8,9 @@ import pytest
 
 from coli.configuration import (MoveOption, Path, ReadMove, ReplicateMove,
                                 WriteMove, apply_read, apply_write,
-                                init_configuration, legal_moves, move_line,
-                                peel_env_symbolic, replay, replicate, resolve)
+                                branch_moves, init_configuration, legal_moves,
+                                move_line, peel_env_symbolic, replay,
+                                replicate, resolve)
 from coli.directories import load_kb
 from coli.errors import BoundError, ConfigError, SharedNodeError
 from coli.formulas import Atom, Exists, Implies, pretty
@@ -386,8 +387,10 @@ def test_sides_and_untouched_services(fact_config):
 
 # --- the region cache against cache-free reference walks ----------------
 
-def reference_legal_moves(cfg):
-    """legal_moves as one recursive walk over the whole node store."""
+def reference_legal_moves(cfg, cut=False):
+    """legal_moves as one recursive walk over the whole node store; with
+    `cut`, branch_moves: without the moves under any replica whose key
+    equals the key of an earlier replica of the same recurrence."""
     options = []
 
     def walk(name, side, nid, sign, segs):
@@ -413,8 +416,12 @@ def reference_legal_moves(cfg):
                                               collapse=True))
             options.append(MoveOption("replicate", Path(name, segs), side,
                                       index=reps[-1][0] + 1 if reps else 1))
+            earlier = []
             for idx, rep in reps:
-                walk(name, side, rep, sign, segs + (idx,))
+                key = reference_region_key(cfg, rep)
+                if not (cut and key in earlier):
+                    walk(name, side, rep, sign, segs + (idx,))
+                earlier.append(key)
 
     for name, root in cfg.roots.items():
         output = name == cfg.output
@@ -422,32 +429,47 @@ def reference_legal_moves(cfg):
     return options
 
 
-def reference_key(cfg):
-    """The prover's position key as one recursive walk over the store."""
+def reference_region_key(cfg, root):
+    """A region's key as one recursive walk: an item per node in preorder,
+    terms flattened to their symbols in preorder."""
+    names = {}
+    items = []
 
-    def term(t, names):
-        if isinstance(t, GVar):
-            return ("g", names.setdefault(t.name, f"g{len(names)}"))
-        if isinstance(t, Const):
-            return ("c", t.name)
-        if isinstance(t, Num):
-            return ("n", t.value)
-        if isinstance(t, Var):
-            return ("v", t.name)
-        assert isinstance(t, App)
-        return ("a", t.fn, tuple(term(x, names) for x in t.args))
+    def term(t, out):
+        if isinstance(t, App):
+            out += ("a", t.fn, len(t.args))
+            for x in t.args:
+                term(x, out)
+        elif isinstance(t, GVar):
+            out += ("g", names.setdefault(t.name, f"g{len(names)}"))
+        elif isinstance(t, Const):
+            out += ("c", t.name)
+        elif isinstance(t, Num):
+            out += ("n", t.value)
+        else:
+            assert isinstance(t, Var)
+            out += ("v", t.name)
+        return out
 
-    def walk(nid, names):
+    def walk(nid):
         node = cfg.nodes[nid]
-        base = (node.op, node.pred or "", node.var or "",
-                tuple(term(t, names) for t in node.args))
-        kids = tuple(walk(c, names) for c in node.children)
+        item = (node.op, node.pred or "", node.var or "",
+                tuple(tuple(term(t, [])) for t in node.args),
+                len(node.children))
         if node.op == "recur":
-            reps = tuple(sorted(walk(rep, {}) for _idx, rep in node.replicas))
-            return base + (kids, reps)
-        return base + (kids,)
+            item += (tuple(sorted(reference_region_key(cfg, rep)
+                                  for _idx, rep in node.replicas)),)
+        items.append(item)
+        for c in node.children:
+            walk(c)
 
-    return tuple((name, name == cfg.output, walk(root, {}))
+    walk(root)
+    return tuple(items)
+
+
+def reference_key(cfg):
+    """The prover's position key from the recursive region walks."""
+    return tuple((name, name == cfg.output, reference_region_key(cfg, root))
                  for name, root in cfg.roots.items())
 
 
@@ -490,13 +512,14 @@ def _random_move(rng, cfg):
                                 data_text("rec.kb") + REC_GAME],
                          ids=["q", "fact", "ident", "rec"])
 def test_region_cache_matches_reference_walks(kb):
-    # after every move the cached options and key equal a walk of the whole
-    # store, in the child and in the parent it was made from; each
-    # configuration is asked before, after or never before its children
-    # are made, so children start from full, partial and empty caches
+    # after every move the cached options, branch options and key equal a
+    # walk of the whole store, in the child and in the parent it was made
+    # from; each configuration is asked before, after or never before its
+    # children are made, so children start from full, partial and empty
+    # caches
     start = init_configuration(load_kb(kb))
     rng = random.Random(9)
-    checked = 0
+    checked = twins = 0
     for _walk in range(40):
         cfg = start
         for _move in range(10):
@@ -510,8 +533,10 @@ def test_region_cache_matches_reference_walks(kb):
             child = _random_move(rng, cfg)
             for c in (child, cfg):
                 assert legal_moves(c) == reference_legal_moves(c)
+                assert branch_moves(c) == reference_legal_moves(c, cut=True)
                 assert _canonical_key(c) == reference_key(c)
             assert snapshot(cfg) == before
+            twins += branch_moves(child) != legal_moves(child)
             cfg = child
             checked += 1
-    assert checked > 100
+    assert checked > 100 and twins > 10

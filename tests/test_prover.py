@@ -1,17 +1,21 @@
 """Strategy search: the factorial strategy, restriction semantics, bounds,
 determinism, and soundness of returned strategies."""
 
+import random
+
 import pytest
 
 from coli import configuration, prover
 from coli.configuration import (Path, ReplicateMove, WriteMove, apply_read,
-                                init_configuration, legal_moves)
+                                apply_write, init_configuration, legal_moves,
+                                replicate)
 from coli.directories import load_kb
 from coli.errors import ConfigError
 from coli.prover import (Bounds, EnvBranch, Leaf, Restriction, Step, prove,
                          render_strategy, strategy_moves, term_universe,
                          validate_restrictions)
-from coli.scripts import ListChannel, ScriptEnv, execute_strategy
+from coli.scripts import (ListChannel, ScriptEnv, execute_strategy,
+                          parse_script, run_script)
 from coli.solver import close_elementary
 from coli.formulas import pretty
 from coli.terms import Const, Num
@@ -50,11 +54,9 @@ def test_prove_records_only_legal_moves():
         options = {(o.kind, str(o.path)) for o in legal_moves(current)}
         if isinstance(move, WriteMove):
             assert ("write", str(move.path)) in options
-            from coli.configuration import apply_write
             current = apply_write(current, move.path, term=move.term)
         else:
             assert ("replicate", str(move.path)) in options
-            from coli.configuration import replicate
             current = replicate(current, move.path, move.index)
 
 
@@ -211,7 +213,7 @@ def test_closure_runs_once_per_position(monkeypatch, n, closures, steps):
     assert {str(m.path) for m in replicas} == {"/d"}
 
 
-@pytest.mark.parametrize("replicas,steps", [(4, 66), (8, 304), (16, 1820)])
+@pytest.mark.parametrize("replicas,steps", [(4, 56), (8, 220), (16, 1140)])
 def test_closure_cache_keeps_search_nodes(replicas, steps):
     table = load_kb(data_text("q.kb"))
     result = prove(init_configuration(table), (), Bounds(max_replicas=replicas))
@@ -233,5 +235,127 @@ def test_search_walks_only_the_regions_a_move_touched(monkeypatch):
     monkeypatch.setattr(configuration, "_walk_region", counting)
     table = load_kb(data_text("q.kb"))
     result = prove(init_configuration(table), (), Bounds(max_replicas=16))
-    assert result.reason == "bounded" and result.steps == 1820
+    assert result.reason == "bounded" and result.steps == 1140
     assert len(walks) <= 2 * result.steps
+
+
+# --- the twin cut against the full branch list ---------------------------
+
+def _random_atom(rng, scope):
+    pred, arity = rng.choice([("p", 1), ("q", 1), ("r", 2)])
+    pool = ["a", "0"] + list(scope) * 2
+    return f"{pred}({','.join(rng.choice(pool) for _ in range(arity))})"
+
+
+def _random_input(rng):
+    """Facts, a replicable rule or fact, or a recurrence nested in one."""
+    atom = _random_atom
+    return rng.choice([
+        lambda: " /\\ ".join(atom(rng, ()) for _ in range(rng.randint(1, 3))),
+        lambda: f"$ @x. ({atom(rng, 'x')} -> {atom(rng, 'x')})",
+        lambda: f"$ ({atom(rng, ())} -> {atom(rng, ())})",
+        lambda: f"$ @x. {atom(rng, 'x')}",
+        lambda: f"$ @x. $ ({atom(rng, 'x')} -> {atom(rng, 'x')})",
+        lambda: f"$ ({atom(rng, ())} /\\ $ @x. {atom(rng, 'x')})",
+    ])()
+
+
+def _random_output(rng, depth=0):
+    """Machine and environment quantifiers, recurrences (some nested),
+    disjunctions and implications."""
+    atom = _random_atom
+    choices = [
+        lambda: atom(rng, ()),
+        lambda: f"#w. {atom(rng, 'w')}",
+        lambda: f"@y. #w. {atom(rng, 'yw')}",
+        lambda: f"$ #w. {atom(rng, 'w')}",
+        lambda: f"$ $ #w. {atom(rng, 'w')}",
+    ]
+    if depth == 0:
+        choices += [
+            lambda: f"({_random_output(rng, 1)} \\/ {_random_output(rng, 1)})",
+            lambda: f"({atom(rng, ())} -> {_random_output(rng, 1)})",
+            lambda: f"{_random_output(rng, 1)} /\\ {_random_output(rng, 1)}",
+        ]
+    return rng.choice(choices)()
+
+
+def _random_game(rng) -> str:
+    inputs = "".join(f"/i{k} = {_random_input(rng)}\n"
+                     for k in range(rng.randint(1, 3)))
+    return inputs + f"/query = {_random_output(rng)}\nquery /query\n"
+
+
+def _twin_children_agree(cfg) -> bool:
+    """Every move the cut drops has a kept move of its kind, listed before
+    it, whose child has the same position key: the twin's node would only
+    find that key in `failed`."""
+    full = legal_moves(cfg)
+    kept = configuration.branch_moves(cfg)
+
+    def child_key(opt):
+        if opt.kind == "replicate":
+            return prover._canonical_key(replicate(cfg, opt.path, opt.index))
+        return prover._canonical_key(apply_write(cfg, opt.path))
+
+    for pos, opt in enumerate(full):
+        if opt in kept or opt.kind == "read":
+            continue
+        key = child_key(opt)
+        twins = [k for k in full[:pos] if k in kept
+                 and (k.kind, k.collapse) == (opt.kind, opt.collapse)]
+        if not any(child_key(k) == key for k in twins):
+            return False
+    return True
+
+
+ORACLE_BOUNDS = Bounds(max_depth=8, max_replicas=3,
+                       term_universe=(Num(0), Const("a")))
+SCRIPT = parse_script("algorithm play { prove; execute; }")
+
+
+def test_twin_cut_keeps_verdicts_strategies_and_wins(monkeypatch):
+    # the cut against a search over every move, on small random games: it
+    # may only drop search nodes, and won strategies beat the environment's
+    # values 0..6.  A move inside a replica never leads to a closable
+    # position (a replicated output recurrence, or a recurrence inside an
+    # input replica, stays live), so a wrong cut rarely changes a verdict;
+    # every position where the cut drops a move is checked for the twin it
+    # relies on instead
+    rng = random.Random(20)
+    wins = cut = twins = 0
+    for _trial in range(70):
+        kb = _random_game(rng)
+        cfg = init_configuration(load_kb(kb))
+        with_cut = prove(cfg, (), ORACLE_BOUNDS)
+        dropping: list = []
+        canonical_key = prover._canonical_key
+
+        def recording(position):
+            if len(dropping) < 8 and legal_moves(position) \
+                    != configuration.branch_moves(position):
+                dropping.append(position)
+            return canonical_key(position)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(prover, "branch_moves", legal_moves)
+            patch.setattr(prover, "_canonical_key", recording)
+            full = prove(cfg, (), ORACLE_BOUNDS)
+        assert (with_cut.ok, with_cut.reason) == (full.ok, full.reason), kb
+        assert with_cut.steps <= full.steps, kb
+        cut += with_cut.steps < full.steps
+        for position in dropping:
+            assert _twin_children_agree(position), kb
+        twins += len(dropping)
+        if not with_cut.ok:
+            continue
+        assert render_strategy(with_cut.strategy) \
+            == render_strategy(full.strategy), kb
+        wins += 1
+        for value in range(7):
+            env = ScriptEnv(channel=ListChannel([value] * 4),
+                            bounds=ORACLE_BOUNDS)
+            outcome, _ = run_script(SCRIPT, cfg, env)
+            assert outcome.won, (kb, value)
+    # the games hold wins, and positions where the cut drops moves
+    assert wins >= 10 and cut >= 30 and twins >= 200
