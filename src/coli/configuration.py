@@ -26,17 +26,17 @@ region is a service root, or the root of one replica of a recurrence; it
 holds the nodes below its root except those of the replicas of its
 recurrences, which are regions of their own.  The cache maps a region's root
 id to an entry of three parts: the region's canonical key, its `MoveOption`
-list, and its branch options, which are the options less those inside twin
-replicas.  Twins are replicas of one recurrence with equal keys; of each
-class only the first in index order keeps its options in the branch list,
-which is what proof search branches on (`branch_moves`).  A recurrence
-contributes its replicas' entries: the keys sorted, the option lists in
-index order.  Moves copy the cache with the node store and drop the entries
-of the regions along their path: the service root and every replica root the
-path enters.  Every other region keeps its nodes and its entry.  A region
-missing from the cache is walked once, on an explicit stack, by
-`legal_moves`, `branch_moves` or the prover's position key, whichever asks
-first.
+list, and whether it is dead.  A region is dead when it, or a replica inside
+it, holds something that closure rejects and that no move can remove: on the
+output side a recurrence that has replicas, which can no longer collapse;
+in an input's content (`input_contents`) a recurrence, a disjunction or a
+negation.  A recurrence contributes its replicas' entries: the keys sorted,
+the option lists in index order, the dead flags to its own.  Moves copy the
+cache with the node store and drop the entries of the regions along their
+path: the service root and every replica root the path enters.  Every other
+region keeps its nodes and its entry.  A region missing from the cache is
+walked once, on an explicit stack, by `legal_moves`, the prover's position
+key or its dead-position check, whichever asks first.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ class MoveOption:
 class Configuration:
     """Node ids are dense and never freed, so the next one is len(nodes);
     the fresh global variables so far are W1 .. W{next_gvar - 1}.
-    `regions` caches (key, options) per region root (module docstring)."""
+    `regions` caches (key, options, dead) per region root (module
+    docstring)."""
 
     def __init__(self):
         self.nodes: dict[int, GNode] = {}
@@ -429,22 +430,13 @@ def legal_moves(cfg: Configuration) -> list[MoveOption]:
     Shared nodes are read-only, so the walk does not enter them.  The
     options come from the region cache (module docstring).
     """
-    return [opt for _key, options, _branch in service_regions(cfg)
+    return [opt for _key, options, _dead in service_regions(cfg)
             for opt in options]
 
 
-def branch_moves(cfg: Configuration) -> list[MoveOption]:
-    """`legal_moves` without the moves inside twin replicas: of the replicas
-    of one recurrence whose region keys are equal, only the first in index
-    order keeps its moves.  Twins are interchangeable, so a search that has
-    tried the first has tried them all (prover's module docstring)."""
-    return [opt for _key, _options, branch in service_regions(cfg)
-            for opt in branch]
-
-
 def service_regions(cfg: Configuration) -> list:
-    """The (key, options, branch options) entry of every service's region,
-    in service order.
+    """The (key, options, dead) entry of every service's region, in service
+    order.
     An entry missing from the cache is made now, by walking the region."""
     regions = cfg.regions
     entries = []
@@ -475,7 +467,7 @@ def _fill_region(cfg, root, name, side, sign, segs):
 
 def _walk_region(cfg, root, name, side, sign, segs):
     """Walk one region in preorder, on an explicit stack, and cache its
-    (key, options, branch options).
+    (key, options, dead).
 
     The key is flat: one (op, pred, var, args, number of children) item per
     node in preorder, and a recurrence's item adds the sorted keys of its
@@ -485,20 +477,18 @@ def _walk_region(cfg, root, name, side, sign, segs):
     recurrences do.  Options are collected in preorder while the walk is
     active, that is, not below a quantifier, inside a recurrence's
     unreplicated body, or at or below a shared node.  A recurrence appends
-    its replicas' options in index order, and to the branch options those
-    of each replica whose key differs from every earlier replica's.  Before
-    a recurrence's replicas are read, each replica region without an entry
-    is yielded as the arguments of its own walk; the caller fills it and
-    resumes."""
+    its replicas' options in index order.  An input service's root
+    recurrence and its unreplicated body are not content, so only its
+    replicas can make that region dead.  Before a recurrence's replicas are
+    read, each replica region without an entry is yielded as the arguments
+    of its own walk; the caller fills it and resumes."""
     nodes, shared, regions = cfg.nodes, cfg.shared, cfg.regions
     names: dict = {}
     key: list = []
     options: list[MoveOption] = []
-    branch: list[MoveOption] = []  # options without those of twin replicas
-
-    def offer(opt):
-        options.append(opt)
-        branch.append(opt)
+    content = side == "input" and not (root == cfg.roots[name]
+                                       and nodes[root].op == "recur")
+    dead = False
 
     # frames are (node id, sign, path segments or None when inactive)
     stack = [(root, sign, segs)]
@@ -511,6 +501,8 @@ def _walk_region(cfg, root, name, side, sign, segs):
         if op == "atom":  # a leaf, which offers no move
             key.append(item)
             continue
+        if content and op in ("recur", "or", "neg"):
+            dead = True
         if segs is not None and nid in shared:
             segs = None
         if op == "recur":
@@ -521,6 +513,8 @@ def _walk_region(cfg, root, name, side, sign, segs):
                            None if segs is None else segs + (idx,))
             entries = [regions[rep] for _idx, rep in reps]
             item += (tuple(sorted(e[0] for e in entries)),)
+            if (side == "output" and reps) or any(e[2] for e in entries):
+                dead = True
         key.append(item)
         if segs is None:
             stack.extend((c, sign, None) for c in reversed(kids))
@@ -533,24 +527,20 @@ def _walk_region(cfg, root, name, side, sign, segs):
             stack.append((kids[0], -sign, segs + (1,)))
         elif op in ("all", "exists"):
             kind = "write" if _is_machine(op, sign) else "read"
-            offer(MoveOption(kind, Path(name, segs), side))
+            options.append(MoveOption(kind, Path(name, segs), side))
             stack.append((kids[0], sign, None))
         else:  # recur
             if sign > 0 and not reps and kids[0] not in shared:
                 body = nodes[kids[0]]
                 if body.op in ("all", "exists") and _is_machine(body.op, sign):
-                    offer(MoveOption("write", Path(name, segs), side,
-                                     collapse=True))
-            offer(MoveOption("replicate", Path(name, segs), side,
-                             index=reps[-1][0] + 1 if reps else 1))
-            seen = set()
-            for rep_key, rep_options, rep_branch in entries:
-                options += rep_options
-                if rep_key not in seen:
-                    seen.add(rep_key)
-                    branch += rep_branch
+                    options.append(MoveOption("write", Path(name, segs), side,
+                                              collapse=True))
+            options.append(MoveOption("replicate", Path(name, segs), side,
+                                      index=reps[-1][0] + 1 if reps else 1))
+            for entry in entries:
+                options += entry[1]
             stack.append((kids[0], sign, None))
-    regions[root] = (tuple(key), options, branch)
+    regions[root] = (tuple(key), options, dead)
 
 
 def _canon_term(t, names):

@@ -102,13 +102,8 @@ class FormulaGraph:
                 raise ColiError(f"unknown node op {node.op!r}")
         return built[root]
 
-    def reachable(self, roots=None) -> list:
-        """Node ids reachable from the given roots (default: the root), preorder,
-        visiting each shared node once."""
-        return list(preorder(self.nodes, [self.root] if roots is None else roots))
-
-    def in_degrees(self, roots=None) -> dict:
-        degrees = {nid: 0 for nid in self.reachable(roots)}
+    def in_degrees(self) -> dict:
+        degrees = {nid: 0 for nid in preorder(self.nodes, [self.root])}
         for nid in list(degrees):
             for c in self.nodes[nid].children:
                 degrees[c] += 1
@@ -118,7 +113,7 @@ class FormulaGraph:
         """Stable plain-text rendering with node ids and in-degrees."""
         degrees = self.in_degrees()
         lines = [f"root n{self.root}"]
-        for nid in self.reachable():
+        for nid in preorder(self.nodes, [self.root]):
             node = self.nodes[nid]
             kids = ",".join(f"n{c}" for c in node.children)
             suffix = f" children=[{kids}]" if kids else ""

@@ -17,17 +17,14 @@ the number of replications it may spend:
   A closure verdict depends only on the node's canonical position, so each
   `prove` call remembers the positions whose closure failed and does not
   try them again, in any deepening iteration.
-* Twin replicas are searched once.  Replicas of one recurrence whose
-  contents are equal up to renaming their global variables are twins, and
-  only the first of each class, in index order, offers its moves.  A move
-  into a later twin reaches the canonical position that the same move into
-  the first reached, at the same depth and budget: if that child won, the
-  search returned before the twin; if it failed, its position is in
-  `failed`, where the twin's child would stop at once, running no closure
-  and setting no flag.  Verdicts, strategies and closures are those of the
-  full search; only the count of search nodes falls.  A restriction names
-  replicas by index, which makes twins distinguishable, so with
-  restrictions every replica offers its moves.
+* A dead position is not searched below when it offers a replicate
+  option.  It holds something that closure rejects and that no move can
+  remove (configuration's module docstring), so no position below it
+  closes.  Its subtree could only set a bound flag, and which one is known
+  without searching it: replicating one recurrence over and over spends
+  the budget by depth + budget, and no other path spends it sooner.  So
+  the node sets the budget flag when that depth is below max_depth and the
+  depth flag otherwise, which are the flags its subtree would have set.
 
 Failure is `exhausted` when the whole (restricted) space was explored within
 bounds and `bounded` when some branch was cut off by max_depth/max_replicas.
@@ -42,13 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
-                            branch_moves, legal_moves, move_line,
-                            peel_env_symbolic, replicate, resolve,
-                            service_regions)
+                            legal_moves, move_line, peel_env_symbolic,
+                            replicate, resolve, service_regions)
 from .errors import ConfigError
 from .graphs import preorder
 from .solver import close_elementary
-from .terms import App, Const, Num, Term
+from .terms import App, Const, Num
 
 RULE_NAMES = ("read", "write", "replicate", "close")
 
@@ -138,21 +134,19 @@ def render_strategy(strategy: Strategy, indent: int = 0) -> str:
 
 
 def term_universe(cfg: Configuration) -> list:
-    """Candidate write terms: 0, then the numerals and constants in play."""
+    """Candidate write terms: 0, then the numerals and constants in play.
+    Terms are scanned on an explicit stack, so their depth costs no frames."""
     nums, consts = set(), set()
-
-    def scan(t: Term):
+    stack = [t for nid in preorder(cfg.nodes, cfg.roots.values())
+             for t in cfg.nodes[nid].args]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Num):
             nums.add(t.value)
         elif isinstance(t, Const):
             consts.add(t.name)
         elif isinstance(t, App):
-            for a in t.args:
-                scan(a)
-
-    for nid in preorder(cfg.nodes, cfg.roots.values()):
-        for t in cfg.nodes[nid].args:
-            scan(t)
+            stack.extend(t.args)
     universe: list = [Num(0)]
     universe += [Num(v) for v in sorted(nums) if v != 0]
     universe += [Const(n) for n in sorted(consts)]
@@ -186,11 +180,8 @@ def _canonical_key(cfg: Configuration):
     content with their indices dropped: permutations of independent moves,
     and permutations of interchangeable replicas, land on the same key.
     Sound for memoizing failures because a winning continuation from one
-    such position maps onto any permuted twin.  Eigenvariables keep their
-    identity (they may span regions).  It is also why the search branches
-    into one replica per class of twins (replicas with equal region keys):
-    a move into a later twin lands on the key that the move into the first
-    landed on, which by then has won or is in `failed`.
+    such position maps onto any permuted one.  Eigenvariables keep their
+    identity (they may span regions).
 
     The same argument makes the key sound for caching closure verdicts:
     closure by unification is invariant under renaming the global
@@ -287,6 +278,14 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
         failed.add(key)
         return None, key
 
+    options = _branch_options(cfg, opts, restrictions)
+    if _dead(cfg) and any(o.kind == "replicate" for o in options):
+        # the flag that the chain of replications below would set (module
+        # docstring); nothing below closes
+        flags["budget" if depth + budget < bounds.max_depth else "depth"] = True
+        failed.add(key)
+        return None, key
+
     def explore(make_child, sig, next_budget):
         known = edges.get((key, sig))
         if known is not None and known in failed:
@@ -303,7 +302,6 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
             return _wrap(wraps, Step(child.trace[-1], sub))
         return None
 
-    options = _branch_options(cfg, opts, restrictions)
     for opt in options:
         if opt.kind == "replicate":
             if budget <= 0:
@@ -337,12 +335,7 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
 def _branch_options(cfg, opts, restrictions) -> list[MoveOption]:
     """Machine choice points: per service, writes before replications;
     input services come before the output.  Input-side plain writes were
-    consumed by the forced phase, so what remains branches for real.
-    Without restrictions only one replica of each class of twins offers its
-    moves (`branch_moves`); a restriction names replicas by index, under
-    which twins are no longer interchangeable, so it sees every move."""
-    if not restrictions:
-        opts = branch_moves(cfg)
+    consumed by the forced phase, so what remains branches for real."""
     ordered: list[MoveOption] = []
     for name in cfg.roots:
         mine = [o for o in opts if o.path.dir == name]
@@ -352,6 +345,12 @@ def _branch_options(cfg, opts, restrictions) -> list[MoveOption]:
     if any(r.prioritized for r in restrictions):
         allowed.sort(key=lambda o: _priority(restrictions, o.path, o.kind))
     return allowed
+
+
+def _dead(cfg) -> bool:
+    """Whether some region of the position is dead: no position reachable
+    from it closes (configuration's module docstring)."""
+    return any(entry[2] for entry in service_regions(cfg))
 
 
 def _wrap(wraps, tail: Strategy) -> Strategy:

@@ -120,6 +120,17 @@ def test_prove_deep_terms_subprocess(tmp_path):
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
 
 
+def test_prove_collapse_candidates_from_deep_terms_subprocess(tmp_path):
+    # a collapsing write draws its candidate terms from every term in play;
+    # the scan takes no frame per level of a 1,000-deep term
+    kb = tmp_path / "deep.kb"
+    term = "s(" * 1000 + "0" + ")" * 1000
+    kb.write_text(f"/c = q({term})\n/query = $ #x. p(x)\nquery /query\n")
+    proc = run_coli("prove", "--kb", str(kb))
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == "PROVE fail reason=bounded steps=131\n"
+
+
 def test_prove_replicates_a_deep_body_subprocess(tmp_path):
     # replicating a 500-deep recurrence body copies it without a frame per
     # level, and equal deep positions compare without one either

@@ -9,7 +9,7 @@ from coli.directories import (DirectoryTable, define_directory, expand,
                               load_kb, match_pattern)
 from coli.errors import DepthLimitError, ExpandError, KBError
 from coli.formulas import All, And, Atom, DirRef, Exists, Neg, pretty
-from coli.graphs import FormulaGraph, GNode
+from coli.graphs import FormulaGraph, GNode, preorder
 from coli.parser import parse_dirref, parse_formula, parse_pattern
 from coli.terms import Const, Num, Var, app
 
@@ -146,12 +146,12 @@ def test_expand_depth_and_counts():
 def test_expand_copy_vs_shared():
     table = _table(data_text("dirs.kb"))
     copied = expand(table, parse_dirref("/n"))
-    atoms = [nid for nid in copied.reachable()
+    atoms = [nid for nid in preorder(copied.nodes, [copied.root])
              if copied.nodes[nid].op == "atom"]
     assert len(atoms) == 2 and atoms[0] != atoms[1]
 
     shared = expand(table, parse_dirref("/o"))
-    atoms = [nid for nid in shared.reachable()
+    atoms = [nid for nid in preorder(shared.nodes, [shared.root])
              if shared.nodes[nid].op == "atom"]
     assert len(atoms) == 1
     assert shared.in_degrees()[atoms[0]] == 2
@@ -173,7 +173,7 @@ def test_expand_never_leaves_refs():
              (data_text("dirs.kb"), "/o")]
     for kb, text in cases:
         graph = expand(_table(kb), parse_dirref(text))
-        for nid in graph.reachable():
+        for nid in preorder(graph.nodes, [graph.root]):
             assert not isinstance(graph.to_formula(nid), DirRef)
 
 

@@ -2,6 +2,7 @@
 determinism, and soundness of returned strategies."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,8 +15,7 @@ from coli.errors import ConfigError
 from coli.prover import (Bounds, EnvBranch, Leaf, Restriction, Step, prove,
                          render_strategy, strategy_moves, term_universe,
                          validate_restrictions)
-from coli.scripts import (ListChannel, ScriptEnv, execute_strategy,
-                          parse_script, run_script)
+from coli.scripts import ListChannel, ScriptEnv, execute_strategy
 from coli.solver import close_elementary
 from coli.formulas import pretty
 from coli.terms import Const, Num
@@ -213,7 +213,7 @@ def test_closure_runs_once_per_position(monkeypatch, n, closures, steps):
     assert {str(m.path) for m in replicas} == {"/d"}
 
 
-@pytest.mark.parametrize("replicas,steps", [(4, 56), (8, 220), (16, 1140)])
+@pytest.mark.parametrize("replicas,steps", [(4, 24), (8, 44), (16, 84)])
 def test_closure_cache_keeps_search_nodes(replicas, steps):
     table = load_kb(data_text("q.kb"))
     result = prove(init_configuration(table), (), Bounds(max_replicas=replicas))
@@ -235,11 +235,11 @@ def test_search_walks_only_the_regions_a_move_touched(monkeypatch):
     monkeypatch.setattr(configuration, "_walk_region", counting)
     table = load_kb(data_text("q.kb"))
     result = prove(init_configuration(table), (), Bounds(max_replicas=16))
-    assert result.reason == "bounded" and result.steps == 1140
+    assert result.reason == "bounded" and result.steps == 84
     assert len(walks) <= 2 * result.steps
 
 
-# --- the twin cut against the full branch list ---------------------------
+# --- the dead-position prune against the search without it -------------
 
 def _random_atom(rng, scope):
     pred, arity = rng.choice([("p", 1), ("q", 1), ("r", 2)])
@@ -248,7 +248,8 @@ def _random_atom(rng, scope):
 
 
 def _random_input(rng):
-    """Facts, a replicable rule or fact, or a recurrence nested in one."""
+    """Facts, a replicable rule or fact, a recurrence nested in one, or a
+    disjunction or negation, which closure never decomposes."""
     atom = _random_atom
     return rng.choice([
         lambda: " /\\ ".join(atom(rng, ()) for _ in range(rng.randint(1, 3))),
@@ -257,6 +258,8 @@ def _random_input(rng):
         lambda: f"$ @x. {atom(rng, 'x')}",
         lambda: f"$ @x. $ ({atom(rng, 'x')} -> {atom(rng, 'x')})",
         lambda: f"$ ({atom(rng, ())} /\\ $ @x. {atom(rng, 'x')})",
+        lambda: f"$ @x. ({atom(rng, 'x')} \\/ ~{atom(rng, 'x')})",
+        lambda: f"{atom(rng, ())} \\/ {atom(rng, ())}",
     ])()
 
 
@@ -286,76 +289,59 @@ def _random_game(rng) -> str:
     return inputs + f"/query = {_random_output(rng)}\nquery /query\n"
 
 
-def _twin_children_agree(cfg) -> bool:
-    """Every move the cut drops has a kept move of its kind, listed before
-    it, whose child has the same position key: the twin's node would only
-    find that key in `failed`."""
-    full = legal_moves(cfg)
-    kept = configuration.branch_moves(cfg)
-
-    def child_key(opt):
-        if opt.kind == "replicate":
-            return prover._canonical_key(replicate(cfg, opt.path, opt.index))
-        return prover._canonical_key(apply_write(cfg, opt.path))
-
-    for pos, opt in enumerate(full):
-        if opt in kept or opt.kind == "read":
-            continue
-        key = child_key(opt)
-        twins = [k for k in full[:pos] if k in kept
-                 and (k.kind, k.collapse) == (opt.kind, opt.collapse)]
-        if not any(child_key(k) == key for k in twins):
-            return False
-    return True
+def _random_restrictions(rng, cfg):
+    """One to four restrictions on paths of the first moves, or into the
+    replicas those create, all prioritized or none; none if no move is
+    legal."""
+    paths = {o.path for o in legal_moves(cfg)}
+    for _level in range(2):
+        paths |= {Path(p.dir, p.segments + (i,)) for p in paths for i in (1, 2)}
+    pool = sorted(paths, key=str)
+    if not pool:
+        return []
+    prioritized = rng.random() < 0.5
+    rules = [("write",), ("replicate",), ("write", "replicate")]
+    return [Restriction(path, rng.choice(rules), prioritized)
+            for path in rng.sample(pool, rng.randint(1, min(4, len(pool))))]
 
 
-ORACLE_BOUNDS = Bounds(max_depth=8, max_replicas=3,
-                       term_universe=(Num(0), Const("a")))
-SCRIPT = parse_script("algorithm play { prove; execute; }")
+ORACLE_UNIVERSE = (Num(0), Const("a"))
+ORACLE_BOUNDS = [Bounds(d, r, ORACLE_UNIVERSE)
+                 for d, r in ((8, 3), (5, 4), (4, 3), (3, 2), (2, 4))]
 
 
-def test_twin_cut_keeps_verdicts_strategies_and_wins(monkeypatch):
-    # the cut against a search over every move, on small random games: it
+def test_dead_position_prune_keeps_verdicts_strategies_and_wins(monkeypatch):
+    # the prune against the same search with `_dead` switched off, on small
+    # random games at every bound pair, with and without restrictions: it
     # may only drop search nodes, and won strategies beat the environment's
-    # values 0..6.  A move inside a replica never leads to a closable
-    # position (a replicated output recurrence, or a recurrence inside an
-    # input replica, stays live), so a wrong cut rarely changes a verdict;
-    # every position where the cut drops a move is checked for the twin it
-    # relies on instead
+    # values 0..6.  The prune's choice between the budget and the depth
+    # flag shows in a verdict only where max_depth is below max_replicas
+    # (2/4 here); a prune of dead positions that offer no replicate would
+    # show only under restrictions or beside an input dead from the start
     rng = random.Random(20)
-    wins = cut = twins = 0
-    for _trial in range(70):
+    verdicts = Counter()
+    pruned = 0
+    for trial in range(90):
         kb = _random_game(rng)
         cfg = init_configuration(load_kb(kb))
-        with_cut = prove(cfg, (), ORACLE_BOUNDS)
-        dropping: list = []
-        canonical_key = prover._canonical_key
-
-        def recording(position):
-            if len(dropping) < 8 and legal_moves(position) \
-                    != configuration.branch_moves(position):
-                dropping.append(position)
-            return canonical_key(position)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(prover, "branch_moves", legal_moves)
-            patch.setattr(prover, "_canonical_key", recording)
-            full = prove(cfg, (), ORACLE_BOUNDS)
-        assert (with_cut.ok, with_cut.reason) == (full.ok, full.reason), kb
-        assert with_cut.steps <= full.steps, kb
-        cut += with_cut.steps < full.steps
-        for position in dropping:
-            assert _twin_children_agree(position), kb
-        twins += len(dropping)
-        if not with_cut.ok:
-            continue
-        assert render_strategy(with_cut.strategy) \
-            == render_strategy(full.strategy), kb
-        wins += 1
-        for value in range(7):
-            env = ScriptEnv(channel=ListChannel([value] * 4),
-                            bounds=ORACLE_BOUNDS)
-            outcome, _ = run_script(SCRIPT, cfg, env)
-            assert outcome.won, (kb, value)
-    # the games hold wins, and positions where the cut drops moves
-    assert wins >= 10 and cut >= 30 and twins >= 200
+        restrictions = _random_restrictions(rng, cfg) if trial % 2 else []
+        for bounds in ORACLE_BOUNDS:
+            fast = prove(cfg, restrictions, bounds)
+            with monkeypatch.context() as patch:
+                patch.setattr(prover, "_dead", lambda position: False)
+                full = prove(cfg, restrictions, bounds)
+            case = (kb, restrictions, bounds)
+            assert (fast.ok, fast.reason) == (full.ok, full.reason), case
+            assert fast.steps <= full.steps, case
+            pruned += fast.steps < full.steps
+            verdicts[fast.reason or "won"] += 1
+            if not fast.ok:
+                continue
+            assert render_strategy(fast.strategy) \
+                == render_strategy(full.strategy), case
+            for value in range(7):
+                env = ScriptEnv(channel=ListChannel([value] * 4), bounds=bounds)
+                outcome, _ = execute_strategy(fast.strategy, cfg, env)
+                assert outcome.won, (case, value)
+    # the prune fired, and every verdict occurs
+    assert pruned >= 100 and min(verdicts.values()) >= 30, (pruned, verdicts)
