@@ -27,7 +27,7 @@ the number of replications it may spend:
   depth flag otherwise, which are the flags its subtree would have set.
 
 Failure is `exhausted` when the whole (restricted) space was explored within
-bounds and `bounded` when some branch was cut off by max_depth/max_replicas.
+bounds and `bounded` when a branch hit max_depth/max_replicas/replica_limit.
 
 Restrictions act as a whitelist over machine moves: once any restriction is
 set, only listed (path, rule) pairs are searched; prioritized restrictions
@@ -304,6 +304,9 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
 
     for opt in options:
         if opt.kind == "replicate":
+            if opt.index > cfg.replica_limit:
+                flags["depth"] = True  # a bound that no larger budget lifts
+                continue
             if budget <= 0:
                 flags["budget"] = True
                 continue

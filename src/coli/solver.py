@@ -8,9 +8,8 @@ no arithmetic constraint solving: ``W+1`` never unifies with ``3``.
 Substitutions are triangular: a binding is stored once, as resolved when it
 was made, and later bindings reach it through chains that are resolved on
 demand, so binding k variables costs O(k) stored terms rather than O(k^2)
-rewrites.  Closure applies the current substitution to its facts once per
-search frame; a firing, which only extends that substitution, re-applies it
-only to the facts that still hold variables.
+rewrites.  A closure frame re-applies the substitution only to the atoms
+holding a variable that the firing before it bound.
 """
 
 from __future__ import annotations
@@ -107,9 +106,6 @@ class Substitution:
 
     def __len__(self):
         return len(self._stored)
-
-    def __contains__(self, name):
-        return name in self._stored
 
     def __getitem__(self, name):
         return self._value(name)
@@ -233,11 +229,17 @@ def close_elementary(cfg) -> ClosureResult:
     ground-evaluated consequent.  The search backtracks over which facts feed
     which rules, and succeeds as soon as the output formula is classically
     satisfied by the derived facts (conjunction: all parts, disjunction: one
-    part, atoms by unification).  Search states are memoized on structural
-    keys: the multisets of facts and of unfired rules, and the output's
-    atoms in preorder, all with the current substitution applied.  Closure
-    reads the configuration's nodes; it builds a formula tree only for the
-    reason of a shape error and for the output of a win.
+    part, atoms by unification).  Search states are memoized on the ids,
+    from the call's intern table, of the facts and unfired rules' forms
+    (below), as multisets, and of the output's atoms in preorder, all under
+    the current substitution.  Closure reads the configuration's nodes; it
+    builds a formula tree only for the reason of a shape error and for the
+    output of a win.
+
+    A frame receives the facts and the output's atoms under its
+    substitution; a firing only extends it, so the child re-applies it only
+    to the atoms holding a variable the firing bound.  As `unify` applies
+    the substitution first, applied facts give the same unifiers in order.
 
     A rule's own variables occur in no fact, not in the output and in no
     other rule; the rest are shared.  An unfired rule's own variables are
@@ -267,20 +269,14 @@ def close_elementary(cfg) -> ClosureResult:
     visited: set = set()
     # variables shared beyond a single rule: binding them can matter later,
     # so only firings that touch nothing shared are prunable as redundant
-    per_rule: list = []
-    for ante, cons in acc.rules:
-        mine: set = set()
-        for a in ante + cons:
-            mine |= _formula_gvars(a)
-        per_rule.append(mine)
+    per_rule = [set().union(*map(_formula_gvars, ante + cons))
+                for ante, cons in acc.rules]
     # the output's atoms in preorder: its connectives are fixed, so these
     # atoms under a substitution stand for the output under it
     atoms = {nid: _atom(nodes[nid]) for nid in preorder(nodes, [out])
              if nodes[nid].op == "atom"}
     out_atoms = tuple(atoms.values())
-    outside = set()
-    for a in out_atoms + tuple(acc.facts):
-        outside |= _formula_gvars(a)
+    outside = set().union(*map(_formula_gvars, out_atoms + tuple(acc.facts)))
     uses = Counter(g for mine in per_rule for g in mine)
     shared_gvars = {g for g, n in uses.items() if n > 1} | outside
 
@@ -335,72 +331,76 @@ def close_elementary(cfg) -> ClosureResult:
         return tuple(F.Atom(atom.pred, tuple(blind(s.apply(t)) for t in atom.args))
                      for atom in ante + cons)
 
+    # ids for facts, output atoms and rule forms: frozen atoms cache no hash
+    ids: dict = {}
+
+    def intern(x) -> int:
+        return ids.setdefault(x, len(ids))
+
     # a rule with nothing shared has the same form under every substitution
-    static = [None if per_rule[ri] & shared_gvars else canon_rule(ri, Substitution())
+    static = [None if per_rule[ri] & shared_gvars
+              else intern(canon_rule(ri, Substitution()))
               for ri in range(len(acc.rules))]
 
-    def classes(unfired, s):
-        """The multiset of rule forms and the first position of each form."""
-        counts: Counter = Counter()
-        firsts = []
+    def extend(derived, seen=((), (), {}), s2=None, fresh=frozenset()):
+        """Seen's atoms, which are under s, then derived, all under s2: the
+        atoms, their ids, and by position the variables of those still open.
+        An atom holding none of the variables s2 binds beyond s stays."""
+        items, nums = [*seen[0], *derived], [*seen[1], *map(intern, derived)]
+        opens = {}
+        for pos in [*seen[2], *range(len(seen[0]), len(items))]:
+            gvars = seen[2].get(pos) or _formula_gvars(items[pos])
+            if gvars & fresh:
+                items[pos] = s2.apply_formula(items[pos])
+                nums[pos] = intern(items[pos])
+                gvars = _formula_gvars(items[pos])
+            if gvars:
+                opens[pos] = gvars
+        return items, nums, opens
+
+    def dfs(facts, outs, unfired, s, fired):
+        # facts and outs: views of the facts and the output's atoms under s
+        hit = next(sat(out, s, facts[0]), None)
+        if hit is not None:
+            return hit
+        counts: dict = {}
+        firsts = []  # the first position of each rule form
         for pos, ri in enumerate(unfired):
             form = static[ri]
             if form is None:
-                form = canon_rule(ri, s)
+                form = intern(canon_rule(ri, s))
             if form not in counts:
                 firsts.append(pos)
-            counts[form] += 1
-        return frozenset(counts.items()), firsts
-
-    def dfs(facts, unfired, s, fired):
-        hit = next(sat(out, s, facts), None)
-        if hit is not None:
-            return hit
-        applied = [s.apply_formula(a) for a in facts]
-        forms, firsts = classes(unfired, s)
-        key = (forms, _multiset(applied),
-               tuple(s.apply_formula(a) for a in out_atoms))
+            counts[form] = counts.get(form, 0) + 1
+        key = (frozenset(counts.items()), tuple(sorted(facts[1])), tuple(outs[1]))
         if key in visited:
             return None
         visited.add(key)
         if fired >= max_firings:
             return None
-        # every candidate firing extends s, which leaves ground facts as
-        # they are: only the facts still holding variables need s2 applied
-        ground = set()
-        open_facts = []
-        for a in applied:
-            if _formula_gvars(a):
-                open_facts.append(a)
-            else:
-                ground.add(a)
         # a later twin fails whenever the first one does (see above)
         for pos in firsts:
             ri = unfired[pos]
             ante, cons = acc.rules[ri]
-            for s2 in _match_all(ante, facts, s):
-                derived = [s2.apply_formula(c) for c in cons]
-                fresh_bound = s2._stored.keys() - s._stored.keys()
-                if not fresh_bound & shared_gvars:
-                    seen = ground.union(s2.apply_formula(a) for a in open_facts)
-                    if all(d in seen for d in derived):
-                        continue  # re-derives known facts, binds nothing shared
+            for s2 in _match_all(ante, facts[0], s):
+                fresh = s2._stored.keys() - s._stored.keys()
+                child = extend([s2.apply_formula(c) for c in cons], facts, s2, fresh)
+                known = child[1][:len(facts[1])]
+                if not fresh & shared_gvars \
+                        and set(known).issuperset(child[1][len(known):]):
+                    continue  # re-derives known facts, binds nothing shared
                 rest = unfired[:pos] + unfired[pos + 1:]
-                found = dfs(facts + derived, rest, s2, fired + 1)
+                found = dfs(child, extend((), outs, s2, fresh), rest, s2, fired + 1)
                 if found is not None:
                     return found
         return None
 
-    final = dfs(list(acc.facts), tuple(range(len(acc.rules))), Substitution(), 0)
+    final = dfs(extend(acc.facts), extend(out_atoms),
+                tuple(range(len(acc.rules))), Substitution(), 0)
     if final is None:
         return ClosureResult(False, reason="no derivation covers the output")
     return ClosureResult(True, subst=final,
                          output=final.apply_formula(cfg.formula_at(out)))
-
-
-def _multiset(items) -> frozenset:
-    """Hashable, order-blind and count-keeping: a memo key for a bag."""
-    return frozenset(Counter(items).items())
 
 
 def _match_all(atoms, facts, s):
@@ -466,7 +466,4 @@ def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
 
 
 def _formula_gvars(atom: F.Atom) -> set:
-    out = set()
-    for t in atom.args:
-        out |= term_gvars(t)
-    return out
+    return set().union(*map(term_gvars, atom.args))

@@ -20,6 +20,7 @@ from coli.solver import close_elementary
 from coli.formulas import pretty
 from coli.terms import Const, Num
 
+from closure_reference import checked_close
 from conftest import data_text
 
 
@@ -77,6 +78,24 @@ def test_unrestricted_q_is_bounded():
     assert not result.ok
     assert result.reason == "bounded"
     assert sum(1 for l in lines if "replicate" in l) >= 8
+
+
+def test_replica_limit_bounds_the_search():
+    # fact(5) needs five replicas of /d: a lower limit cuts the search,
+    # which is a bound like max_depth, not an error
+    table = load_kb(data_text("fact.kb"))
+
+    def proved(limit):
+        cfg = init_configuration(table, replica_limit=limit)
+        return prove(apply_read(cfg, Path("query"), 5, "n"))
+
+    cut = proved(2)
+    assert (cut.ok, cut.reason) == (False, "bounded")
+    won = proved(configuration.DEFAULT_REPLICA_LIMIT)
+    for limit in (5, 6):
+        result = proved(limit)
+        assert result.ok
+        assert render_strategy(result.strategy) == render_strategy(won.strategy)
 
 
 def test_restriction_turns_bounded_into_exhausted():
@@ -345,3 +364,24 @@ def test_dead_position_prune_keeps_verdicts_strategies_and_wins(monkeypatch):
                 assert outcome.won, (case, value)
     # the prune fired, and every verdict occurs
     assert pruned >= 100 and min(verdicts.values()) >= 30, (pruned, verdicts)
+
+
+def test_closures_in_random_games_match_the_reference(monkeypatch):
+    # every closure that proof search attempts on small random games, each
+    # checked against the reference search
+    rng = random.Random(21)
+    outcomes = Counter()
+
+    def close(cfg):
+        result = checked_close(cfg)
+        outcomes[result.ok, result.reason.split(":")[0]] += 1
+        return result
+
+    monkeypatch.setattr(prover, "close_elementary", close)
+    for _trial in range(150):
+        cfg = init_configuration(load_kb(_random_game(rng)))
+        prove(cfg, (), Bounds(6, 3, ORACLE_UNIVERSE))
+    # the searches reach wins and derivations that fail, not only shapes
+    # that closure rejects before it searches
+    assert outcomes[True, ""] >= 15, outcomes
+    assert outcomes[False, "no derivation covers the output"] >= 200, outcomes
