@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
     else:
         values = [v for v in (args.inputs or "").split(",") if v != ""]
         channel = ListChannel(values)
-    cfg = init_configuration(table, output_name=None)
+    cfg = init_configuration(table)
     sink = (lambda line: print(line)) if args.trace else None
     env = ScriptEnv(channel=channel, bounds=_bounds(args), trace_sink=sink)
     outcome, _cfg = run_script(script, cfg, env)
@@ -146,7 +146,7 @@ def cmd_run(args) -> int:
 
 def cmd_prove(args) -> int:
     table = _load_table(args)
-    cfg = init_configuration(table, output_name=None)
+    cfg = init_configuration(table)
     sink = (lambda line: print(line)) if args.trace else None
     result = prove(cfg, (), _bounds(args), sink)
     if result.ok:

@@ -50,7 +50,7 @@ from .graphs import FormulaGraph, GNode
 from .terms import (App, Const, GVar, Num, Term, Var, pretty_term, subst_var,
                     term_vars)
 
-DEFAULT_REPLICA_LIMIT = 256
+REPLICA_LIMIT = 256  # replicas of one recurrence
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,6 @@ class Configuration:
         self.shared: frozenset[int] = frozenset()
         self.trace: list[Move] = []
         self.next_gvar = 1
-        self.replica_limit = DEFAULT_REPLICA_LIMIT
         self.regions: dict[int, tuple] = {}
 
     def _clone(self, stale=()) -> "Configuration":
@@ -134,7 +133,6 @@ class Configuration:
         out.shared = self.shared
         out.trace = list(self.trace)
         out.next_gvar = self.next_gvar
-        out.replica_limit = self.replica_limit
         return out
 
     # inspection ------------------------------------------------------
@@ -175,8 +173,7 @@ class Configuration:
 
 
 def init_configuration(table: DirectoryTable, input_names=None,
-                       output_name: str | None = None,
-                       replica_limit: int = DEFAULT_REPLICA_LIMIT) -> Configuration:
+                       output_name: str | None = None) -> Configuration:
     """Expand the named services into a fresh configuration with empty trace."""
     output_name = output_name or table.query
     if not output_name:
@@ -184,7 +181,6 @@ def init_configuration(table: DirectoryTable, input_names=None,
     if input_names is None:
         input_names = [n for n in table.input_names() if n != output_name]
     cfg = Configuration()
-    cfg.replica_limit = replica_limit
     cfg.output = output_name
     shared: set[int] = set()
     for name in list(input_names) + [output_name]:
@@ -242,7 +238,8 @@ def _resolve(cfg: Configuration, path: Path, create: bool = False):
         else:
             kids = node.children
             if not 1 <= seg <= len(kids):
-                raise ConfigError(f"no child {seg} under {path} "
+                raise ConfigError(f"no child {seg} under "
+                                  f"{Path(path.dir, tuple(consumed))} "
                                   f"(node has {len(kids)})")
             if node.op == "neg" or (node.op == "implies" and seg == 1):
                 sign = -sign
@@ -392,8 +389,8 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
         raise ConfigError(f"replica indices start at 1, got {index}")
     if _replica(node, index) is not None:
         raise ConfigError(f"replica {index} of {path} already exists")
-    if len(node.replicas) >= cfg.replica_limit or index > cfg.replica_limit:
-        raise BoundError(f"replica limit {cfg.replica_limit} exceeded at {path}")
+    if len(node.replicas) >= REPLICA_LIMIT or index > REPLICA_LIMIT:
+        raise BoundError(f"replica limit {REPLICA_LIMIT} exceeded at {path}")
     out = cfg._clone(regions)
 
     # copy the body on an explicit stack, children before their parent;
@@ -594,9 +591,9 @@ def apply_move(cfg: Configuration, move: Move) -> Configuration:
 
 
 def replay(table: DirectoryTable, moves, input_names=None,
-           output_name=None, replica_limit=DEFAULT_REPLICA_LIMIT) -> Configuration:
+           output_name=None) -> Configuration:
     """Fold a recorded trace over a fresh configuration."""
-    cfg = init_configuration(table, input_names, output_name, replica_limit)
+    cfg = init_configuration(table, input_names, output_name)
     for move in moves:
         cfg = apply_move(cfg, move)
     return cfg

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 from . import formulas as F
 from .errors import DepthLimitError, ExpandError, KBError, ParseError
-from .graphs import FormulaGraph, GNode
+from .graphs import OPS, FormulaGraph, GNode
 from .parser import parse_formula, parse_pattern
 from .solver import eval_ground
 from .terms import App, Num, Term, Var, is_ground, pretty_term, subst_var
 
-DEFAULT_DEPTH_LIMIT = 1024
+DEPTH_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ def resolve_ref(table: DirectoryTable, name: str,
     raise ExpandError(f"/{name}: no clause matches {pretty_term(arg)}")
 
 
-def expand(table: DirectoryTable, ref: F.DirRef,
-           depth_limit: int = DEFAULT_DEPTH_LIMIT) -> FormulaGraph:
+def expand(table: DirectoryTable, ref: F.DirRef) -> FormulaGraph:
     """Expand a reference into a graph with no DirRef nodes left.
 
     Clause bodies are walked as written, with the parameter bindings of the
@@ -182,7 +181,7 @@ def expand(table: DirectoryTable, ref: F.DirRef,
     # a runaway recursive definition burns several Python frames per level,
     # so give the interpreter room to actually reach the depth limit
     previous_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous_limit, depth_limit * 10 + 500))
+    sys.setrecursionlimit(max(previous_limit, DEPTH_LIMIT * 10 + 500))
 
     def bind(args: tuple, env: dict) -> tuple:
         for name, value in env.items():
@@ -190,9 +189,9 @@ def expand(table: DirectoryTable, ref: F.DirRef,
         return args
 
     def build(f: F.Formula, env: dict, depth: int) -> int:
-        if depth > depth_limit:
+        if depth > DEPTH_LIMIT:
             raise DepthLimitError(
-                f"expansion of /{ref.name} exceeded depth {depth_limit}")
+                f"expansion of /{ref.name} exceeded depth {DEPTH_LIMIT}")
         if isinstance(f, F.DirRef):
             args = bind(f.args, env)
             if f.copy:
@@ -206,21 +205,11 @@ def expand(table: DirectoryTable, ref: F.DirRef,
         if isinstance(f, F.Atom):
             args = bind(f.args, env)
             return graph.add(GNode("atom", pred=f.pred, args=args))
+        if type(f) not in OPS:
+            raise ExpandError(f"cannot expand {f!r}")
         kids = tuple(build(c, env, depth + 1) for c in F.children(f))
-        if isinstance(f, F.Neg):
-            return graph.add(GNode("neg", children=kids))
-        if isinstance(f, F.And):
-            return graph.add(GNode("and", children=kids))
-        if isinstance(f, F.Or):
-            return graph.add(GNode("or", children=kids))
-        if isinstance(f, F.Implies):
-            return graph.add(GNode("implies", children=kids))
-        if isinstance(f, (F.All, F.Exists)):
-            op = "all" if isinstance(f, F.All) else "exists"
-            return graph.add(GNode(op, children=kids, var=f.var))
-        if isinstance(f, F.Recur):
-            return graph.add(GNode("recur", children=kids))
-        raise ExpandError(f"cannot expand {f!r}")
+        return graph.add(GNode(OPS[type(f)], children=kids,
+                               var=getattr(f, "var", None)))
 
     try:
         graph.root = build(ref, {}, 0)
@@ -253,9 +242,7 @@ def load_kb(text: str) -> DirectoryTable:
                 define_directory(table, name, [(None, body)])
             else:
                 _extend_directory(table, name, pattern, body)
-        except ParseError as exc:
-            raise KBError(f"line {lineno}: {exc}") from exc
-        except KBError as exc:
+        except (ParseError, KBError) as exc:
             raise KBError(f"line {lineno}: {exc}") from exc
     return table
 

@@ -78,7 +78,6 @@ class DirRef:
 Formula = Atom | Neg | And | Or | Implies | All | Exists | Recur | DirRef
 
 _BINARY = {And: "/\\", Or: "\\/", Implies: "->"}
-_UNARY = (Neg, All, Exists, Recur)
 
 
 def children(f: Formula) -> tuple:

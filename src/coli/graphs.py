@@ -33,9 +33,10 @@ class GNode:
                 "recur": "$"}[self.op]
 
 
-_CONNECTIVES = {"neg": F.Neg, "and": F.And, "or": F.Or, "implies": F.Implies,
-                "recur": F.Recur}
-_BINDERS = {"all": F.All, "exists": F.Exists}
+# the node op of each formula class other than atoms and references, and back
+OPS = {F.Neg: "neg", F.And: "and", F.Or: "or", F.Implies: "implies",
+       F.Recur: "recur", F.All: "all", F.Exists: "exists"}
+_FORMULAS = {op: cls for cls, op in OPS.items()}
 
 
 def preorder(nodes: dict, roots):
@@ -92,12 +93,13 @@ class FormulaGraph:
                 stack.extend(missing)
                 continue
             stack.pop()
+            kids = [built[c] for c in node.children]
             if node.op == "atom":
                 built[top] = F.Atom(node.pred, node.args)
-            elif node.op in _BINDERS:
-                built[top] = _BINDERS[node.op](node.var, built[node.children[0]])
-            elif node.op in _CONNECTIVES:
-                built[top] = _CONNECTIVES[node.op](*(built[c] for c in node.children))
+            elif node.op in ("all", "exists"):
+                built[top] = _FORMULAS[node.op](node.var, *kids)
+            elif node.op in _FORMULAS:
+                built[top] = _FORMULAS[node.op](*kids)
             else:
                 raise ColiError(f"unknown node op {node.op!r}")
         return built[root]

@@ -27,7 +27,8 @@ the number of replications it may spend:
   depth flag otherwise, which are the flags its subtree would have set.
 
 Failure is `exhausted` when the whole (restricted) space was explored within
-bounds and `bounded` when a branch hit max_depth/max_replicas/replica_limit.
+bounds and `bounded` when a branch hit max_depth, max_replicas or
+`configuration.REPLICA_LIMIT`.
 
 Restrictions act as a whitelist over machine moves: once any restriction is
 set, only listed (path, rule) pairs are searched; prioritized restrictions
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import configuration
 from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
                             legal_moves, move_line, peel_env_symbolic,
                             replicate, resolve, service_regions)
@@ -304,7 +306,7 @@ def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
 
     for opt in options:
         if opt.kind == "replicate":
-            if opt.index > cfg.replica_limit:
+            if opt.index > configuration.REPLICA_LIMIT:
                 flags["depth"] = True  # a bound that no larger budget lifts
                 continue
             if budget <= 0:

@@ -31,54 +31,30 @@ from .configuration import (Configuration, Path, WriteMove, apply_move,
                             apply_read, apply_write, move_line, resolve)
 from .errors import ChannelError, ConfigError, ParseError
 from .parser import TokenStream, kind
-from .prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction, Step,
-                     Strategy, prove, validate_restrictions)
+from .prover import (RULE_NAMES, Bounds, EnvBranch, Leaf, ProveResult,
+                     Restriction, Step, Strategy, prove, validate_restrictions)
 from .solver import Substitution, close_elementary
-from .terms import Num, Term, subst_const
-
-RULE_WORDS = ("read", "write", "replicate", "close")
+from .terms import Num, subst_const
 
 
 # AST ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PathExpr:
-    dir: str
-    segments: tuple = ()  # int or script-variable name
-
-    def resolve(self, variables) -> Path:
-        segs = []
-        for seg in self.segments:
-            if isinstance(seg, int):
-                segs.append(seg)
-                continue
-            if seg not in variables:
-                raise ConfigError(f"undefined script variable {seg!r} in path")
-            value = variables[seg]
-            if value < 1:
-                raise ConfigError(
-                    f"path segment {seg}={value} must be a positive integer")
-            segs.append(value)
-        return Path(self.dir, tuple(segs))
-
-    def __str__(self):
-        return "/" + self.dir + "".join(f".{s}" for s in self.segments)
-
+# A statement's path segments are integers or script-variable names, which
+# `resolve_path` replaces by their values when the statement runs.
 
 @dataclass(frozen=True)
 class ReadStmt:
-    path: PathExpr
+    path: Path
     var: str
 
 
 @dataclass(frozen=True)
 class WriteStmt:
-    path: PathExpr
+    path: Path
 
 
 @dataclass(frozen=True)
 class ChooseStmt:
-    restrictions: tuple  # (PathExpr, rule names)
+    restrictions: tuple  # (Path, rule names)
     prioritized: bool
 
 
@@ -185,36 +161,7 @@ def _stmt(ts: TokenStream) -> Statement:
     ts.error(f"unknown statement {tok!r}")
 
 
-def _path_stmt(ts: TokenStream) -> Statement:
-    ts.expect("/")
-    name = _ident(ts, "service name")
-    segments: list = []
-    while ts.at("."):
-        ts.next()
-        tok = ts.peek()
-        if kind(tok) == "INT":
-            segments.append(ts.numeral())
-            ts.next()
-            continue
-        if kind(tok) != "IDENT":
-            ts.error(f"bad path segment {tok!r}")
-        if tok == "read" and ts.peek(1) == "(":
-            ts.next()
-            ts.expect("(")
-            var = _ident(ts, "script variable")
-            ts.expect(")")
-            ts.expect(";")
-            return ReadStmt(PathExpr(name, tuple(segments)), var)
-        if tok == "write" and ts.peek(1) == ";":
-            ts.next()
-            ts.expect(";")
-            return WriteStmt(PathExpr(name, tuple(segments)))
-        ts.next()
-        segments.append(tok)
-    ts.error("path statement must end in .read(v) or .write")
-
-
-def _restriction(ts: TokenStream):
+def _path(ts: TokenStream) -> Path:
     ts.expect("/")
     name = _ident(ts, "service name")
     segments: list = []
@@ -228,18 +175,39 @@ def _restriction(ts: TokenStream):
         else:
             ts.error(f"bad path segment {tok!r}")
         ts.next()
+    return Path(name, tuple(segments))
+
+
+def _path_stmt(ts: TokenStream) -> Statement:
+    # the path reader takes the final .read or .write for a segment
+    path = _path(ts)
+    last, target = path.segments[-1:], Path(path.dir, path.segments[:-1])
+    if last == ("read",) and ts.at("("):
+        ts.next()
+        var = _ident(ts, "script variable")
+        ts.expect(")")
+        ts.expect(";")
+        return ReadStmt(target, var)
+    if last == ("write",) and ts.at(";"):
+        ts.next()
+        return WriteStmt(target)
+    ts.error("path statement must end in .read(v) or .write")
+
+
+def _restriction(ts: TokenStream):
+    path = _path(ts)
     ts.expect(":")
     rules = [_rule(ts)]
     while ts.at(",") and ts.peek(1) != "/":
         ts.next()
         rules.append(_rule(ts))
-    return PathExpr(name, tuple(segments)), tuple(rules)
+    return path, tuple(rules)
 
 
 def _rule(ts: TokenStream) -> str:
     tok = ts.peek()
-    if tok not in RULE_WORDS:
-        ts.error(f"unknown rule {tok!r} (expected one of {', '.join(RULE_WORDS)})")
+    if tok not in RULE_NAMES:
+        ts.error(f"unknown rule {tok!r} (expected one of {', '.join(RULE_NAMES)})")
     return ts.next()
 
 
@@ -382,7 +350,7 @@ def _run_block(stmts, cfg, env):
 
 def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
     if isinstance(stmt, ReadStmt):
-        path = stmt.path.resolve(env.variables)
+        path = resolve_path(stmt.path, env.variables)
         cfg2, nid, _sign = resolve(cfg, path, create=True)
         node = cfg2.nodes[nid]
         fvar = node.var if node.op in ("all", "exists") else "?"
@@ -392,11 +360,12 @@ def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
         _emit_new(cfg, cfg3, env.trace_sink)
         return None, cfg3
     if isinstance(stmt, WriteStmt):
-        cfg2 = apply_write(cfg, stmt.path.resolve(env.variables))
+        cfg2 = apply_write(cfg, resolve_path(stmt.path, env.variables))
         _emit_new(cfg, cfg2, env.trace_sink)
         return None, cfg2
     if isinstance(stmt, ChooseStmt):
-        restrictions = [Restriction(p.resolve(env.variables), rules, stmt.prioritized)
+        restrictions = [Restriction(resolve_path(p, env.variables), rules,
+                                    stmt.prioritized)
                         for p, rules in stmt.restrictions]
         env.restrictions.extend(validate_restrictions(cfg, restrictions))
         return None, cfg
@@ -435,10 +404,10 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
     """Walk a strategy against the live environment channel.
 
     Machine steps are applied as recorded; at an environment branch the next
-    channel value picks the move and is substituted for the branch's
-    eigenvariable throughout the remaining tree.
+    channel value picks the move and stands for the branch's eigenvariable
+    in every later write of a term.
     """
-    node = strategy
+    node, eigens = strategy, {}
     while True:
         if isinstance(node, Leaf):
             closed = close_elementary(cfg)
@@ -446,7 +415,13 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
                 return Outcome("won", subst=closed.subst, result=closed.output), cfg
             return Outcome("lost", f"closure: {closed.reason}"), cfg
         if isinstance(node, Step):
-            cfg2 = apply_move(cfg, node.move)
+            move = node.move
+            if isinstance(move, WriteMove) and move.term is not None:
+                term = move.term
+                for eigen, value in eigens.items():
+                    term = subst_const(term, eigen, value)
+                move = WriteMove(move.path, term=term)
+            cfg2 = apply_move(cfg, move)
             _emit_new(cfg, cfg2, env.trace_sink)
             cfg = cfg2
             node = node.rest
@@ -456,21 +431,24 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
             cfg2 = apply_read(cfg, node.path, value, node.var)
             _emit_new(cfg, cfg2, env.trace_sink)
             cfg = cfg2
-            node = _subst_eigen(node.rest, node.eigen, Num(value))
+            eigens[node.eigen] = Num(value)
+            node = node.rest
             continue
         raise ConfigError(f"unknown strategy node {node!r}")
 
 
-def _subst_eigen(node: Strategy, eigen: str, value: Term) -> Strategy:
-    if isinstance(node, Leaf):
-        return node
-    if isinstance(node, Step):
-        move = node.move
-        if isinstance(move, WriteMove) and move.term is not None:
-            move = WriteMove(move.path, term=subst_const(move.term, eigen, value))
-        return Step(move, _subst_eigen(node.rest, eigen, value))
-    return EnvBranch(node.path, node.var, node.eigen,
-                     _subst_eigen(node.rest, eigen, value))
+def resolve_path(path: Path, variables) -> Path:
+    """The path with each script-variable segment replaced by its value."""
+    segs = list(path.segments)
+    for i, seg in enumerate(segs):
+        if isinstance(seg, str):
+            if seg not in variables:
+                raise ConfigError(f"undefined script variable {seg!r} in path")
+            segs[i] = variables[seg]
+            if segs[i] < 1:
+                raise ConfigError(
+                    f"path segment {seg}={segs[i]} must be a positive integer")
+    return Path(path.dir, tuple(segs))
 
 
 def eval_expr(expr, variables) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import formulas as F
 from .graphs import preorder
-from .terms import ARITH_FNS, App, GVar, Num, Term, Var, pretty_term, term_gvars
+from .terms import App, GVar, Num, Term, pretty_term, term_gvars
 
 
 def eval_ground(t: Term) -> Term:
@@ -415,47 +415,16 @@ def _match_all(atoms, facts, s):
 
 def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
     """Cheap upper bound on satisfiability: every fact the chaining can ever
-    derive instantiates a fact or rule-consequent template, so an output
-    atom incompatible with all templates is dead.  Negations count as
-    satisfiable (conservative)."""
-    templates = list(acc.facts) + [c for _a, cons in acc.rules for c in cons]
-
-    def rigid(t):
-        if isinstance(t, (GVar, Var)):
-            return False
-        if isinstance(t, App):
-            return all(rigid(a) for a in t.args)
-        return True
-
-    def compat(x, y):
-        # may unify under SOME later bindings?  an arithmetic application
-        # holding variables can become any numeral, but never a constant
-        # or a user functor
-        x, y = eval_ground(x), eval_ground(y)
-        if isinstance(x, (GVar, Var)) or isinstance(y, (GVar, Var)):
-            return True
-        if isinstance(x, App) and isinstance(y, App):
-            if x.fn in ARITH_FNS and y.fn in ARITH_FNS \
-                    and (not rigid(x) or not rigid(y)):
-                return True
-            return (x.fn == y.fn and len(x.args) == len(y.args)
-                    and all(compat(a, b) for a, b in zip(x.args, y.args)))
-        if isinstance(y, App):
-            x, y = y, x
-        if isinstance(x, App):
-            return (isinstance(y, Num) and x.fn in ARITH_FNS
-                    and not rigid(x))
-        return x == y
-
-    def alive(atom):
-        return any(atom.pred == t.pred and len(atom.args) == len(t.args)
-                   and all(compat(a, b) for a, b in zip(atom.args, t.args))
-                   for t in templates)
+    derive has the predicate and arity of a fact or of a rule consequent,
+    so an output atom with any other is dead.  Negations count as
+    satisfiable (conservative).  The search decides everything finer."""
+    heads = {(a.pred, len(a.args))
+             for a in acc.facts + [c for _a, cons in acc.rules for c in cons]}
 
     def upper(nid):
         node = nodes[nid]
         if node.op == "atom":
-            return alive(node)
+            return (node.pred, len(node.args)) in heads
         if node.op == "and":
             return upper(node.children[0]) and upper(node.children[1])
         if node.op == "or":

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-ARITH_FNS = ("s", "+", "*")
-
 
 @dataclass(frozen=True)
 class Num:

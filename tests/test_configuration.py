@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from coli import configuration
 from coli.configuration import (MoveOption, Path, ReadMove, ReplicateMove,
                                 WriteMove, apply_read, apply_write,
                                 init_configuration, legal_moves, move_line,
@@ -126,9 +127,10 @@ def test_replicate_on_demand(fact_config):
     assert [type(m).__name__ for m in cfg.trace] == ["ReplicateMove", "WriteMove"]
 
 
-def test_replica_limit():
+def test_replica_limit(monkeypatch):
+    monkeypatch.setattr(configuration, "REPLICA_LIMIT", 2)
     table = load_kb(data_text("fact.kb"))
-    cfg = init_configuration(table, replica_limit=2)
+    cfg = init_configuration(table)
     cfg = replicate(cfg, Path("d"), 1)
     cfg = replicate(cfg, Path("d"), 2)
     with pytest.raises(BoundError):

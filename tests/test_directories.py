@@ -100,8 +100,9 @@ def test_expand_binds_every_parameter_of_a_pattern():
 
 
 def test_expand_leaves_bodies_without_parameters_unchanged():
-    table = _table("/c = @x. #y. (p(x,y,a) -> ~q(x))\n/m(X) = @x. r(x,b)\n")
-    for ref, name in (("/c", "c"), ("/m(5)", "m")):
+    table = _table("/c = @x. #y. (p(x,y,a) -> ~q(x))\n/m(X) = @x. r(x,b)\n"
+                   "/e = $ @x. #y. (p(x) \\/ q(y) /\\ ~r -> s(x,y))\n")
+    for ref, name in (("/c", "c"), ("/m(5)", "m"), ("/e", "e")):
         graph = expand(table, parse_dirref(ref))
         assert graph.to_formula() == table.defs[name].clauses[0].body
 

@@ -80,18 +80,20 @@ def test_unrestricted_q_is_bounded():
     assert sum(1 for l in lines if "replicate" in l) >= 8
 
 
-def test_replica_limit_bounds_the_search():
+def test_replica_limit_bounds_the_search(monkeypatch):
     # fact(5) needs five replicas of /d: a lower limit cuts the search,
     # which is a bound like max_depth, not an error
     table = load_kb(data_text("fact.kb"))
+    default = configuration.REPLICA_LIMIT
 
     def proved(limit):
-        cfg = init_configuration(table, replica_limit=limit)
+        monkeypatch.setattr(configuration, "REPLICA_LIMIT", limit)
+        cfg = init_configuration(table)
         return prove(apply_read(cfg, Path("query"), 5, "n"))
 
     cut = proved(2)
     assert (cut.ok, cut.reason) == (False, "bounded")
-    won = proved(configuration.DEFAULT_REPLICA_LIMIT)
+    won = proved(default)
     for limit in (5, 6):
         result = proved(limit)
         assert result.ok

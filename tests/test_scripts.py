@@ -6,9 +6,9 @@ import pytest
 from coli.errors import ChannelError, ConfigError, ParseError
 from coli.formulas import pretty
 from coli.scripts import (ChooseStmt, ExecuteStmt, ForStmt, IfStmt, ListChannel,
-                          PathExpr, ProveStmt, ReadStmt, ScriptEnv, WriteStmt,
+                          ProveStmt, ReadStmt, ScriptEnv, WriteStmt,
                           parse_script, run_script)
-from coli.configuration import init_configuration
+from coli.configuration import Path, init_configuration
 from coli.directories import load_kb
 
 from conftest import data_text, factorial, run_game
@@ -18,12 +18,12 @@ def test_parse_fact_script():
     script = parse_script(data_text("fact.coli"))
     assert script.name == "fact"
     read, loop, write, execute = script.body
-    assert read == ReadStmt(PathExpr("query"), "n")
+    assert read == ReadStmt(Path("query"), "n")
     assert isinstance(loop, ForStmt)
     assert loop.var == "i" and loop.lo == 1 and loop.hi == "n"
-    assert loop.body == (WriteStmt(PathExpr("d", ("i",))),
-                         WriteStmt(PathExpr("d", ("i",))))
-    assert write == WriteStmt(PathExpr("query"))
+    assert loop.body == (WriteStmt(Path("d", ("i",))),
+                         WriteStmt(Path("d", ("i",))))
+    assert write == WriteStmt(Path("query"))
     assert isinstance(execute, ExecuteStmt)
 
 
@@ -40,10 +40,10 @@ def test_parse_choose_and_schoose():
     script = parse_script(
         "algorithm t { choose(/q.1: write); schoose(/a: write, /b: read, replicate); }")
     first, second = script.body
-    assert first == ChooseStmt(((PathExpr("q", (1,)), ("write",)),), False)
+    assert first == ChooseStmt(((Path("q", (1,)), ("write",)),), False)
     assert second.prioritized
-    assert second.restrictions == ((PathExpr("a"), ("write",)),
-                                   (PathExpr("b"), ("read", "replicate")))
+    assert second.restrictions == ((Path("a"), ("write",)),
+                                   (Path("b"), ("read", "replicate")))
 
 
 def test_parse_if_else_and_comments():
@@ -56,7 +56,7 @@ algorithm t {            % top comment
     read, branch = script.body
     assert isinstance(branch, IfStmt)
     assert branch.cond == ("<=", "n", ("+", 2, 1))
-    assert branch.then == (WriteStmt(PathExpr("q")),)
+    assert branch.then == (WriteStmt(Path("q")),)
     assert branch.orelse == (ProveStmt(),)
 
 
@@ -186,6 +186,15 @@ def test_undefined_script_variable():
     script = parse_script("algorithm t { /d.i.write; }")
     with pytest.raises(ConfigError):
         run_script(script, cfg, ScriptEnv(channel=ListChannel([])))
+
+
+def test_missing_child_names_the_node_path():
+    # the message names the node that lacks the child, not the whole path
+    cfg = init_configuration(load_kb(data_text("fact.kb")))
+    script = parse_script("algorithm t { /query.read(n); /d.n.n.write; }")
+    with pytest.raises(ConfigError) as err:
+        run_script(script, cfg, ScriptEnv(channel=ListChannel([3])))
+    assert str(err.value) == "no child 3 under /d.3 (node has 1)"
 
 
 def test_loop_with_expression_bounds():

@@ -317,11 +317,14 @@ def test_close_needs_elementary():
     ("/a = p \\/ q\n/b = @x. p(x)\n/query = p(a)\n",
      "not elementary: input replica holds a live all"),
     ("/kb = p(a)\n/query = #x. p(x)\n", "not elementary: output holds a live exists"),
-    # no template can cover q(a); then q(a) is derivable, but not from p(a)
+    # no fact or rule consequent has q; then q(a) is derivable, but not from p(a)
     ("/kb = p(a)\n/query = q(a)\n", "no derivation covers the output"),
+    # the precheck passes p(b), whose predicate p(a) has; the search rejects it
+    ("/kb = p(a)\n/query = p(b)\n", "no derivation covers the output"),
     ("/kb = p(a) /\\ (p(b) -> q(a))\n/query = q(a)\n",
      "no derivation covers the output"),
-], ids=["or", "neg", "shape", "live-all", "live-exists", "uncoverable", "underivable"])
+], ids=["or", "neg", "shape", "live-all", "live-exists", "uncoverable", "unmatched",
+     "underivable"])
 def test_close_reasons(kb, reason):
     result = close_elementary(init_configuration(load_kb(kb + "query /query\n")))
     assert (result.ok, result.reason) == (False, reason)
