@@ -9,7 +9,10 @@ Substitutions are triangular: a binding is stored once, as resolved when it
 was made, and later bindings reach it through chains that are resolved on
 demand, so binding k variables costs O(k) stored terms rather than O(k^2)
 rewrites.  A closure frame re-applies the substitution only to the atoms
-holding a variable that the firing before it bound.
+holding a variable that the firing before it bound.  Closure also skips work
+whose outcome it already knows: a pair of output atom and fact that failed
+to unify is not tried again in the call, and a firing that only re-derived
+known facts is not tried again below the frame that found it.
 """
 
 from __future__ import annotations
@@ -88,8 +91,21 @@ class Substitution:
     def apply_formula(self, f: F.Formula) -> F.Formula:
         if isinstance(f, F.Atom):
             return F.Atom(f.pred, tuple(eval_ground(self.apply(t)) for t in f.args))
-        kids = tuple(self.apply_formula(c) for c in F.children(f))
-        return F.with_children(f, kids)
+        # rebuild the connectives bottom up on an explicit stack, so that a
+        # deep formula costs no interpreter frames
+        done: list = []
+        stack = [(f, False)]
+        while stack:
+            g, kids_done = stack.pop()
+            if kids_done:
+                k = len(done) - len(F.children(g))
+                done[k:] = [F.with_children(g, tuple(done[k:]))]
+            elif isinstance(g, F.Atom):
+                done.append(self.apply_formula(g))
+            else:
+                stack.append((g, True))
+                stack.extend((c, False) for c in reversed(F.children(g)))
+        return done[0]
 
     def bind(self, name: str, t: Term):
         """Extended substitution with the unbound name -> t, or None on
@@ -252,6 +268,26 @@ def close_elementary(cfg) -> ClosureResult:
     substitution and the trace as they were.  The forms rename nothing but
     the rule's own variables: a shared variable bound to another rule's
     private one (X -> P) stays literal, because firing through it binds P.
+
+    Two tables, keyed on the intern table's ids, skip candidates whose
+    outcome is known, so the order of candidates and the first success
+    stay as they were:
+
+    - Failed pairs, for the whole call.  Whether an output atom unifies
+      with a fact depends only on the two atoms under the substitution, so
+      a pair of their ids that failed once is not tried again.  The key is
+      the atom under the substitution, not its node: p(W+1) fails against
+      p(3) while W is open and holds once W = 2.  Successes are not kept,
+      because their unifier depends on the substitution, and the ids are
+      known only while `sat` runs under the frame's own substitution.
+    - Redundant firings, for the current path.  A firing that re-derives
+      known facts and binds nothing shared is skipped; its key is the rule's
+      form and the ids of the facts it matched.  Below that frame the facts
+      are only added to or re-applied, and the same form matched against
+      the same facts derives the same atoms, which stay known, and binds
+      the same variables, none shared.  So the key stays redundant there
+      and `_match_all` does not try it.  A sibling branch may lack the
+      derived facts, so each frame hands its set only to its own subtree.
     """
     blocker = _interactive_blocker(cfg)
     if blocker:
@@ -280,35 +316,48 @@ def close_elementary(cfg) -> ClosureResult:
     uses = Counter(g for mine in per_rule for g in mine)
     shared_gvars = {g for g, n in uses.items() if n > 1} | outside
 
-    def sat(nid: int, s: Substitution, facts):
+    # each output atom's position among out_atoms
+    slot = {nid: pos for pos, nid in enumerate(atoms)}
+    # (output atom id, fact id) pairs that do not unify (see above)
+    failed: set = set()
+
+    def sat(nid: int, s: Substitution, facts, outs):
         """Yield substitutions classically satisfying the output node nid
-        against the facts."""
+        against the facts, a view under the frame's substitution.  outs
+        holds the ids of the output's atoms under s while s is that
+        substitution, and is None once a conjunct has extended it."""
         node = nodes[nid]
         if node.op == "atom":
-            for fact in facts:
+            mine = None if outs is None else outs[slot[nid]]
+            for fact, num in zip(facts[0], facts[1]):
+                if (mine, num) in failed:
+                    continue
                 s2 = unify_atoms(node, fact, s)
                 if s2 is not None:
                     yield s2
+                elif mine is not None:
+                    failed.add((mine, num))
             return
         if node.op == "and":
-            for s1 in sat(node.children[0], s, facts):
-                yield from sat(node.children[1], s1, facts)
+            for s1 in sat(node.children[0], s, facts, outs):
+                yield from sat(node.children[1], s1, facts,
+                               outs if s1 is s else None)
             return
         if node.op == "or":
-            yield from sat(node.children[0], s, facts)
-            yield from sat(node.children[1], s, facts)
+            yield from sat(node.children[0], s, facts, outs)
+            yield from sat(node.children[1], s, facts, outs)
             return
         # neg, or implies read as ~left \/ right
-        yield from absent(node.children[0], s, facts)
+        yield from absent(node.children[0], s, facts, outs)
         if node.op == "implies":
-            yield from sat(node.children[1], s, facts)
+            yield from sat(node.children[1], s, facts, outs)
 
-    def absent(nid: int, s: Substitution, facts):
+    def absent(nid: int, s: Substitution, facts, outs):
         # negation as absence: only decidable when the body is ground
         if any(_formula_gvars(s.apply_formula(atoms[a]))
                for a in preorder(nodes, [nid]) if a in atoms):
             return
-        if next(sat(nid, s, facts), None) is None:
+        if next(sat(nid, s, facts, outs), None) is None:
             yield s
 
     own = [mine - shared_gvars for mine in per_rule]
@@ -358,13 +407,14 @@ def close_elementary(cfg) -> ClosureResult:
                 opens[pos] = gvars
         return items, nums, opens
 
-    def dfs(facts, outs, unfired, s, fired):
-        # facts and outs: views of the facts and the output's atoms under s
-        hit = next(sat(out, s, facts[0]), None)
+    def dfs(facts, outs, unfired, s, fired, dead):
+        # facts and outs: views of the facts and the output's atoms under s;
+        # dead: the firings found redundant on the path to this frame
+        hit = next(sat(out, s, facts, outs[1]), None)
         if hit is not None:
             return hit
         counts: dict = {}
-        firsts = []  # the first position of each rule form
+        forms, firsts = [], []  # firsts: the first position of each form
         for pos, ri in enumerate(unfired):
             form = static[ri]
             if form is None:
@@ -372,45 +422,57 @@ def close_elementary(cfg) -> ClosureResult:
             if form not in counts:
                 firsts.append(pos)
             counts[form] = counts.get(form, 0) + 1
+            forms.append(form)
         key = (frozenset(counts.items()), tuple(sorted(facts[1])), tuple(outs[1]))
         if key in visited:
             return None
         visited.add(key)
         if fired >= max_firings:
             return None
+        dead = set(dead)  # what this frame adds is for its subtree only
         # a later twin fails whenever the first one does (see above)
         for pos in firsts:
-            ri = unfired[pos]
-            ante, cons = acc.rules[ri]
-            for s2 in _match_all(ante, facts[0], s):
+            ante, cons = acc.rules[unfired[pos]]
+            # a firing's key: its form, then the ids of the facts it matched
+            for used, s2 in _match_all(ante, facts, s, dead, (forms[pos],)):
                 fresh = s2._stored.keys() - s._stored.keys()
                 child = extend([s2.apply_formula(c) for c in cons], facts, s2, fresh)
                 known = child[1][:len(facts[1])]
                 if not fresh & shared_gvars \
                         and set(known).issuperset(child[1][len(known):]):
+                    dead.add(used)
                     continue  # re-derives known facts, binds nothing shared
                 rest = unfired[:pos] + unfired[pos + 1:]
-                found = dfs(child, extend((), outs, s2, fresh), rest, s2, fired + 1)
+                found = dfs(child, extend((), outs, s2, fresh), rest, s2,
+                            fired + 1, dead)
                 if found is not None:
                     return found
         return None
 
     final = dfs(extend(acc.facts), extend(out_atoms),
-                tuple(range(len(acc.rules))), Substitution(), 0)
+                tuple(range(len(acc.rules))), Substitution(), 0, set())
     if final is None:
         return ClosureResult(False, reason="no derivation covers the output")
     return ClosureResult(True, subst=final,
                          output=final.apply_formula(cfg.formula_at(out)))
 
 
-def _match_all(atoms, facts, s):
-    if not atoms:
-        yield s
-        return
-    for fact in facts:
+def _match_all(atoms, facts, s, skip, used):
+    """(used, substitution) for each way to match the atoms against the
+    facts, a view, in order; used grows by the id of each fact matched.  A
+    full match whose used is in skip is not tried."""
+    last = len(atoms) == 1
+    for fact, num in zip(facts[0], facts[1]):
+        key = used + (num,)
+        if last and key in skip:
+            continue
         s2 = unify_atoms(atoms[0], fact, s)
-        if s2 is not None:
-            yield from _match_all(atoms[1:], facts, s2)
+        if s2 is None:
+            continue
+        if last:
+            yield key, s2
+        else:
+            yield from _match_all(atoms[1:], facts, s2, skip, key)
 
 
 def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
@@ -421,17 +483,24 @@ def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
     heads = {(a.pred, len(a.args))
              for a in acc.facts + [c for _a, cons in acc.rules for c in cons]}
 
-    def upper(nid):
-        node = nodes[nid]
-        if node.op == "atom":
-            return (node.pred, len(node.args)) in heads
-        if node.op == "and":
-            return upper(node.children[0]) and upper(node.children[1])
-        if node.op == "or":
-            return upper(node.children[0]) or upper(node.children[1])
-        return True  # the negated side of ~ or -> may hold
-
-    return upper(out)
+    # each node's bound, children first, on an explicit stack
+    upper: dict = {}
+    stack = [out]
+    while stack:
+        node = nodes[stack[-1]]
+        if node.op in ("and", "or"):
+            todo = [c for c in node.children if c not in upper]
+            if todo:
+                stack.extend(todo)
+                continue
+            left, right = (upper[c] for c in node.children)
+            bound = left and right if node.op == "and" else left or right
+        elif node.op == "atom":
+            bound = (node.pred, len(node.args)) in heads
+        else:
+            bound = True  # the negated side of ~ or -> may hold
+        upper[stack.pop()] = bound
+    return upper[out]
 
 
 def _formula_gvars(atom: F.Atom) -> set:

@@ -21,8 +21,8 @@ from coli.terms import App, GVar
 
 def checked_close(cfg) -> ClosureResult:
     """close_elementary on cfg, checked against reference_close: the same
-    verdict, reason, substitution and output, after the same number of
-    unify_atoms calls."""
+    verdict, reason, substitution and output, after no more unify_atoms
+    calls."""
     calls = [0]
     real = solver.unify_atoms
 
@@ -41,7 +41,7 @@ def checked_close(cfg) -> ClosureResult:
     if got.ok:
         assert got.subst.render() == want.subst.render()
         assert got.output == want.output
-    assert calls[0] - spent == spent
+    assert calls[0] - spent <= spent
     return got
 
 

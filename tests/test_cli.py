@@ -120,6 +120,17 @@ def test_prove_deep_terms_subprocess(tmp_path):
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
 
 
+def test_prove_deep_output_subprocess(tmp_path):
+    # a won game whose output is a 600-part conjunction: the closure
+    # precheck and the won output's substitution take no frame per part
+    kb = tmp_path / "deep.kb"
+    kb.write_text("/f = p\n/query = " + " /\\ ".join(["p"] * 600)
+                  + "\nquery /query\n")
+    proc = run_coli("prove", "--kb", str(kb))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "close\n"
+
+
 def test_prove_collapse_candidates_from_deep_terms_subprocess(tmp_path):
     # a collapsing write draws its candidate terms from every term in play;
     # the scan takes no frame per level of a 1,000-deep term
