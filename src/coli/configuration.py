@@ -3,14 +3,15 @@
 Services are kept in one node store so that moves can rewrite a single node
 (peeling a quantifier, adding a replica) while leaving every other address
 stable.  A recurrence node lists its replicas as (index, root) pairs, and a
-path's integer segment at a recurrence names a replica.  A node
-with in-degree > 1 in a service's expansion is a shared (cirquent) node;
-the configuration records these once, when it imports the services.  A
-shared node and everything below it are read-only: moves never enter one
-(`legal_moves` does not list them and a path into one raises
-`SharedNodeError`), and replicas point at shared nodes instead of copying
-them.  A shared node is ground, because only ground references are expanded,
-so substitutions pass it by.
+path's integer segment at a recurrence names a replica.  A node with
+in-degree > 1 in a service's expansion is a shared (cirquent) node.  Each
+service is expanded straight into the store (`expand_into`), which reports
+these nodes as it builds them, and the configuration records them once,
+before the first move.  A shared node and everything below it are
+read-only: moves never enter one (`legal_moves` does not list them and a
+path into one raises `SharedNodeError`), and replicas point at shared nodes
+instead of copying them.  A shared node is ground, because only ground
+references are expanded, so substitutions pass it by.
 
 Polarity is positional: on the output side ``@`` belongs to the environment
 and ``#`` to the machine; the input side flips, as does descending through
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas as F
-from .directories import DirectoryTable, expand
+from .directories import DirectoryTable, expand_into
 from .errors import BoundError, ConfigError, SharedNodeError
 from .graphs import FormulaGraph, GNode
 from .terms import (App, Const, GVar, Num, Term, Var, pretty_term, subst_var,
@@ -161,16 +162,6 @@ class Configuration:
             else:
                 yield root
 
-    def _import_graph(self, graph: FormulaGraph) -> dict:
-        """Copy the graph's nodes into the store; returns the renumbering."""
-        mapping = {}
-        for old in sorted(graph.nodes):  # children precede parents
-            node = graph.nodes[old]
-            mapping[old] = len(self.nodes)
-            self.nodes[mapping[old]] = _with_children(
-                node, tuple(mapping[c] for c in node.children))
-        return mapping
-
 
 def init_configuration(table: DirectoryTable, input_names=None,
                        output_name: str | None = None) -> Configuration:
@@ -186,11 +177,8 @@ def init_configuration(table: DirectoryTable, input_names=None,
     for name in list(input_names) + [output_name]:
         if name not in table.defs:
             raise ConfigError(f"undefined service /{name}")
-        graph = expand(table, F.DirRef(name))
-        mapping = cfg._import_graph(graph)
-        cfg.roots[name] = mapping[graph.root]
-        shared.update(mapping[nid] for nid, degree in graph.in_degrees().items()
-                      if degree > 1)
+        cfg.roots[name], found = expand_into(table, F.DirRef(name), cfg.nodes)
+        shared |= found
     cfg.shared = frozenset(shared)
     return cfg
 
@@ -262,14 +250,6 @@ def _replica(node: GNode, index: int) -> int | None:
     return None
 
 
-def _with_children(node: GNode, kids: tuple) -> GNode:
-    """node with the given children.  Nodes are immutable, so one whose
-    children stay the same (a leaf, say) is shared rather than rebuilt."""
-    if kids == node.children:
-        return node
-    return GNode(node.op, kids, node.pred, node.args, node.var, node.replicas)
-
-
 def _is_machine(op: str, sign: int) -> bool:
     return (op == "exists") == (sign > 0)
 
@@ -277,20 +257,22 @@ def _is_machine(op: str, sign: int) -> bool:
 # node rewriting -------------------------------------------------------
 
 def _subst_nodes(cfg: Configuration, nid: int, var: str, value: Term):
-    """In-place substitution of value for the free var below nid."""
-    if nid in cfg.shared:
-        return
-    node = cfg.nodes[nid]
-    if node.op == "atom":
-        if any(var in term_vars(t) for t in node.args):
-            args = tuple(subst_var(t, var, value) for t in node.args)
-            cfg.nodes[nid] = GNode(node.op, node.children, node.pred, args,
+    """In-place substitution of value for the free var below nid.  The walk
+    keeps an explicit stack, so depth costs no interpreter frames."""
+    nodes, shared = cfg.nodes, cfg.shared
+    stack = [nid]
+    while stack:
+        nid = stack.pop()
+        if nid in shared:
+            continue
+        node = nodes[nid]
+        if node.op == "atom":
+            if any(var in term_vars(t) for t in node.args):
+                args = tuple(subst_var(t, var, value) for t in node.args)
+                nodes[nid] = GNode(node.op, node.children, node.pred, args,
                                    node.var, node.replicas)
-        return
-    if node.op in ("all", "exists") and node.var == var:
-        return
-    for c in node.children:
-        _subst_nodes(cfg, c, var, value)
+        elif node.op not in ("all", "exists") or node.var != var:
+            stack.extend(node.children)
 
 
 def _peel(cfg: Configuration, nid: int, value: Term):
@@ -394,7 +376,9 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
     out = cfg._clone(regions)
 
     # copy the body on an explicit stack, children before their parent;
-    # `done` holds the new ids of copied nodes whose parent is still open
+    # `done` holds the new ids of copied nodes whose parent is still open.
+    # Nodes are immutable, so one whose children stay the same (a leaf, say)
+    # is shared rather than rebuilt
     done: list = []
     stack = [(node.children[0], False)]
     while stack:
@@ -411,7 +395,8 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
         kids = tuple(done[cut:])
         del done[cut:]
         done.append(len(out.nodes))
-        out.nodes[done[-1]] = _with_children(n, kids)
+        out.nodes[done[-1]] = n if kids == n.children else GNode(
+            n.op, kids, n.pred, n.args, n.var, n.replicas)
     pairs = node.replicas + ((index, done.pop()),)
     out.nodes[nid] = GNode(node.op, node.children, node.pred, node.args,
                            node.var, tuple(sorted(pairs)))

@@ -27,6 +27,7 @@ from .solver import eval_ground
 from .terms import App, Num, Term, Var, is_ground, pretty_term, subst_var
 
 DEPTH_LIMIT = 1024
+_BINARY = (F.And, F.Or, F.Implies)  # the connectives with two children
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,17 @@ def resolve_ref(table: DirectoryTable, name: str,
 
 
 def expand(table: DirectoryTable, ref: F.DirRef) -> FormulaGraph:
-    """Expand a reference into a graph with no DirRef nodes left.
+    """Expand a reference into a graph of its own, with no DirRef nodes left:
+    `expand_into` on an empty node store."""
+    graph = FormulaGraph()
+    graph.root, _shared = expand_into(table, ref, graph.nodes)
+    return graph
+
+
+def expand_into(table: DirectoryTable, ref: F.DirRef,
+                nodes: dict) -> tuple[int, set]:
+    """Expand a reference into the node store `nodes`, adding each node at
+    id len(nodes) after its children; returns (root id, shared ids).
 
     Clause bodies are walked as written, with the parameter bindings of the
     reference that reached them: an atom's or a reference's arguments are
@@ -174,10 +185,12 @@ def expand(table: DirectoryTable, ref: F.DirRef) -> FormulaGraph:
     variables lowercase, and a binding's value is ground, so no binder can
     capture a bound value and none needs renaming.  Copy references produce
     fresh subtrees on every occurrence; shared references are expanded once
-    per name and evaluated arguments and reused, giving in-degree > 1.
+    per name and evaluated arguments and reused.  A node is cached only after
+    its body is built, so each reuse gives it one more parent: the shared
+    ids, the nodes handed out on reuse, are exactly those of in-degree > 1.
     """
-    graph = FormulaGraph()
-    shared: dict = {}
+    cache: dict = {}
+    shared: set[int] = set()
     # a runaway recursive definition burns several Python frames per level,
     # so give the interpreter room to actually reach the depth limit
     previous_limit = sys.getrecursionlimit()
@@ -192,33 +205,41 @@ def expand(table: DirectoryTable, ref: F.DirRef) -> FormulaGraph:
         if depth > DEPTH_LIMIT:
             raise DepthLimitError(
                 f"expansion of /{ref.name} exceeded depth {DEPTH_LIMIT}")
-        if isinstance(f, F.DirRef):
-            args = bind(f.args, env)
-            if f.copy:
-                return build(*resolve_ref(table, f.name, args), depth + 1)
-            key = (f.name, tuple(eval_ground(a) for a in args))
-            if key in shared:
-                return shared[key]
-            nid = build(*resolve_ref(table, f.name, args), depth + 1)
-            shared[key] = nid
-            return nid
-        if isinstance(f, F.Atom):
-            args = bind(f.args, env)
-            return graph.add(GNode("atom", pred=f.pred, args=args))
-        if type(f) not in OPS:
+        kind = type(f)
+        if kind in OPS:
+            depth += 1
+            kids = ((build(f.left, env, depth), build(f.right, env, depth))
+                    if kind in _BINARY else (build(f.body, env, depth),))
+            node = GNode(OPS[kind], children=kids, var=getattr(f, "var", None))
+        elif kind is F.Atom:
+            node = GNode("atom", pred=f.pred, args=bind(f.args, env))
+        elif kind is not F.DirRef:
             raise ExpandError(f"cannot expand {f!r}")
-        kids = tuple(build(c, env, depth + 1) for c in F.children(f))
-        return graph.add(GNode(OPS[type(f)], children=kids,
-                               var=getattr(f, "var", None)))
+        elif f.copy:
+            return build(*resolve_ref(table, f.name, bind(f.args, env)),
+                         depth + 1)
+        else:
+            args = bind(f.args, env)
+            key = (f.name, tuple(eval_ground(a) for a in args))
+            nid = cache.get(key)
+            if nid is None:
+                nid = cache[key] = build(*resolve_ref(table, f.name, args),
+                                         depth + 1)
+            else:
+                shared.add(nid)
+            return nid
+        nid = len(nodes)
+        nodes[nid] = node
+        return nid
 
     try:
-        graph.root = build(ref, {}, 0)
+        root = build(ref, {}, 0)
     finally:
         sys.setrecursionlimit(previous_limit)
         # build's closure holds build itself: break that cycle so the
         # expansion's garbage is freed now, not by the cycle collector
         del build
-    return graph
+    return root, shared
 
 
 def load_kb(text: str) -> DirectoryTable:

@@ -2,8 +2,9 @@
 
 A pure copy expansion is a tree; a shared directory reference makes the
 referenced node the child of several parents (in-degree > 1), which is how
-cirquent-style sharing is represented.  A game configuration records these
-nodes once, when it imports the graph, and treats each as read-only.
+cirquent-style sharing is represented.  A game configuration's node store
+holds its services' expansions side by side; it records these nodes once, as
+they are expanded into it, and treats each as read-only.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ def preorder(nodes: dict, roots):
 class FormulaGraph:
     nodes: dict = field(default_factory=dict)
     root: int = -1
-    next_id: int = 0
-
-    def add(self, node: GNode) -> int:
-        nid = self.next_id
-        self.next_id += 1
-        self.nodes[nid] = node
-        return nid
 
     def to_formula(self, nid: int | None = None) -> F.Formula:
         """Unfold the graph below nid (default: root) into a formula tree.

@@ -120,6 +120,19 @@ def test_prove_deep_terms_subprocess(tmp_path):
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
 
 
+def test_read_under_deep_negations_subprocess(tmp_path):
+    # a read substitutes its value through 1,000 nested ~ without a frame
+    # per level
+    kb = tmp_path / "deep.kb"
+    kb.write_text("/query = @y. " + "~" * 1000 + "p(y)\nquery /query\n")
+    script = tmp_path / "read.coli"
+    script.write_text("algorithm a {\n  /query.read(n);\n}\n")
+    proc = run_coli("run", "--kb", str(kb), "--script", str(script),
+                    "--inputs", "3")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == "LOST reason=script ended without closing\n"
+
+
 def test_prove_deep_output_subprocess(tmp_path):
     # a won game whose output is a 600-part conjunction: the closure
     # precheck and the won output's substitution take no frame per part

@@ -1,7 +1,9 @@
 """Game-state moves: polarity checks, replication, the replay property,
 and the per-region cache against cache-free reference walks."""
 
+import dataclasses
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -11,9 +13,9 @@ from coli.configuration import (MoveOption, Path, ReadMove, ReplicateMove,
                                 WriteMove, apply_read, apply_write,
                                 init_configuration, legal_moves, move_line,
                                 peel_env_symbolic, replay, replicate, resolve)
-from coli.directories import load_kb
-from coli.errors import BoundError, ConfigError, SharedNodeError
-from coli.formulas import Atom, Exists, Implies, pretty
+from coli.directories import expand, load_kb
+from coli.errors import BoundError, ColiError, ConfigError, SharedNodeError
+from coli.formulas import Atom, DirRef, Exists, Implies, pretty
 from coli.graphs import preorder
 from coli.prover import _canonical_key, _dead
 from coli.terms import App, Const, GVar, Num, Var, app
@@ -552,3 +554,122 @@ def test_region_cache_matches_reference_walks(kb, mixed):
     assert checked > 100
     if mixed:
         assert dead > 10 and checked - dead >= 10
+
+
+# the store built in one pass against expansion, renumbering and in-degrees
+
+def reference_init(table, input_names=None, output_name=None):
+    """(nodes, roots, shared) of the initial store, built the way it was
+    before services were expanded in place: `expand` each service into a
+    graph of its own, renumber its nodes in id order after the store's,
+    and take as shared the nodes with more than one parent."""
+    output_name = output_name or table.query
+    if input_names is None:
+        input_names = [n for n in table.input_names() if n != output_name]
+    nodes, roots, shared = {}, {}, set()
+    for name in list(input_names) + [output_name]:
+        if name not in table.defs:
+            raise ConfigError(f"undefined service /{name}")
+        graph = expand(table, DirRef(name))
+        mapping = {}
+        for old in sorted(graph.nodes):  # children precede parents
+            node = graph.nodes[old]
+            mapping[old] = len(nodes)
+            nodes[mapping[old]] = dataclasses.replace(
+                node, children=tuple(mapping[c] for c in node.children))
+        roots[name] = mapping[graph.root]
+        parents = Counter(c for node in graph.nodes.values()
+                          for c in node.children)
+        shared.update(mapping[nid] for nid, count in parents.items()
+                      if count > 1)
+    return nodes, roots, frozenset(shared)
+
+
+def _assert_same_init(table, output_name=None):
+    """Check init_configuration against reference_init: the same store, or
+    the same error; returns the configuration, if any."""
+    try:
+        want = reference_init(table, output_name=output_name)
+    except ColiError as exc:
+        with pytest.raises(ColiError) as raised:
+            init_configuration(table, output_name=output_name)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return None
+    cfg = init_configuration(table, output_name=output_name)
+    assert (cfg.nodes, cfg.roots, cfg.shared) == want
+    return cfg
+
+
+@pytest.mark.parametrize("kb,output", [
+    (data_text("fact.kb"), None), (data_text("ident.kb"), None),
+    (data_text("q.kb"), None), (data_text("rec.kb") + REC_GAME, None),
+    (data_text("dirs.kb"), "n"), (data_text("dirs.kb"), "o"),
+    (SHARED_KB, None), (SHARED_RECUR_KB, None),
+], ids=["fact", "ident", "q", "rec", "dirs-copy", "dirs-shared", "shared",
+        "shared-recur"])
+def test_init_matches_the_reference_store(kb, output):
+    _assert_same_init(load_kb(kb), output)
+
+
+@pytest.mark.parametrize("kb,output,error", [
+    ("/a = /nosuch\n", "a", "undefined directory /nosuch"),
+    ("/d = p\n", "missing", "undefined service /missing"),
+    (data_text("rec.kb") + "/o = /m(f(1))\n", "o", "/m: no clause matches f(1)"),
+    (data_text("rec.kb"), "m", "/m takes 1 argument(s), got 0"),
+    ("/a = p /\\ /a\n", "a", "expansion of /a exceeded depth 1024"),
+], ids=["undefined-directory", "undefined-service", "no-clause", "arity",
+        "depth"])
+def test_init_fails_as_the_reference_does(kb, output, error):
+    table = load_kb(kb)
+    with pytest.raises(ColiError, match=f"^{re.escape(error)}$"):
+        reference_init(table, output_name=output)
+    _assert_same_init(table, output)
+
+
+def _random_store_kb(rng):
+    """A KB of parameterised families, helper directories and services
+    that reach them through copy references and shared references used
+    one to three times."""
+    lines, refs = [], []
+    for f in range(rng.randint(0, 2)):
+        bang = rng.choice(["", "!"])
+        lines += [f"/f{f}(0) = f{f}({rng.randrange(4)})",
+                  f"/f{f}(s(X)) = f{f}(X) /\\ {bang}/f{f}(X)"]
+        refs += [f"/f{f}({rng.randrange(4)})", f"/f{f}(1+{rng.randrange(3)})"]
+
+    def formula(depth, bound):
+        pick = rng.randrange(9 if depth else 2)
+        if pick == 0:
+            return f"p{rng.randrange(3)}({rng.choice(bound + ['1', 'a'])})"
+        if pick == 1:
+            return rng.choice(["", "!"]) + rng.choice(refs) if refs else "t"
+        if pick < 5:
+            op = rng.choice(["/\\", "\\/", "->"])
+            return (f"({formula(depth - 1, bound)} {op} "
+                    f"{formula(depth - 1, bound)})")
+        if pick < 7:
+            var = f"x{len(bound)}"
+            return (f"{rng.choice('@#')}{var}. "
+                    f"({formula(depth - 1, bound + [var])})")
+        return f"{rng.choice('~$')}({formula(depth - 1, bound)})"
+
+    for d in range(rng.randint(1, 4)):
+        lines.append(f"/d{d} = {formula(3, [])}")
+        refs.append(f"/d{d}")
+    for s in range(rng.randint(1, 3)):
+        parts = [formula(2, [])]
+        parts += [rng.choice(refs)] * rng.randint(1, 3)
+        parts += [rng.choice(["", "!"]) + rng.choice(refs)
+                  for _ in range(rng.randint(0, 2))]
+        rng.shuffle(parts)
+        lines.append(f"/s{s} = " + " /\\ ".join(parts))
+    lines.append(f"query /s{s}")
+    return "\n".join(lines) + "\n"
+
+
+def test_init_matches_the_reference_store_on_random_kbs():
+    rng = random.Random(15)
+    shared = 0
+    for _ in range(300):
+        shared += bool(_assert_same_init(load_kb(_random_store_kb(rng))).shared)
+    assert shared > 250  # most of them hold a shared node

@@ -197,11 +197,10 @@ def test_deep_reference_reaches_the_depth_limit(default_recursion_limit):
 
 
 def test_to_formula_unfolds_a_deep_chain(default_recursion_limit):
-    graph = FormulaGraph()
-    nid = graph.add(GNode("atom", pred="p"))
-    for _ in range(3000):
-        nid = graph.add(GNode("neg", children=(nid,)))
-    graph.root = nid
+    nodes = {0: GNode("atom", pred="p")}
+    for nid in range(1, 3001):
+        nodes[nid] = GNode("neg", children=(nid - 1,))
+    graph = FormulaGraph(nodes=nodes, root=3000)
     f, depth = graph.to_formula(), 0
     while isinstance(f, Neg):
         f, depth = f.body, depth + 1
