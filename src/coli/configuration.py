@@ -42,45 +42,55 @@ key or its dead-position check, whichever asks first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formulas as F
 from .directories import DirectoryTable, expand_into
 from .errors import BoundError, ConfigError, SharedNodeError
 from .graphs import FormulaGraph, GNode
+from .records import Value, setfield
 from .terms import (App, Const, GVar, Num, Term, Var, pretty_term, subst_var,
                     term_vars)
 
 REPLICA_LIMIT = 256  # replicas of one recurrence
 
 
-@dataclass(frozen=True)
-class Path:
-    dir: str
-    segments: tuple = ()
+class Path(Value):
+    __slots__ = ("dir", "segments")
+
+    def __init__(self, dir: str, segments: tuple = ()):
+        setfield(self, "dir", dir)
+        setfield(self, "segments", segments)
+
+    def __eq__(self, other):
+        return (other.__class__ is Path and self.dir == other.dir
+                and self.segments == other.segments)
+
+    def __hash__(self):
+        return hash((self.dir, self.segments))
 
     def __str__(self):
         return "/" + self.dir + "".join(f".{s}" for s in self.segments)
 
 
-@dataclass(frozen=True)
-class ReadMove:
-    path: Path
-    value: int
-    var: str
+class ReadMove(Value):
+    __slots__ = ("path", "value", "var")
+
+    def __init__(self, path: Path, value: int, var: str):
+        self._setfields(path, value, var)
 
 
-@dataclass(frozen=True)
-class WriteMove:
-    path: Path
-    gvar: str | None = None  # fresh variable writes
-    term: Term | None = None  # concrete-term writes (prover candidates)
+class WriteMove(Value):
+    """`gvar` names a fresh variable write, `term` a concrete (prover) write."""
+    __slots__ = ("path", "gvar", "term")
+
+    def __init__(self, path: Path, gvar: str | None = None, term: Term | None = None):
+        self._setfields(path, gvar, term)
 
 
-@dataclass(frozen=True)
-class ReplicateMove:
-    path: Path
-    index: int
+class ReplicateMove(Value):
+    __slots__ = ("path", "index")
+
+    def __init__(self, path: Path, index: int):
+        self._setfields(path, index)
 
 
 Move = ReadMove | WriteMove | ReplicateMove
@@ -97,14 +107,15 @@ def move_line(move: Move) -> str:
     return f"MOVE replicate {move.path} idx={move.index}"
 
 
-@dataclass(frozen=True)
-class MoveOption:
-    """A currently legal move point (values left to whoever moves)."""
-    kind: str  # read | write | replicate
-    path: Path
-    side: str  # input | output
-    index: int | None = None  # next replica index for replicate options
-    collapse: bool = False  # write that commits an output recurrence
+class MoveOption(Value):
+    """A currently legal move point (values left to whoever moves): `kind` is
+    read | write | replicate, `side` input | output, `index` a replicate's next
+    replica index; `collapse` marks a write that commits an output recurrence."""
+    __slots__ = ("kind", "path", "side", "index", "collapse")
+
+    def __init__(self, kind: str, path: Path, side: str, index: int | None = None,
+                 collapse: bool = False):
+        self._setfields(kind, path, side, index, collapse)
 
 
 class Configuration:

@@ -17,12 +17,12 @@ KB file format, one definition per line::
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from . import formulas as F
 from .errors import DepthLimitError, ExpandError, KBError, ParseError
 from .graphs import OPS, FormulaGraph, GNode
 from .parser import parse_formula, parse_pattern
+from .records import Value
 from .solver import eval_ground
 from .terms import App, Num, Term, Var, is_ground, pretty_term, subst_var
 
@@ -30,17 +30,18 @@ DEPTH_LIMIT = 1024
 _BINARY = (F.And, F.Or, F.Implies)  # the connectives with two children
 
 
-@dataclass(frozen=True)
-class Clause:
-    pattern: Term | None  # None for parameterless directories
-    body: F.Formula
+class Clause(Value):
+    __slots__ = ("pattern", "body")
+
+    def __init__(self, pattern: Term | None, body: F.Formula):
+        self._setfields(pattern, body)  # pattern None: a parameterless directory
 
 
-@dataclass(frozen=True)
-class DirectoryDef:
-    name: str
-    arity: int
-    clauses: tuple
+class DirectoryDef(Value):
+    __slots__ = ("name", "arity", "clauses")
+
+    def __init__(self, name: str, arity: int, clauses: tuple):
+        self._setfields(name, arity, clauses)
 
 
 class DirectoryTable:

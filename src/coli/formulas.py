@@ -17,87 +17,101 @@ Concrete syntax (see parser.py):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .records import Value, setfield
 from .terms import pretty_term
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple = ()
+class Atom(Value):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()):
+        setfield(self, "pred", pred)
+        setfield(self, "args", args)
+
+    def __eq__(self, other):
+        return (other.__class__ is Atom and self.pred == other.pred
+                and self.args == other.args)
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
 
 
-@dataclass(frozen=True)
-class Neg:
-    body: "Formula"
+class _Unary(Value):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Formula"):
+        self._setfields(body)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Recur(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class _Binary(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        self._setfields(left, right)
 
 
-@dataclass(frozen=True)
-class All:
-    var: str
-    body: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Recur:
-    body: "Formula"
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DirRef:
-    name: str
-    args: tuple = ()
-    copy: bool = False
+class _Quantifier(Value):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Formula"):
+        self._setfields(var, body)
+
+
+class All(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
+
+
+class DirRef(Value):
+    __slots__ = ("name", "args", "copy")
+
+    def __init__(self, name: str, args: tuple = (), copy: bool = False):
+        self._setfields(name, args, copy)
 
 
 Formula = Atom | Neg | And | Or | Implies | All | Exists | Recur | DirRef
 
-_BINARY = {And: "/\\", Or: "\\/", Implies: "->"}
+GLYPHS = {Neg: "~", Recur: "$", All: "@", Exists: "#", And: "/\\", Or: "\\/",
+          Implies: "->"}
 
 
 def children(f: Formula) -> tuple:
     """Child subformulas, in address order (path segments count from 1)."""
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         return (f.left, f.right)
-    if isinstance(f, (Neg, All, Exists, Recur)):
+    if isinstance(f, (_Unary, _Quantifier)):
         return (f.body,)
     return ()
 
 
 def with_children(f: Formula, kids: tuple) -> Formula:
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(kids[0], kids[1])
-    if isinstance(f, Neg):
-        return Neg(kids[0])
-    if isinstance(f, (All, Exists)):
+    if isinstance(f, (_Binary, _Unary)):
+        return type(f)(*kids)
+    if isinstance(f, _Quantifier):
         return type(f)(f.var, kids[0])
-    if isinstance(f, Recur):
-        return Recur(kids[0])
     return f
 
 
@@ -109,33 +123,18 @@ _UNARY_LEVEL = 4
 
 
 def pretty(f: Formula, level: int = 0) -> str:
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({','.join(pretty_term(t) for t in f.args)})"
-    if isinstance(f, DirRef):
-        bang = "!" if f.copy else ""
-        if not f.args:
-            return f"{bang}/{f.name}"
-        return f"{bang}/{f.name}({','.join(pretty_term(t) for t in f.args)})"
-    if isinstance(f, Neg):
-        return _wrap(f"~{pretty(f.body, _UNARY_LEVEL)}", _UNARY_LEVEL, level)
-    if isinstance(f, All):
-        return _wrap(f"@{f.var}. {pretty(f.body, _UNARY_LEVEL)}", _UNARY_LEVEL, level)
-    if isinstance(f, Exists):
-        return _wrap(f"#{f.var}. {pretty(f.body, _UNARY_LEVEL)}", _UNARY_LEVEL, level)
-    if isinstance(f, Recur):
-        return _wrap(f"${pretty(f.body, _UNARY_LEVEL)}", _UNARY_LEVEL, level)
+    if isinstance(f, (Atom, DirRef)):
+        head = f.pred if isinstance(f, Atom) else f"{'!' if f.copy else ''}/{f.name}"
+        return f"{head}({','.join(map(pretty_term, f.args))})" if f.args else head
+    if isinstance(f, (_Unary, _Quantifier)):
+        bound = f"{f.var}. " if isinstance(f, _Quantifier) else ""
+        body = pretty(f.body, _UNARY_LEVEL)
+        return _wrap(f"{GLYPHS[type(f)]}{bound}{body}", _UNARY_LEVEL, level)
     mine = _LEVEL[type(f)]
-    op = _BINARY[type(f)]
-    if isinstance(f, Implies):
-        # right associative: the left child needs strictly tighter binding
-        left = pretty(f.left, mine + 1)
-        right = pretty(f.right, mine)
-    else:
-        left = pretty(f.left, mine)
-        right = pretty(f.right, mine + 1)
-    return _wrap(f"{left} {op} {right}", mine, level)
+    # Implies is right associative: its left child needs strictly tighter binding
+    left_at, right_at = (mine + 1, mine) if isinstance(f, Implies) else (mine, mine + 1)
+    left, right = pretty(f.left, left_at), pretty(f.right, right_at)
+    return _wrap(f"{left} {GLYPHS[type(f)]} {right}", mine, level)
 
 
 def _wrap(text: str, mine: int, ctx: int) -> str:

@@ -9,29 +9,30 @@ they are expanded into it, and treats each as read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import formulas as F
 from .errors import ColiError
+from .records import Record, Value, setfield
 
 
-@dataclass(frozen=True)
-class GNode:
-    op: str  # atom | neg | and | or | implies | all | exists | recur
-    children: tuple = ()
-    pred: str | None = None
-    args: tuple = ()
-    var: str | None = None
-    replicas: tuple = ()  # (index, root) pairs of a recurrence, by index
+class GNode(Value):
+    """`op` is atom | neg | and | or | implies | all | exists | recur;
+    `replicas` holds a recurrence's (index, root) pairs, by index."""
+    __slots__ = ("op", "children", "pred", "args", "var", "replicas")
+
+    def __init__(self, op: str, children: tuple = (), pred: str | None = None,
+                 args: tuple = (), var: str | None = None, replicas: tuple = ()):
+        setfield(self, "op", op)
+        setfield(self, "children", children)
+        setfield(self, "pred", pred)
+        setfield(self, "args", args)
+        setfield(self, "var", var)
+        setfield(self, "replicas", replicas)
 
     def label(self) -> str:
         if self.op == "atom":
             return F.pretty(F.Atom(self.pred, self.args))
-        if self.op in ("all", "exists"):
-            glyph = "@" if self.op == "all" else "#"
-            return f"{glyph}{self.var}"
-        return {"neg": "~", "and": "/\\", "or": "\\/", "implies": "->",
-                "recur": "$"}[self.op]
+        glyph = F.GLYPHS[_FORMULAS[self.op]]
+        return f"{glyph}{self.var}" if self.op in ("all", "exists") else glyph
 
 
 # the node op of each formula class other than atoms and references, and back
@@ -62,10 +63,11 @@ def preorder(nodes: dict, roots):
         stack.extend(reversed(node.children))
 
 
-@dataclass
-class FormulaGraph:
-    nodes: dict = field(default_factory=dict)
-    root: int = -1
+class FormulaGraph(Record):
+    __slots__ = ("nodes", "root")
+
+    def __init__(self, nodes: dict | None = None, root: int = -1):
+        self._setfields({} if nodes is None else nodes, root)
 
     def to_formula(self, nid: int | None = None) -> F.Formula:
         """Unfold the graph below nid (default: root) into a formula tree.

@@ -37,63 +37,64 @@ additionally order the moves they match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import configuration
 from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
                             legal_moves, move_line, peel_env_symbolic,
                             replicate, resolve, service_regions)
 from .errors import ConfigError
 from .graphs import preorder
+from .records import Record, Value
 from .solver import close_elementary
 from .terms import App, Const, Num
 
 RULE_NAMES = ("read", "write", "replicate", "close")
 
 
-@dataclass(frozen=True)
-class Restriction:
-    path: Path
-    rules: tuple
-    prioritized: bool = False
+class Restriction(Value):
+    __slots__ = ("path", "rules", "prioritized")
+
+    def __init__(self, path: Path, rules: tuple, prioritized: bool = False):
+        self._setfields(path, rules, prioritized)
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_depth: int = 64
-    max_replicas: int = 32
-    term_universe: tuple | None = None  # None: derive from the configuration
+class Bounds(Value):
+    __slots__ = ("max_depth", "max_replicas", "term_universe")
+
+    def __init__(self, max_depth: int = 64, max_replicas: int = 32,
+                 term_universe: tuple | None = None):  # None: from the configuration
+        self._setfields(max_depth, max_replicas, term_universe)
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Value):
     """Close the configuration here."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Step:
-    move: Move
-    rest: "Strategy"
+class Step(Value):
+    __slots__ = ("move", "rest")
+
+    def __init__(self, move: Move, rest: "Strategy"):
+        self._setfields(move, rest)
 
 
-@dataclass(frozen=True)
-class EnvBranch:
+class EnvBranch(Value):
     """The environment picks a value at path; the subtree is parametric in
     the eigenvariable constant standing for that value."""
-    path: Path
-    var: str
-    eigen: str
-    rest: "Strategy"
+    __slots__ = ("path", "var", "eigen", "rest")
+
+    def __init__(self, path: Path, var: str, eigen: str, rest: "Strategy"):
+        self._setfields(path, var, eigen, rest)
 
 
 Strategy = Leaf | Step | EnvBranch
 
 
-@dataclass
-class ProveResult:
-    strategy: Strategy | None
-    reason: str = ""  # empty on success, else exhausted | bounded
-    steps: int = 0
+class ProveResult(Record):
+    """`reason` is empty on success, else exhausted | bounded."""
+    __slots__ = ("strategy", "reason", "steps")
+
+    def __init__(self, strategy: Strategy | None, reason: str = "", steps: int = 0):
+        self._setfields(strategy, reason, steps)
 
     @property
     def ok(self) -> bool:

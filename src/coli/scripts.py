@@ -24,7 +24,6 @@ elementary closure of the configuration as it stands.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 from . import formulas as F
 from .configuration import (Configuration, Path, WriteMove, apply_move,
@@ -33,6 +32,7 @@ from .errors import ChannelError, ConfigError, ParseError
 from .parser import TokenStream, kind
 from .prover import (RULE_NAMES, Bounds, EnvBranch, Leaf, ProveResult,
                      Restriction, Step, Strategy, prove, validate_restrictions)
+from .records import Record, Value
 from .solver import Substitution, close_elementary
 from .terms import Num, subst_const
 
@@ -41,55 +41,57 @@ from .terms import Num, subst_const
 # A statement's path segments are integers or script-variable names, which
 # `resolve_path` replaces by their values when the statement runs.
 
-@dataclass(frozen=True)
-class ReadStmt:
-    path: Path
-    var: str
+class ReadStmt(Value):
+    __slots__ = ("path", "var")
+
+    def __init__(self, path: Path, var: str):
+        self._setfields(path, var)
 
 
-@dataclass(frozen=True)
-class WriteStmt:
-    path: Path
+class WriteStmt(Value):
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path):
+        self._setfields(path)
 
 
-@dataclass(frozen=True)
-class ChooseStmt:
-    restrictions: tuple  # (Path, rule names)
-    prioritized: bool
+class ChooseStmt(Value):
+    __slots__ = ("restrictions", "prioritized")
+
+    def __init__(self, restrictions: tuple, prioritized: bool):
+        self._setfields(restrictions, prioritized)  # restrictions: (Path, rule names)
 
 
-@dataclass(frozen=True)
-class ForStmt:
-    var: str
-    lo: object
-    hi: object
-    body: tuple
+class ForStmt(Value):
+    __slots__ = ("var", "lo", "hi", "body")
+
+    def __init__(self, var: str, lo: object, hi: object, body: tuple):
+        self._setfields(var, lo, hi, body)
 
 
-@dataclass(frozen=True)
-class IfStmt:
-    cond: tuple
-    then: tuple
-    orelse: tuple
+class IfStmt(Value):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: tuple, then: tuple, orelse: tuple):
+        self._setfields(cond, then, orelse)
 
 
-@dataclass(frozen=True)
-class ProveStmt:
-    pass
+class ProveStmt(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExecuteStmt:
-    pass
+class ExecuteStmt(Value):
+    __slots__ = ()
 
 
 Statement = ReadStmt | WriteStmt | ChooseStmt | ForStmt | IfStmt | ProveStmt | ExecuteStmt
 
 
-@dataclass(frozen=True)
-class Script:
-    name: str
-    body: tuple
+class Script(Value):
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: tuple):
+        self._setfields(name, body)
 
 
 # parsing --------------------------------------------------------------
@@ -308,23 +310,26 @@ class InteractiveChannel:
 
 # interpreter ------------------------------------------------------------
 
-@dataclass
-class ScriptEnv:
-    channel: object
-    variables: dict = field(default_factory=dict)
-    restrictions: list = field(default_factory=list)
-    pending: ProveResult | None = None  # a won prove awaiting execute
-    bounds: Bounds = field(default_factory=Bounds)
-    trace_sink: object = None
+class ScriptEnv(Record):
+    """`pending` is a won prove awaiting execute."""
+    __slots__ = ("channel", "variables", "restrictions", "pending", "bounds",
+                 "trace_sink")
+
+    def __init__(self, channel: object, variables: dict | None = None,
+                 restrictions: list | None = None, pending: ProveResult | None = None,
+                 bounds: Bounds = Bounds(), trace_sink: object = None):
+        self._setfields(channel, {} if variables is None else variables,
+                        [] if restrictions is None else restrictions, pending,
+                        bounds, trace_sink)
 
 
-@dataclass
-class Outcome:
-    status: str  # won | lost
-    reason: str = ""
-    subst: Substitution | None = None
-    result: F.Formula | None = None
-    steps: int = 0  # search nodes of the prove that decided the game
+class Outcome(Record):
+    """`status` is won | lost; `steps` counts the deciding prove's search nodes."""
+    __slots__ = ("status", "reason", "subst", "result", "steps")
+
+    def __init__(self, status: str, reason: str = "", subst: Substitution | None = None,
+                 result: F.Formula | None = None, steps: int = 0):
+        self._setfields(status, reason, subst, result, steps)
 
     @property
     def won(self) -> bool:

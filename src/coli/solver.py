@@ -18,10 +18,10 @@ known facts is not tried again below the frame that found it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import formulas as F
 from .graphs import preorder
+from .records import Record
 from .terms import App, GVar, Num, Term, pretty_term, term_gvars
 
 
@@ -168,18 +168,19 @@ def unify_atoms(a1: F.Atom, a2: F.Atom, subst: Substitution):
     return s
 
 
-@dataclass
-class ClosureResult:
-    ok: bool
-    subst: Substitution | None = None
-    reason: str = ""
-    output: F.Formula | None = None
+class ClosureResult(Record):
+    __slots__ = ("ok", "subst", "reason", "output")
+
+    def __init__(self, ok: bool, subst: Substitution | None = None, reason: str = "",
+                 output: F.Formula | None = None):
+        self._setfields(ok, subst, reason, output)
 
 
-@dataclass
-class _Inputs:
-    facts: list = field(default_factory=list)        # Atom
-    rules: list = field(default_factory=list)        # (antecedent atoms, consequent atoms)
+class _Inputs(Record):
+    __slots__ = ("facts", "rules")  # atoms; (antecedent atoms, consequent atoms)
+
+    def __init__(self, facts: list | None = None, rules: list | None = None):
+        self._setfields([] if facts is None else facts, [] if rules is None else rules)
 
 
 def _conjuncts(nodes: dict, nid: int):

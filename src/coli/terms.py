@@ -12,37 +12,61 @@ Four variable-like things live in terms and they are kept distinct:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Value, setfield
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Value):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int):
+        if value < 0:
             raise ValueError("naturals only")
+        setfield(self, "value", value)
+
+    def __eq__(self, other):
+        return other.__class__ is Num and self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class _Name(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Const(_Name):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GVar:
-    name: str
+class Var(_Name):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class App:
-    fn: str
-    args: tuple
+class GVar(_Name):
+    __slots__ = ()
+
+
+class App(Value):
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple):
+        setfield(self, "fn", fn)
+        setfield(self, "args", args)
+
+    def __eq__(self, other):
+        return other.__class__ is App and self.fn == other.fn and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.fn, self.args))
 
 
 Term = Num | Const | Var | GVar | App
@@ -133,17 +157,26 @@ _PREC = {"+": 1, "*": 2}
 
 
 def pretty_term(t: Term, prec: int = 0) -> str:
-    if isinstance(t, Num):
-        return _decimal(t.value)
-    if isinstance(t, (Const, Var, GVar)):
-        return t.name
-    if isinstance(t, App):
-        if t.fn in ("+", "*") and len(t.args) == 2:
+    """t as text, walked on an explicit stack of literal text and of (term,
+    context precedence) pairs, so depth costs no interpreter frames."""
+    out, stack = [], [(t, prec)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, prec = item
+        if isinstance(t, Num):
+            out.append(_decimal(t.value))
+        elif isinstance(t, _Name):
+            out.append(t.name)
+        elif not isinstance(t, App):
+            raise TypeError(f"not a term: {t!r}")
+        elif t.fn in _PREC and len(t.args) == 2:
             p = _PREC[t.fn]
-            left = pretty_term(t.args[0], p)
-            right = pretty_term(t.args[1], p + 1)
-            text = f"{left}{t.fn}{right}"
-            return f"({text})" if p < prec else text
-        inner = ",".join(pretty_term(a) for a in t.args)
-        return f"{t.fn}({inner})"
-    raise TypeError(f"not a term: {t!r}")
+            todo = [(t.args[0], p), t.fn, (t.args[1], p + 1)]
+            stack += reversed(["(", *todo, ")"] if p < prec else todo)
+        else:
+            args = [part for a in t.args for part in (",", (a, 0))][1:]
+            stack += reversed([f"{t.fn}(", *args, ")"])
+    return "".join(out)

@@ -176,6 +176,17 @@ def test_expand_deep_reference_subprocess():
     assert proc.stderr == "error: expansion of /m exceeded depth 1024\n"
 
 
+@pytest.mark.parametrize("depth", [600, 900])
+def test_expand_prints_a_deep_term_subprocess(tmp_path, depth):
+    # the term printer takes no frame per level of nesting
+    term = "s(" * depth + "0" + ")" * depth
+    kb = tmp_path / "deep.kb"
+    kb.write_text(f"/c = q({term})\n/query = #x. q(x)\nquery /query\n")
+    proc = run_coli("expand", "--kb", str(kb), "/c")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"q({term})\n"
+
+
 def test_expand_recursive(capsys):
     code, out, _ = run_cli(capsys, "expand", "--kb", data_path("rec.kb"),
                            "/m(s(s(s(0))))")

@@ -1,7 +1,6 @@
 """Game-state moves: polarity checks, replication, the replay property,
 and the per-region cache against cache-free reference walks."""
 
-import dataclasses
 import random
 import re
 from collections import Counter
@@ -16,7 +15,7 @@ from coli.configuration import (MoveOption, Path, ReadMove, ReplicateMove,
 from coli.directories import expand, load_kb
 from coli.errors import BoundError, ColiError, ConfigError, SharedNodeError
 from coli.formulas import Atom, DirRef, Exists, Implies, pretty
-from coli.graphs import preorder
+from coli.graphs import GNode, preorder
 from coli.prover import _canonical_key, _dead
 from coli.terms import App, Const, GVar, Num, Var, app
 
@@ -575,8 +574,9 @@ def reference_init(table, input_names=None, output_name=None):
         for old in sorted(graph.nodes):  # children precede parents
             node = graph.nodes[old]
             mapping[old] = len(nodes)
-            nodes[mapping[old]] = dataclasses.replace(
-                node, children=tuple(mapping[c] for c in node.children))
+            nodes[mapping[old]] = GNode(
+                node.op, tuple(mapping[c] for c in node.children), node.pred,
+                node.args, node.var, node.replicas)
         roots[name] = mapping[graph.root]
         parents = Counter(c for node in graph.nodes.values()
                           for c in node.children)
