@@ -26,6 +26,16 @@ the number of replications it may spend:
   the node sets the budget flag when that depth is below max_depth and the
   depth flag otherwise, which are the flags its subtree would have set.
 
+Deepening starts at the first level at which a relaxed closure covers the
+output.  Level 0 is the facts in play under as many rounds of their rules
+as there are rules, each of which closure fires once.  Each level above
+adds the input recurrences' bodies, each one fact or one rule, fired once
+on what is new, and those rounds again.  A derivation path after b
+replications holds b body parts at most, so level b derives all it does
+and no skipped iteration could win.  An uncovered query starts at 0: any
+start gives its verdict, but its trace would lose its replicate moves.
+`steps` counts the nodes from the start.
+
 Failure is `exhausted` when the whole (restricted) space was explored within
 bounds and `bounded` when a branch hit max_depth, max_replicas or
 `configuration.REPLICA_LIMIT`.
@@ -38,14 +48,16 @@ additionally order the moves they match.
 from __future__ import annotations
 
 from . import configuration
-from .configuration import (Configuration, Move, MoveOption, Path, apply_write,
-                            legal_moves, move_line, peel_env_symbolic,
-                            replicate, resolve, service_regions)
+from .configuration import (Configuration, Move, MoveOption, Path, _peel,
+                            apply_write, legal_moves, move_line,
+                            peel_env_symbolic, replicate, resolve,
+                            service_regions)
 from .errors import ConfigError
 from .graphs import preorder
 from .records import Record, Value
-from .solver import close_elementary
-from .terms import App, Const, Num
+from .solver import (Substitution, _decompose_input, _Inputs, _satisfiable,
+                     close_elementary, unify_atoms)
+from .terms import App, Const, GVar, Num, is_ground
 
 RULE_NAMES = ("read", "write", "replicate", "close")
 
@@ -119,21 +131,19 @@ def strategy_moves(strategy: Strategy) -> list:
     while not isinstance(node, Leaf):
         if isinstance(node, Step):
             out.append(node.move)
-            node = node.rest
-        else:
-            node = node.rest
+        node = node.rest
     return out
 
 
 def render_strategy(strategy: Strategy, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(strategy, Leaf):
-        return f"{pad}close"
-    if isinstance(strategy, Step):
-        head = move_line(strategy.move)[len("MOVE "):]
-        return f"{pad}{head}\n{render_strategy(strategy.rest, indent)}"
-    return (f"{pad}branch read {strategy.path} (@{strategy.var} = any value)\n"
-            f"{render_strategy(strategy.rest, indent + 1)}")
+    lines = []  # a strategy is a chain: a loop walks it at any length
+    while not isinstance(strategy, Leaf):
+        lines.append("  " * indent + (
+            move_line(strategy.move)[len("MOVE "):] if isinstance(strategy, Step)
+            else f"branch read {strategy.path} (@{strategy.var} = any value)"))
+        indent += isinstance(strategy, EnvBranch)
+        strategy = strategy.rest
+    return "\n".join(lines + ["  " * indent + "close"])
 
 
 def term_universe(cfg: Configuration) -> list:
@@ -172,6 +182,83 @@ def _priority(restrictions, path: Path, rule: str) -> int:
 def _output_has_neg(cfg: Configuration) -> bool:
     return any(cfg.nodes[nid].op == "neg"
                for nid in preorder(cfg.nodes, [cfg.roots[cfg.output]]))
+
+
+FACT_CAP = 2000  # facts that the relaxation of `_start_budget` may hold
+
+
+class _Unfollowed(Exception):
+    """A shape, fact or size that the relaxation does not follow."""
+
+
+def _start_budget(cfg: Configuration, max_replicas: int) -> int:
+    """The first level at which the relaxed closure (module docstring)
+    covers the output, 0 if none does, or the levels that already failed
+    when it meets something it does not follow."""
+    work, level = cfg._clone(), 0  # quantifiers are peeled in a copy
+    nodes = work.nodes
+
+    def peeled(nid):  # the node below nid's quantifiers, their variables global
+        while nodes[nid].op in ("all", "exists"):
+            _peel(work, nid, GVar("." + nodes[nid].var))
+        return nid
+
+    def plain(atom):  # a variable below s, + or * would match only by arithmetic
+        return all(isinstance(t, GVar) or is_ground(t) for t in atom.args)
+
+    def relaxed(nid):  # the facts and one-antecedent rules below nid
+        acc = _Inputs()
+        if _decompose_input(work, peeled(nid), acc) or not all(
+                len(ante) == 1 and plain(ante[0]) for ante, _cons in acc.rules):
+            raise _Unfollowed
+        return acc.facts, acc.rules
+
+    def add(fact):
+        if fact not in facts:
+            if len(facts) >= FACT_CAP or not all(map(is_ground, fact.args)):
+                raise _Unfollowed
+            facts[fact] = None
+            for nid in [n for n, atom in todo.items()
+                        if unify_atoms(atom, fact, Substitution()) is not None]:
+                del todo[nid]
+
+    def fire(group, rules):  # each rule on the facts it has not seen
+        new, seen[group] = list(facts)[seen[group]:], len(facts)
+        for (ante,), cons in rules:
+            for fact in new:
+                s = unify_atoms(ante, fact, Substitution())
+                for atom in () if s is None else cons:
+                    add(s.apply_formula(atom))
+
+    try:
+        paid = [relaxed(nodes[root].children[0])
+                for name, root in work.roots.items()
+                if name != work.output and nodes[root].op == "recur"]
+        if not any(rs for _fs, rs in paid) \
+                or any(len(fs) + len(rs) > 1 for fs, rs in paid):
+            return 0  # each body one fact or rule (module docstring)
+        out = peeled(work.roots[work.output])
+        todo = {nid: nodes[nid] for nid in preorder(nodes, [out])  # atoms unmet
+                if nodes[nid].op not in ("and", "or")}
+        if not all(n.op == "atom" and plain(n) for n in todo.values()):
+            return 0
+        free = [relaxed(root) for root in cfg.input_contents()]
+        rules = [rule for _fs, rs in free for rule in rs]
+        body = [rule for _fs, rs in paid for rule in rs]
+        facts, seen = {}, [0, 0]  # facts in order; per group the first unseen
+        for level in range(max_replicas + 1):
+            for fs, _rs in paid if level else free:
+                for fact in fs:
+                    add(fact)  # known from level 1 on, so added once
+            if level:
+                fire(1, body)
+            for _round in rules:
+                fire(0, rules)
+            if _satisfiable(nodes, out, lambda nid: nid not in todo):
+                return level
+    except _Unfollowed:
+        return level
+    return 0
 
 
 def _canonical_key(cfg: Configuration):
@@ -222,7 +309,8 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
     # key object, so its `failed`/`edges` lookups compare by identity
     # instead of walking two equal nested tuples
     unclosable: dict = {}
-    for budget in range(bounds.max_replicas + 1):
+    start = 0 if with_neg else _start_budget(cfg, bounds.max_replicas)
+    for budget in range(start, bounds.max_replicas + 1):
         flags = {"budget": False, "depth": False}
         failed: set = set()
         found, _key = _search(cfg, 0, budget, restrictions, bounds, flags,

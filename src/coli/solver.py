@@ -483,7 +483,12 @@ def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
     satisfiable (conservative).  The search decides everything finer."""
     heads = {(a.pred, len(a.args))
              for a in acc.facts + [c for _a, cons in acc.rules for c in cons]}
+    return _satisfiable(nodes, out,
+                        lambda nid: (nodes[nid].pred, len(nodes[nid].args)) in heads)
 
+
+def _satisfiable(nodes: dict, out: int, holds) -> bool:
+    """Whether out holds when each atom node nid holds as holds(nid) says."""
     # each node's bound, children first, on an explicit stack
     upper: dict = {}
     stack = [out]
@@ -497,7 +502,7 @@ def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
             left, right = (upper[c] for c in node.children)
             bound = left and right if node.op == "and" else left or right
         elif node.op == "atom":
-            bound = (node.pred, len(node.args)) in heads
+            bound = holds(stack[-1])
         else:
             bound = True  # the negated side of ~ or -> may hold
         upper[stack.pop()] = bound

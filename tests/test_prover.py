@@ -213,11 +213,12 @@ def test_render_strategy_mentions_moves():
     assert text.strip().endswith("close")
 
 
-@pytest.mark.parametrize("n,closures,steps", [(4, 10, 29), (8, 18, 89),
-                                              (12, 26, 181)])
+@pytest.mark.parametrize("n,closures,steps", [(4, 6, 6), (8, 10, 10),
+                                              (12, 14, 14)])
 def test_closure_runs_once_per_position(monkeypatch, n, closures, steps):
     # iterative deepening revisits positions, but each distinct canonical
-    # position is closed at most once per prove call
+    # position is closed at most once per prove call; the deepening starts
+    # at budget n here, so it walks the chain once
     keys = []
 
     def counting(cfg):
@@ -387,3 +388,189 @@ def test_closures_in_random_games_match_the_reference(monkeypatch):
     # that closure rejects before it searches
     assert outcomes[True, ""] >= 15, outcomes
     assert outcomes[False, "no derivation covers the output"] >= 200, outcomes
+
+
+# --- the start budget against deepening from 0 ---------------------------
+
+def _chain(k):
+    return ("/c = p(0)\n/d = $ @x. (p(x) -> p(s(x)))\n"
+            f"/query = p({'s(' * k}0{')' * k})\nquery /query\n")
+
+
+HAND_GAMES = [
+    data_text("ident.kb"), data_text("q.kb"), data_text("fact.kb"),
+    # a body of two rules, or of a fact and a rule, is not followed
+    "/c = p(a)\n/d = $ @x. ((p(x) -> q(x)) /\\ (q(x) -> r(x)))\n"
+    "/query = r(a)\nquery /query\n",
+    "/c = $ (p(a) /\\ (q(a) -> r(a)))\n/e = @x. (p(x) -> q(x))\n"
+    "/query = #z. r(z)\nquery /query\n",
+    # a body's fact feeds a free rule that feeds another body's rule
+    "/c = $ p(a)\n/e = @x. (p(x) -> q(x))\n/f = $ @x. (q(x) -> r(x))\n"
+    "/query = #z. r(z)\nquery /query\n",
+    # two recurrences, each needed once, and an output that needs both
+    "/c = p(0)\n/d = $ @x. (p(x) -> q(s(x)))\n/e = $ @x. (q(x) -> r(x))\n"
+    "/query = #z. (r(z) /\\ p(0))\nquery /query\n",
+    # p(a) is not the newest fact when /d first fires; s(3) is three away
+    "/c = p(a) /\\ s(0)\n/d = $ @x. (p(x) -> q(x))\n/e = $ @x. (s(x) -> s(s(x)))\n"
+    "/query = q(a) \\/ s(3)\nquery /query\n",
+    # one replica of /e gives p(3) at once, three of /d derive it
+    "/c = p(0)\n/d = $ @x. (p(x) -> p(s(x)))\n/e = $ p(3)\n"
+    "/query = p(3)\nquery /query\n",
+    # closure binds w through q(w), and then p(s(w)) matches p(3); matched
+    # alone, p(s(w)) would fail and leave r(3), three replicas away
+    "/c = q(2) /\\ p(3) /\\ r(0)\n/d = $ @x. (r(x) -> r(s(x)))\n"
+    "/query = #w. (q(w) /\\ p(s(w)) \\/ r(3))\nquery /query\n",
+    # the same through a free rule: r(x) binds x before p(s(x)) is matched
+    "/c = r(0) /\\ p(1)\n/e = @x. ((r(x) -> t(x)) /\\ (p(s(x)) -> q(x)))\n"
+    "/d = $ @x. (r(x) -> r(s(x)))\n/query = q(0) \\/ r(3)\nquery /query\n",
+]
+
+
+def _oracle_configurations(rng):
+    """(case, configuration, max_replicas): the hand-made games, fact after
+    each read and partly driven, then small random games."""
+    for kb in HAND_GAMES:
+        yield kb, init_configuration(load_kb(kb)), 8
+    for k in (0, 1, 5, 17, 30):
+        yield f"chain({k})", init_configuration(load_kb(_chain(k))), 32
+    fact = load_kb(data_text("fact.kb"))
+    for n in range(7):
+        yield f"fact({n})", apply_read(init_configuration(fact), Path("query"),
+                                       n, "n"), 32
+    partial = apply_read(init_configuration(fact), Path("query"), 3, "n")
+    for _ in range(2):
+        partial = apply_write(partial, Path("d", (1,)))
+    yield "fact(3) with /d.1 written", partial, 32
+    for trial in range(80):
+        kb = _random_game(rng) if trial % 2 else _random_derivation(rng)
+        yield kb, init_configuration(load_kb(kb)), 3
+
+
+def _random_derivation(rng):
+    """Facts, replicable rules (some two to a body, some with a fact) and
+    an and/or of atoms to derive: the shapes that the start budget reads."""
+    atom = _random_atom
+    inputs = [" /\\ ".join(atom(rng, ()) for _ in range(rng.randint(1, 2)))]
+    for _ in range(rng.randint(1, 3)):
+        inputs.append(rng.choice([
+            lambda: f"$ @x. ({atom(rng, 'x')} -> {atom(rng, 'x')})",
+            lambda: f"$ ({atom(rng, ())} -> {atom(rng, ())})",
+            lambda: f"$ @x. (({atom(rng, 'x')} -> {atom(rng, 'x')}) /\\ "
+                    f"({atom(rng, 'x')} -> {atom(rng, 'x')}))",
+            lambda: f"$ ({atom(rng, ())} /\\ ({atom(rng, ())} -> {atom(rng, ())}))",
+            lambda: f"@x. ({atom(rng, 'x')} -> {atom(rng, 'x')})",
+        ])())
+    output = rng.choice([
+        lambda: f"#w. {atom(rng, 'w')}",
+        lambda: f"{atom(rng, ())} /\\ #w. {atom(rng, 'w')}",
+        lambda: f"#w. ({atom(rng, 'w')} \\/ {atom(rng, 'w')})",
+    ])()
+    return "".join(f"/i{k} = {text}\n" for k, text in enumerate(inputs)) \
+        + f"/query = {output}\nquery /query\n"
+
+
+def test_start_budget_is_admissible_and_keeps_verdicts(monkeypatch):
+    # deepening from 0 wins at no budget below the start, at tight and loose
+    # depths, and starting there changes no verdict, reason or strategy.
+    # The start is above 0 on a good share of the won games
+    rng = random.Random(22)
+    started = Counter()
+    for case, cfg, replicas in _oracle_configurations(rng):
+        for max_depth in (2, 3, 4, 64):
+            bounds = Bounds(max_depth, replicas if max_depth == 64 else
+                            min(replicas, 4), ORACLE_UNIVERSE)
+            start = prover._start_budget(cfg, bounds.max_replicas)
+            fast = prove(cfg, (), bounds)
+            with monkeypatch.context() as patch:
+                patch.setattr(prover, "_start_budget", lambda *args: 0)
+                full = prove(cfg, (), bounds)
+                below = prove(cfg, (), Bounds(max_depth, start - 1,
+                                              ORACLE_UNIVERSE)) if start else None
+            key = (case, max_depth)
+            assert (fast.ok, fast.reason) == (full.ok, full.reason), key
+            started[start > 0, full.ok] += 1
+            if not full.ok:
+                continue
+            assert render_strategy(fast.strategy) \
+                == render_strategy(full.strategy), key
+            assert below is None or not below.ok, (key, start)
+            replicas_used = sum(isinstance(m, ReplicateMove)
+                                for m in strategy_moves(full.strategy))
+            assert start <= replicas_used, (key, start)
+    assert started[True, True] >= 25, started
+
+
+def test_start_budget_on_the_ladders():
+    # the factorial after its read needs n replicas, the chain k; an
+    # unprovable query, an unread one, a body without a rule and a need
+    # beyond max_replicas start at 0
+    for n in (0, 3, 12, 40):
+        assert prover._start_budget(_fact_after_read(n), 64) == n
+    for k in (0, 7, 30):
+        assert prover._start_budget(init_configuration(load_kb(_chain(k))), 64) == k
+    for kb in ("fact.kb", "ident.kb", "q.kb"):
+        assert prover._start_budget(init_configuration(load_kb(data_text(kb))),
+                                    64) == 0
+    assert prover._start_budget(_fact_after_read(12), 5) == 0
+
+
+def test_start_budget_work_is_bounded_on_a_partly_driven_game(monkeypatch):
+    # /d.1 is written to a rule that could fire forever; the free rules
+    # fire for as many rounds as there are of them, so a few matches settle
+    # the start (saturating without that limit runs to the fact cap here)
+    cfg = apply_read(init_configuration(load_kb(data_text("fact.kb"))),
+                     Path("query"), 2, "n")
+    for _ in range(2):
+        cfg = apply_write(cfg, Path("d", (1,)))
+    calls = [0]
+    real = prover.unify_atoms
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(prover, "unify_atoms", counting)
+    assert prover._start_budget(cfg, 64) == 1
+    assert calls[0] <= 10, calls
+
+
+def _render_recursively(strategy, indent=0):
+    """The printer as it was, one frame per step: the reference."""
+    pad = "  " * indent
+    if isinstance(strategy, Leaf):
+        return f"{pad}close"
+    if isinstance(strategy, Step):
+        head = configuration.move_line(strategy.move)[len("MOVE "):]
+        return f"{pad}{head}\n{_render_recursively(strategy.rest, indent)}"
+    return (f"{pad}branch read {strategy.path} (@{strategy.var} = any value)\n"
+            f"{_render_recursively(strategy.rest, indent + 1)}")
+
+
+def test_render_strategy_is_iterative_and_matches_the_recursive_one():
+    # equal text on small chains, and a 5,000-step chain, deeper than the
+    # recursive printer can go, prints in full
+    rng = random.Random(23)
+    moves = [WriteMove(Path("d", (1,)), gvar="W1"),
+             WriteMove(Path("query"), term=Num(3)),
+             ReplicateMove(Path("d"), 2)]
+
+    def chain(length):
+        node = Leaf()
+        for _ in range(length):
+            node = EnvBranch(Path("query"), "y", "_e1", node) \
+                if rng.random() < 0.3 else Step(rng.choice(moves), node)
+        return node
+
+    strategies = [chain(rng.randint(0, 12)) for _ in range(60)]
+    strategies += [prove(_fact_after_read(3)).strategy,
+                   prove(init_configuration(load_kb(data_text("ident.kb")))).strategy]
+    for strategy in strategies:
+        for indent in (0, 2):
+            assert render_strategy(strategy, indent) \
+                == _render_recursively(strategy, indent)
+    long = Leaf()
+    for i in range(5000):
+        long = Step(ReplicateMove(Path("d"), 5000 - i), long)
+    lines = render_strategy(long).split("\n")
+    assert len(lines) == 5001 and lines[-1] == "close"
+    assert lines[0] == "replicate /d idx=1" and lines[-2] == "replicate /d idx=5000"

@@ -94,7 +94,7 @@ def test_script_equivalence_result_and_bindings():
 def test_won_prove_reports_its_steps():
     outcome, _, _ = run_game("fact.kb", "fact_short.coli", [4])
     assert outcome.won
-    assert outcome.steps == 29
+    assert outcome.steps == 6
 
 
 def test_restricted_q_script_loses_exhausted():

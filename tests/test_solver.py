@@ -639,7 +639,7 @@ def test_close_fires_one_replica_per_class(monkeypatch):
     # every fact in every frame with one replica per class took 988
     calls = _count_unify_atoms(monkeypatch)
     outcome, _, _ = run_game("fact.kb", "fact_short.coli", [12])
-    assert outcome.won and outcome.steps == 181
+    assert outcome.won and outcome.steps == 14
     assert calls[0] <= 271
 
 
