@@ -10,8 +10,8 @@ from .configuration import (Configuration, Move, MoveOption, Path, ReadMove,
                             ReplicateMove, WriteMove, apply_read, apply_write,
                             init_configuration, legal_moves, move_line,
                             replay, replicate)
-from .directories import (DirectoryDef, DirectoryTable, define_directory,
-                          expand, load_kb, match_pattern)
+from .directories import (DirectoryDef, DirectoryTable, expand, load_kb,
+                          match_pattern)
 from .errors import (BoundError, ChannelError, ColiError, ConfigError,
                      DepthLimitError, ExpandError, KBError, ParseError,
                      SharedNodeError)

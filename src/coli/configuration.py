@@ -5,7 +5,7 @@ Services are kept in one node store so that moves can rewrite a single node
 stable.  A recurrence node lists its replicas as (index, root) pairs, and a
 path's integer segment at a recurrence names a replica.  A node with
 in-degree > 1 in a service's expansion is a shared (cirquent) node.  Each
-service is expanded straight into the store (`expand_into`), which reports
+service is expanded straight into the store (`Expansion`), which reports
 these nodes as it builds them, and the configuration records them once,
 before the first move.  A shared node and everything below it are
 read-only: moves never enter one (`legal_moves` does not list them and a
@@ -43,10 +43,10 @@ key or its dead-position check, whichever asks first.
 from __future__ import annotations
 
 from . import formulas as F
-from .directories import DirectoryTable, expand_into
+from .directories import DirectoryTable, Expansion
 from .errors import BoundError, ConfigError, SharedNodeError
 from .graphs import FormulaGraph, GNode
-from .records import Value, setfield
+from .records import Value
 from .terms import (App, Const, GVar, Num, Term, Var, pretty_term, subst_var,
                     term_vars)
 
@@ -57,8 +57,9 @@ class Path(Value):
     __slots__ = ("dir", "segments")
 
     def __init__(self, dir: str, segments: tuple = ()):
-        setfield(self, "dir", dir)
-        setfield(self, "segments", segments)
+        put_dir, put_segments = self._setters
+        put_dir(self, dir)
+        put_segments(self, segments)
 
     def __eq__(self, other):
         return (other.__class__ is Path and self.dir == other.dir
@@ -185,10 +186,11 @@ def init_configuration(table: DirectoryTable, input_names=None,
     cfg = Configuration()
     cfg.output = output_name
     shared: set[int] = set()
+    expansion = Expansion(table, cfg.nodes)  # one for all services
     for name in list(input_names) + [output_name]:
         if name not in table.defs:
             raise ConfigError(f"undefined service /{name}")
-        cfg.roots[name], found = expand_into(table, F.DirRef(name), cfg.nodes)
+        cfg.roots[name], found = expansion.expand(F.DirRef(name))
         shared |= found
     cfg.shared = frozenset(shared)
     return cfg

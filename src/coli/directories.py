@@ -5,28 +5,32 @@ clause patterns such as ``0`` / ``s(X)``) to a formula.  References come in
 two flavours: ``!/m`` splices in a fresh copy of the content, ``/m`` splices
 in one shared node that every reference points at.
 
-KB file format, one definition per line::
+KB file format, one definition per line, each name one identifier::
 
     # lines starting with '#' are comments
     /c = fact(0,1)
     /m(0) = q
     /m(s(X)) = p /\\ !/m(X)
     query /query
-"""
+
+`load_kb` feeds a file's patterns and bodies to one FormulaParser, so a table
+holds each distinct leaf term once."""
 
 from __future__ import annotations
 
+import re
 import sys
 
 from . import formulas as F
 from .errors import DepthLimitError, ExpandError, KBError, ParseError
 from .graphs import OPS, FormulaGraph, GNode
-from .parser import parse_formula, parse_pattern
+from .parser import FormulaParser
 from .records import Value
 from .solver import eval_ground
 from .terms import App, Num, Term, Var, is_ground, pretty_term, subst_var
 
 DEPTH_LIMIT = 1024
+_NAME = re.compile(r"[^\W\d_]\w*")  # one identifier, as the lexer reads it
 _BINARY = (F.And, F.Or, F.Implies)  # the connectives with two children
 
 
@@ -34,14 +38,19 @@ class Clause(Value):
     __slots__ = ("pattern", "body")
 
     def __init__(self, pattern: Term | None, body: F.Formula):
-        self._setfields(pattern, body)  # pattern None: a parameterless directory
+        put_pattern, put_body = self._setters
+        put_pattern(self, pattern)  # None: a parameterless directory
+        put_body(self, body)
 
 
 class DirectoryDef(Value):
     __slots__ = ("name", "arity", "clauses")
 
     def __init__(self, name: str, arity: int, clauses: tuple):
-        self._setfields(name, arity, clauses)
+        put_name, put_arity, put_clauses = self._setters
+        put_name(self, name)
+        put_arity(self, arity)
+        put_clauses(self, clauses)
 
 
 class DirectoryTable:
@@ -56,46 +65,19 @@ class DirectoryTable:
         return [n for n, d in self.defs.items() if d.arity == 0 and n != self.query]
 
 
-def define_directory(table: DirectoryTable, name: str, clauses) -> DirectoryTable:
-    """Install a definition, replacing any previous one under the same name.
-
-    All clauses must agree on arity and their patterns must be pairwise
-    non-overlapping; each clause is checked against the clauses before it.
-    """
-    built = [Clause(pattern, body) for pattern, body in clauses]
-    arities = {0 if c.pattern is None else 1 for c in built}
-    if len(arities) != 1:
-        raise KBError(f"/{name}: clauses disagree on arity")
-    arity = arities.pop()
-    prev = table.defs.get(name)
+def _add_clause(table: DirectoryTable, name: str, pattern: Term | None,
+                body: F.Formula):
+    """Add one KB line's clause to /name: a parameterless one replaces it, a
+    pattern clause is appended, checked against the clauses it already has."""
+    prev, arity = table.defs.get(name), 0 if pattern is None else 1
     if prev is not None and prev.arity != arity:
-        raise KBError(f"/{name}: redefinition changes arity "
-                      f"({prev.arity} -> {arity})")
-    if arity:
-        for i, clause in enumerate(built):
-            _check_disjoint(name, built[:i], clause.pattern)
-    table.defs[name] = DirectoryDef(name, arity, tuple(built))
-    return table
-
-
-def _check_disjoint(name: str, earlier, pattern: Term):
-    for clause in earlier:
+        raise KBError(f"/{name}: redefinition changes arity ({prev.arity} -> {arity})")
+    clauses = prev.clauses if arity and prev is not None else ()
+    for clause in clauses:
         if _patterns_overlap(clause.pattern, pattern):
-            raise KBError(
-                f"/{name}: overlapping patterns {pretty_term(clause.pattern)} "
-                f"and {pretty_term(pattern)}")
-
-
-def _extend_directory(table: DirectoryTable, name: str, pattern: Term,
-                      body: F.Formula):
-    """Append one pattern clause to /name, checked only against the clauses
-    it already has, so k clauses cost k(k-1)/2 overlap checks."""
-    prev = table.defs.get(name)
-    if prev is None or prev.arity == 0:
-        define_directory(table, name, [(pattern, body)])
-        return
-    _check_disjoint(name, prev.clauses, pattern)
-    table.defs[name] = DirectoryDef(name, 1, prev.clauses + (Clause(pattern, body),))
+            raise KBError(f"/{name}: overlapping patterns "
+                          f"{pretty_term(clause.pattern)} and {pretty_term(pattern)}")
+    table.defs[name] = DirectoryDef(name, arity, clauses + (Clause(pattern, body),))
 
 
 def match_pattern(pattern: Term, arg: Term):
@@ -168,17 +150,15 @@ def resolve_ref(table: DirectoryTable, name: str,
 
 
 def expand(table: DirectoryTable, ref: F.DirRef) -> FormulaGraph:
-    """Expand a reference into a graph of its own, with no DirRef nodes left:
-    `expand_into` on an empty node store."""
+    """Expand a reference into a graph of its own, with no DirRef nodes left."""
     graph = FormulaGraph()
-    graph.root, _shared = expand_into(table, ref, graph.nodes)
+    graph.root, _shared = Expansion(table, graph.nodes).expand(ref)
     return graph
 
 
-def expand_into(table: DirectoryTable, ref: F.DirRef,
-                nodes: dict) -> tuple[int, set]:
-    """Expand a reference into the node store `nodes`, adding each node at
-    id len(nodes) after its children; returns (root id, shared ids).
+class Expansion:
+    """Expands references into the node store `nodes`, adding each node at id
+    len(nodes) after its children.
 
     Clause bodies are walked as written, with the parameter bindings of the
     reference that reached them: an atom's or a reference's arguments are
@@ -189,114 +169,111 @@ def expand_into(table: DirectoryTable, ref: F.DirRef,
     per name and evaluated arguments and reused.  A node is cached only after
     its body is built, so each reuse gives it one more parent: the shared
     ids, the nodes handed out on reuse, are exactly those of in-degree > 1.
+    `resolve_ref`'s answers are kept, by name and evaluated arguments, for
+    every reference the expansion meets.
     """
-    cache: dict = {}
-    shared: set[int] = set()
-    # a runaway recursive definition burns several Python frames per level,
-    # so give the interpreter room to actually reach the depth limit
-    previous_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous_limit, DEPTH_LIMIT * 10 + 500))
+    __slots__ = ("table", "nodes", "resolved", "name", "cache", "shared")
 
-    def bind(args: tuple, env: dict) -> tuple:
-        for name, value in env.items():
-            args = tuple(subst_var(t, name, value) for t in args)
-        return args
+    def __init__(self, table: DirectoryTable, nodes: dict):
+        self.table, self.nodes, self.resolved = table, nodes, {}
 
-    def build(f: F.Formula, env: dict, depth: int) -> int:
+    def expand(self, ref: F.DirRef) -> tuple[int, set]:
+        """Expand one reference: (root id, shared ids)."""
+        self.name, self.cache, self.shared = ref.name, {}, set()
+        # a runaway recursive definition burns several Python frames per level,
+        # so give the interpreter room to actually reach the depth limit
+        previous_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(previous_limit, DEPTH_LIMIT * 10 + 500))
+        try:  # the root is cached nowhere: nothing is built after it
+            root = self.build(*resolve_ref(self.table, ref.name, ref.args), 1)
+        finally:
+            sys.setrecursionlimit(previous_limit)
+        return root, self.shared
+
+    def build(self, f: F.Formula, env: dict, depth: int) -> int:
         if depth > DEPTH_LIMIT:
             raise DepthLimitError(
-                f"expansion of /{ref.name} exceeded depth {DEPTH_LIMIT}")
+                f"expansion of /{self.name} exceeded depth {DEPTH_LIMIT}")
         kind = type(f)
-        if kind in OPS:
+        op = OPS.get(kind)
+        if op is not None:
             depth += 1
-            kids = ((build(f.left, env, depth), build(f.right, env, depth))
-                    if kind in _BINARY else (build(f.body, env, depth),))
-            node = GNode(OPS[kind], children=kids, var=getattr(f, "var", None))
+            kids = ((self.build(f.left, env, depth), self.build(f.right, env, depth))
+                    if kind in _BINARY else (self.build(f.body, env, depth),))
+            node = GNode(op, kids, None, (), getattr(f, "var", None))
         elif kind is F.Atom:
-            node = GNode("atom", pred=f.pred, args=bind(f.args, env))
+            node = GNode("atom", (), f.pred, _bind(f.args, env) if env else f.args)
         elif kind is not F.DirRef:
             raise ExpandError(f"cannot expand {f!r}")
-        elif f.copy:
-            return build(*resolve_ref(table, f.name, bind(f.args, env)),
-                         depth + 1)
         else:
-            args = bind(f.args, env)
-            key = (f.name, tuple(eval_ground(a) for a in args))
-            nid = cache.get(key)
+            args = _bind(f.args, env) if env else f.args
+            key = (f.name, tuple(map(eval_ground, args)))
+            found = self.resolved.get(key)
+            if found is None:
+                found = self.resolved[key] = resolve_ref(self.table, f.name, args)
+            if f.copy:
+                return self.build(*found, depth + 1)
+            nid = self.cache.get(key)
             if nid is None:
-                nid = cache[key] = build(*resolve_ref(table, f.name, args),
-                                         depth + 1)
+                nid = self.cache[key] = self.build(*found, depth + 1)
             else:
-                shared.add(nid)
+                self.shared.add(nid)
             return nid
-        nid = len(nodes)
-        nodes[nid] = node
+        nid = len(self.nodes)
+        self.nodes[nid] = node
         return nid
 
-    try:
-        root = build(ref, {}, 0)
-    finally:
-        sys.setrecursionlimit(previous_limit)
-        # build's closure holds build itself: break that cycle so the
-        # expansion's garbage is freed now, not by the cycle collector
-        del build
-    return root, shared
+
+def _bind(args: tuple, env: dict) -> tuple:
+    for name, value in env.items():
+        args = tuple(subst_var(t, name, value) for t in args)
+    return args
 
 
 def load_kb(text: str) -> DirectoryTable:
-    """Parse a knowledge-base file into a directory table.  A parse error
-    reports its line and column in the file."""
+    """Parse a knowledge-base file into a directory table.  An error reports
+    its line, and a parse error also its column in the file."""
     table = DirectoryTable()
+    parser = FormulaParser()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         try:
             if line.startswith("query"):
                 rest = line[len("query"):].strip()
                 if not rest.startswith("/"):
                     raise KBError("query line needs a /name")
-                table.query = rest[1:].strip()
+                table.query = _name(rest[1:])
                 continue
-            name, pattern, params, rhs, rhs_start = _split_definition(raw, lineno)
-            body = _parse_at(lineno, rhs_start, parse_formula, rhs, params)
-            if pattern is None:
-                define_directory(table, name, [(None, body)])
+            eq = raw.find("=")
+            if eq < 0:
+                raise KBError(f"missing '=' in definition: {line!r}")
+            head, rhs = raw[:eq].strip(), raw[eq + 1:]
+            if not head.startswith("/"):
+                raise KBError(f"definitions start with '/': {line!r}")
+            if "(" not in head:
+                name, pattern, params = _name(head[1:]), None, ()
+            elif not head.endswith(")"):
+                raise KBError(f"unclosed pattern in {line!r}")
             else:
-                _extend_directory(table, name, pattern, body)
+                name, pat_text = head[1:-1].split("(", 1)
+                name, start = _name(name), raw.index("(") + 1
+                pattern = parser.feed(pat_text, pattern=True).finish(parser.term())
+                params = tuple(parser.names)
+            start = eq + 1 + len(rhs) - len(rhs.lstrip())  # where the body begins
+            body = parser.feed(rhs.strip(), params).finish(parser.formula())
+            _add_clause(table, name, pattern, body)
         except (ParseError, KBError) as exc:
+            if isinstance(exc, ParseError):  # placed in its text: move it to the file
+                exc = ParseError(exc.reason, lineno, exc.col + start)
             raise KBError(f"line {lineno}: {exc}") from exc
     return table
 
 
-def _split_definition(raw: str, lineno: int):
-    """(name, pattern, params, rhs, where rhs starts in raw) of a definition
-    line; the pattern is parsed here."""
-    line = raw.strip()
-    eq = raw.find("=")
-    if eq < 0:
-        raise KBError(f"missing '=' in definition: {line!r}")
-    head, rhs = raw[:eq].strip(), raw[eq + 1:]
-    rhs_start = eq + 1 + len(rhs) - len(rhs.lstrip())
-    if not head.startswith("/"):
-        raise KBError(f"definitions start with '/': {line!r}")
-    head = head[1:]
-    if "(" in head:
-        if not head.endswith(")"):
-            raise KBError(f"unclosed pattern in {line!r}")
-        name, pat_text = head[:-1].split("(", 1)
-        pat_start = raw.index("(")
-        pattern, params = _parse_at(lineno, pat_start + 1, parse_pattern, pat_text)
-        return name.strip(), pattern, params, rhs.strip(), rhs_start
-    return head.strip(), None, (), rhs.strip(), rhs_start
-
-
-def _parse_at(lineno: int, start: int, parse, text: str, *args):
-    """parse(text, *args) for text that begins at offset `start` of the file's
-    line `lineno`; a parse error is moved to that line and column."""
-    try:
-        return parse(text, *args)
-    except ParseError as exc:
-        if exc.col is None:
-            raise
-        raise ParseError(exc.reason, lineno, exc.col + start) from None
+def _name(text: str) -> str:
+    """text, stripped, as a directory's name: one identifier."""
+    name = text.strip()
+    if not _NAME.fullmatch(name):
+        raise KBError(f"directory name must be one identifier, found {name!r}")
+    return name

@@ -17,7 +17,7 @@ Concrete syntax (see parser.py):
 
 from __future__ import annotations
 
-from .records import Value, setfield
+from .records import Value
 from .terms import pretty_term
 
 
@@ -25,8 +25,9 @@ class Atom(Value):
     __slots__ = ("pred", "args")
 
     def __init__(self, pred: str, args: tuple = ()):
-        setfield(self, "pred", pred)
-        setfield(self, "args", args)
+        put_pred, put_args = self._setters
+        put_pred(self, pred)
+        put_args(self, args)
 
     def __eq__(self, other):
         return (other.__class__ is Atom and self.pred == other.pred
@@ -40,7 +41,7 @@ class _Unary(Value):
     __slots__ = ("body",)
 
     def __init__(self, body: "Formula"):
-        self._setfields(body)
+        self._setters[0](self, body)
 
 
 class Neg(_Unary):
@@ -55,7 +56,9 @@ class _Binary(Value):
     __slots__ = ("left", "right")
 
     def __init__(self, left: "Formula", right: "Formula"):
-        self._setfields(left, right)
+        put_left, put_right = self._setters
+        put_left(self, left)
+        put_right(self, right)
 
 
 class And(_Binary):
@@ -74,7 +77,9 @@ class _Quantifier(Value):
     __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: "Formula"):
-        self._setfields(var, body)
+        put_var, put_body = self._setters
+        put_var(self, var)
+        put_body(self, body)
 
 
 class All(_Quantifier):
@@ -89,7 +94,10 @@ class DirRef(Value):
     __slots__ = ("name", "args", "copy")
 
     def __init__(self, name: str, args: tuple = (), copy: bool = False):
-        self._setfields(name, args, copy)
+        put_name, put_args, put_copy = self._setters
+        put_name(self, name)
+        put_args(self, args)
+        put_copy(self, copy)
 
 
 Formula = Atom | Neg | And | Or | Implies | All | Exists | Recur | DirRef

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import formulas as F
 from .errors import ColiError
-from .records import Record, Value, setfield
+from .records import Record, Value
 
 
 class GNode(Value):
@@ -21,12 +21,13 @@ class GNode(Value):
 
     def __init__(self, op: str, children: tuple = (), pred: str | None = None,
                  args: tuple = (), var: str | None = None, replicas: tuple = ()):
-        setfield(self, "op", op)
-        setfield(self, "children", children)
-        setfield(self, "pred", pred)
-        setfield(self, "args", args)
-        setfield(self, "var", var)
-        setfield(self, "replicas", replicas)
+        put_op, put_children, put_pred, put_args, put_var, put_replicas = self._setters
+        put_op(self, op)
+        put_children(self, children)
+        put_pred(self, pred)
+        put_args(self, args)
+        put_var(self, var)
+        put_replicas(self, replicas)
 
     def label(self) -> str:
         if self.op == "atom":

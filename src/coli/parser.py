@@ -21,6 +21,8 @@ character gives their kind, and "" ends every token list.  A ParseError finds
 its line and column (a tab is one column) by lexing again up to its token.
 The parser keeps operators, prefixes, parentheses and applications on
 explicit stacks, so no nesting depth of the input costs interpreter frames.
+One FormulaParser reads the texts of a whole KB file, one after another, and
+builds each distinct leaf term of the file once.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .terms import App, Const, Num, Term, Var
 # numeral | identifier (no leading underscore: those name eigenvariables)
 # | two-character operator | one-character operator; blanks match nothing
 _TOKEN = re.compile(r"\d+|[^\W\d_]\w*|/\\|\\/|->|<=|>=|[()\[\],.~@#$!/=:;{}<>+*]")
+_ASCII_TOKEN = re.compile(_TOKEN.pattern, re.ASCII)  # the same on ASCII text, faster
 _BLANKS = re.compile(r"[ \t\r\n]*")
 # operator: (left power, right power, constructor).  A pending operator is
 # reduced when its right power reaches the next one's left power, so "->",
@@ -57,9 +60,9 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 def tokenize(text: str, comment: str | None = None) -> list[str]:
     """Split text into tokens, then ""; `comment` (e.g. "%") skips to end of line."""
     text = _strip_comments(text, comment)
-    tokens = _TOKEN.findall(text)
-    blanks = text.count(" ") + text.count("\t") + text.count("\r") + text.count("\n")
-    if sum(map(len, tokens)) + blanks != len(text):
+    tokens = (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)
+    skipped = len(text) - len("".join(tokens)) - text.count(" ")
+    if skipped and skipped != text.count("\t") + text.count("\r") + text.count("\n"):
         # findall stepped over a character that starts no token: find the first
         pos = _BLANKS.match(text).end()
         while m := _TOKEN.match(text, pos):
@@ -89,10 +92,9 @@ def kind(tok: str) -> str:
 class TokenStream:
     """The tokens of one text, read by index."""
 
-    def __init__(self, text: str, comment: str | None = None):
-        self.text, self.comment = text, comment
-        self.tokens = tokenize(text, comment)
-        self.pos = 0
+    def __init__(self, text: str | None = None, comment: str | None = None):
+        self.text, self.comment, self.pos = text, comment, 0
+        self.tokens = None if text is None else tokenize(text, comment)
 
     def peek(self, ahead: int = 0) -> str:
         # look ahead only from a token other than the final "", which ends the list
@@ -144,14 +146,25 @@ class TokenStream:
 
 class FormulaParser:
     """Parses formulas and terms; tracks quantifier scope and directory
-    parameters.  A pattern parser takes every UpperIdent as a parameter and
-    lists them in `names`, in order of first occurrence."""
+    parameters.  `feed` moves it on to the next text; the leaf terms (`Var`,
+    `Const`, `Num`) of all its texts are hash-consed (Filliâtre and Conchon
+    2006), so equal leaves are one object.  A pattern text takes every
+    UpperIdent as a parameter and lists them in `names`, in order of first
+    occurrence."""
 
-    def __init__(self, stream: TokenStream, params=(), pattern: bool = False):
-        self.ts = stream
+    def __init__(self):
+        self.ts = TokenStream()
+        self.leaves, self.vars = {}, {}  # Const by name, Num by value; Var by name
+
+    def feed(self, text: str, params=(), pattern: bool = False) -> TokenStream:
+        """Lex text as the next input, over the directory parameters `params`;
+        returns the stream, whose `finish` checks that a parse used it up."""
+        ts = self.ts
+        ts.text, ts.tokens, ts.pos = text, tokenize(text), 0
         self.params = frozenset(params)
         self.names: list[str] | None = [] if pattern else None
         self.bound: list[str] = []
+        return ts
 
     def formula(self, unary: bool = False) -> Formula:
         """Parse a formula, or with `unary` one `un` of the grammar."""
@@ -168,7 +181,8 @@ class FormulaParser:
                 continue
             if tok in _QUANTIFIER:
                 var = toks[i + 1]
-                if kind(var) != "IDENT":
+                if not (var[:1].isalnum() and not var[0].isdecimal()
+                        and not var[0].isupper()):  # kind(var) != "IDENT"
                     ts.expected("quantifier variable", i + 1)
                 if toks[i + 2] != ".":
                     ts.expected("'.'", i + 2)
@@ -189,13 +203,17 @@ class FormulaParser:
                 name = toks[i + 1]
                 if kind(name) != "IDENT":
                     ts.expected("directory name", i + 1)
-                args, i = self._args(i + 2)
-                f = DirRef(name, args, tok == "!")
-            elif kind(tok) == "IDENT":
-                args, i = self._args(i + 1)
-                f = Atom(tok, args)
+                i += 2
+            elif (tok[:1].isalnum() and not tok[0].isdecimal()
+                  and not tok[0].isupper()):  # kind(tok) == "IDENT"
+                name = None
+                i += 1
             else:
                 ts.expected("a formula", i)
+            args = ()
+            if toks[i] == "(":
+                args, i = self._term(i + 1, [])
+            f = Atom(tok, args) if name is None else DirRef(name, args, tok == "!")
             while True:  # f is a complete operand
                 while prefixes:
                     build, var = prefixes.pop()
@@ -210,10 +228,13 @@ class FormulaParser:
                 tok = toks[i]
                 op = _BINARY.get(tok)
                 if op is not None:
-                    pending.append((_reduce(pending, f, op[0]),) + op[1:])
+                    if pending:
+                        f = _reduce(pending, f, op[0])
+                    pending.append((f, op[1], op[2]))
                     i += 1
                     break
-                f = _reduce(pending, f)
+                if pending:
+                    f = _reduce(pending, f)
                 if not frames:
                     ts.pos = i
                     return f
@@ -221,11 +242,6 @@ class FormulaParser:
                     ts.expected("')'", i)
                 i += 1
                 pending, prefixes = frames.pop()
-
-    def _args(self, i: int) -> tuple[tuple, int]:
-        if self.ts.tokens[i] != "(":
-            return (), i
-        return self._term(i + 1, [])
 
     # terms ----------------------------------------------------------
 
@@ -237,36 +253,34 @@ class FormulaParser:
         """Parse the term at token i, or with `arglist` the rest of an argument
         list through its ")"; returns the term (or the arguments) and the
         index after it."""
-        ts, toks, params, names, bound = (self.ts, self.ts.tokens, self.params,
-                                          self.names, self.bound)
-        # open applications and parentheses: (function, arguments, pending
-        # outside); the function is "(" for a parenthesized term
+        ts, toks, bound = self.ts, self.ts.tokens, self.bound
+        leaves, variables = self.leaves, self.vars  # leaves are never falsy
+        # the innermost open application or parenthesis: its function ("("
+        # for a parenthesized term, None for `arglist`), its arguments so far
+        # and the operators pending outside it; the ones around it on `calls`
+        fn, args, outside = None, arglist, None
         calls = []
-        if arglist is not None:
-            calls.append((None, arglist, []))
         pending = []  # (left operand, right power, constructor) of "+" and "*"
         while True:
             tok = toks[i]
-            if tok.isdecimal():
-                t = Num(ts.numeral(i))
+            if tok in bound and toks[i + 1] != "(":
+                t = variables.get(tok) or variables.setdefault(tok, Var(tok))
+            elif tok.isdecimal():
+                value = ts.numeral(i)
+                t = leaves.get(value) or leaves.setdefault(value, Num(value))
             elif tok[:1].isupper():
-                if names is None:
-                    if tok not in params:
+                if self.names is None:
+                    if tok not in self.params:
                         ts.error(f"unbound variable {tok!r}", i)
-                elif tok not in names:
-                    names.append(tok)
-                t = Var(tok)
-            elif tok[:1].isalnum():
-                if toks[i + 1] == "(":
-                    calls.append((tok, [], pending))
-                    pending = []
-                    i += 2
-                    continue
-                t = Var(tok) if tok in bound else Const(tok)
-            elif tok == "(":
-                calls.append(("(", [], pending))
-                pending = []
-                i += 1
+                elif tok not in self.names:
+                    self.names.append(tok)
+                t = variables.get(tok) or variables.setdefault(tok, Var(tok))
+            elif tok[:1].isalnum() and toks[i + 1] != "(":
+                t = leaves.get(tok) or leaves.setdefault(tok, Const(tok))
+            elif tok[:1].isalnum() or tok == "(":  # an application or a parenthesis
+                calls.append((fn, args, outside))
+                fn, args, outside, pending = tok, [], pending, []
+                i += 1 if tok == "(" else 2
                 continue
             else:
                 ts.expected("a term", i)
@@ -275,13 +289,15 @@ class FormulaParser:
                 tok = toks[i]
                 op = _ARITH.get(tok)
                 if op is not None:
-                    pending.append((_reduce(pending, t, op[0]),) + op[1:])
+                    if pending:
+                        t = _reduce(pending, t, op[0])
+                    pending.append((t, op[1], op[2]))
                     i += 1
                     break
-                t = _reduce(pending, t)
-                if not calls:
+                if pending:
+                    t = _reduce(pending, t)
+                if args is None:
                     return t, i
-                fn, args, outside = calls[-1]
                 args.append(t)
                 if tok == "," and fn != "(":
                     i += 1
@@ -289,28 +305,28 @@ class FormulaParser:
                 if tok != ")":
                     ts.expected("')'", i)
                 i += 1
-                calls.pop()
                 if fn is None:
                     return tuple(args), i
                 t = args[0] if fn == "(" else App(fn, tuple(args))
                 pending = outside
+                fn, args, outside = calls.pop()
 
 
 def parse_formula(text: str, params=()) -> Formula:
     """Parse a complete formula; `params` names permitted UpperIdent parameters."""
-    parser = FormulaParser(TokenStream(text), params)
-    return parser.ts.finish(parser.formula())
+    parser = FormulaParser()
+    return parser.feed(text, params).finish(parser.formula())
 
 
 def parse_term(text: str, params=()) -> Term:
-    parser = FormulaParser(TokenStream(text), params)
-    return parser.ts.finish(parser.term())
+    parser = FormulaParser()
+    return parser.feed(text, params).finish(parser.term())
 
 
 def parse_dirref(text: str) -> DirRef:
     """Parse a directory reference such as ``/m(s(0))`` or ``!/n``."""
-    parser = FormulaParser(TokenStream(text))
-    f = parser.ts.finish(parser.formula(unary=True))
+    parser = FormulaParser()
+    f = parser.feed(text).finish(parser.formula(unary=True))
     if not isinstance(f, DirRef):
         raise ParseError("not a directory reference")
     return f
@@ -318,5 +334,5 @@ def parse_dirref(text: str) -> DirRef:
 
 def parse_pattern(text: str) -> tuple[Term, tuple[str, ...]]:
     """Parse a clause pattern; UpperIdents bind and are returned as parameters."""
-    parser = FormulaParser(TokenStream(text), pattern=True)
-    return parser.ts.finish(parser.term()), tuple(parser.names)
+    parser = FormulaParser()
+    return parser.feed(text, pattern=True).finish(parser.term()), tuple(parser.names)

@@ -1,8 +1,7 @@
 """Bases of the value classes.  A subclass names its fields in `__slots__`
-and stores them in its own `__init__`: with one `setfield` call per field in
-the classes built per term or node, with `_setfields` in the others."""
-
-setfield = object.__setattr__
+and stores them in its own `__init__` with its slots' setters (`_setters`):
+one call each in the classes built per term, formula or node, faster than
+`object.__setattr__`, which looks the name up; `_setfields` in the others."""
 
 
 class Record:
@@ -15,7 +14,7 @@ class Record:
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
     def _setfields(self, *values):
-        for put, value in zip(self._setters, values):  # faster than setfield by name
+        for put, value in zip(self._setters, values):
             put(self, value)
 
     def _values(self):

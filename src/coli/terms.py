@@ -12,7 +12,7 @@ Four variable-like things live in terms and they are kept distinct:
 
 from __future__ import annotations
 
-from .records import Value, setfield
+from .records import Value
 
 
 class Num(Value):
@@ -21,7 +21,7 @@ class Num(Value):
     def __init__(self, value: int):
         if value < 0:
             raise ValueError("naturals only")
-        setfield(self, "value", value)
+        self._setters[0](self, value)
 
     def __eq__(self, other):
         return other.__class__ is Num and self.value == other.value
@@ -34,7 +34,7 @@ class _Name(Value):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        setfield(self, "name", name)
+        self._setters[0](self, name)
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self.name == other.name
@@ -59,8 +59,9 @@ class App(Value):
     __slots__ = ("fn", "args")
 
     def __init__(self, fn: str, args: tuple):
-        setfield(self, "fn", fn)
-        setfield(self, "args", args)
+        put_fn, put_args = self._setters
+        put_fn(self, fn)
+        put_args(self, args)
 
     def __eq__(self, other):
         return other.__class__ is App and self.fn == other.fn and self.args == other.args
@@ -70,10 +71,6 @@ class App(Value):
 
 
 Term = Num | Const | Var | GVar | App
-
-
-def app(fn, *args):
-    return App(fn, tuple(args))
 
 
 def term_vars(t: Term) -> set:

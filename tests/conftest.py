@@ -9,9 +9,15 @@ import pytest
 from coli import init_configuration, load_kb
 from coli.prover import Bounds
 from coli.scripts import ListChannel, ScriptEnv, parse_script, run_script
+from coli.terms import App
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
+
+
+def app(fn, *args) -> App:
+    """The application fn(args...), written shortly."""
+    return App(fn, tuple(args))
 
 
 def data_text(name: str) -> str:
@@ -86,3 +92,24 @@ def fact_table():
 @pytest.fixture
 def fact_config(fact_table):
     return init_configuration(fact_table)
+
+
+def large_kb_text(rng, services: int, families: int) -> str:
+    """A KB shaped like the benchmark's large-kb, at a chosen size: fact.kb's
+    three services, parameterised families /t(0), /t(s(X)) = t(X) /\\ !/t(X),
+    and services of four shapes in turn: a replicable rule, a copied /t(3),
+    the shared /t(2) twice in one body, and a machine choice behind $."""
+    lines = ["/c = fact(0,1)", "/d = $ @x. @y. (fact(x,y) -> fact(x+1, x*y+y))",
+             "/query = @y. #z. fact(y,z)"]
+    for f in range(families):
+        lines += [f"/t{f}(0) = t{f}({rng.randrange(100)})",
+                  f"/t{f}(s(X)) = t{f}(X) /\\ !/t{f}(X)"]
+    for i in range(services):
+        t, k = f"t{rng.randrange(families)}", rng.randrange(1, 100)
+        lines.append(f"/s{i} = " + [
+            f"$ @x. @y. (r{i}(x,y) -> r{i}(y, x+{k}))",
+            f"$ @x. (r{i}(x) -> !/{t}(3))",
+            f"$ @x. (/{t}(2) /\\ r{i}(x,{k}) -> /{t}(2))",
+            f"$ #x. (r{i}(x) \\/ r{i}({k}))"][i % 4])
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\nquery /query\n"

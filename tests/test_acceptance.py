@@ -14,7 +14,7 @@ from coli.prover import Bounds, prove
 from coli.scripts import ListChannel, ScriptEnv, execute_strategy, parse_script, run_script
 from coli.solver import unify
 
-from conftest import data_path, data_text, factorial, graph_depth, snapshot
+from conftest import app, data_path, data_text, factorial, graph_depth, snapshot
 from test_solver import _fuzz_term, oracle_unify
 from test_solver import test_close_matches_exhaustive_oracle as closure_oracle_check
 
@@ -125,7 +125,7 @@ def test_criterion_6_unification_suite():
         if mine is not None:
             assert mine.apply(t1) == mine.apply(t2)
     # explicit occurs-check rejections
-    from coli.terms import GVar, app
+    from coli.terms import GVar
     assert unify(GVar("W1"), app("f", GVar("W1"))) is None
     assert unify(app("g", GVar("W2"), GVar("W2")),
                  app("g", GVar("W2"), app("f", GVar("W2")))) is None

@@ -367,6 +367,25 @@ def test_missing_query_designation_exits_2(capsys):
     assert code == 2 and "query" in err
 
 
+@pytest.mark.parametrize("kb, line, name", [
+    ("/c = p\nquery /a b\n", 2, "a b"),
+    ("/c = p\nquery /a(3)\n", 2, "a(3)"),
+    ("/c = p\nquery /\n", 2, ""),
+    ("/a b = p\nquery /a b\n", 1, "a b"),  # proved lost (exit 1) before
+    ("/a b = q\n/q = p\nquery /q\n", 1, "a b"),  # exit 1 before
+    ("/q = p\n/a b = p\nquery /q\n", 2, "a b"),  # won (exit 0) before
+    ("/q = p\n/m b(X) = p\nquery /q\n", 2, "m b"),
+])
+def test_directory_names_are_one_identifier(capsys, tmp_path, kb, line, name):
+    path = tmp_path / "names.kb"
+    path.write_text(kb)
+    for command in ("check", "prove"):
+        code, out, err = run_cli(capsys, command, "--kb", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: line {line}: directory name must be one "
+                       f"identifier, found {name!r}\n")
+
+
 def test_check_broken_script_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.coli"
     bad.write_text("algorithm t { /q.frob; }")

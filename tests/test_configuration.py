@@ -12,14 +12,15 @@ from coli.configuration import (MoveOption, Path, ReadMove, ReplicateMove,
                                 WriteMove, apply_read, apply_write,
                                 init_configuration, legal_moves, move_line,
                                 peel_env_symbolic, replay, replicate, resolve)
-from coli.directories import expand, load_kb
+from coli.directories import load_kb
 from coli.errors import BoundError, ColiError, ConfigError, SharedNodeError
 from coli.formulas import Atom, DirRef, Exists, Implies, pretty
 from coli.graphs import GNode, preorder
 from coli.prover import _canonical_key, _dead
-from coli.terms import App, Const, GVar, Num, Var, app
+from coli.terms import App, Const, GVar, Num, Var
 
-from conftest import data_text, run_game, snapshot
+import kb_reference
+from conftest import app, data_text, large_kb_text, run_game, snapshot
 
 
 # a shared node holding a machine quantifier, beside an unshared one
@@ -559,9 +560,10 @@ def test_region_cache_matches_reference_walks(kb, mixed):
 
 def reference_init(table, input_names=None, output_name=None):
     """(nodes, roots, shared) of the initial store, built the way it was
-    before services were expanded in place: `expand` each service into a
-    graph of its own, renumber its nodes in id order after the store's,
-    and take as shared the nodes with more than one parent."""
+    before services were expanded in place: expand each service into a
+    graph of its own with the reference expander, renumber its nodes in id
+    order after the store's, and take as shared the nodes with more than
+    one parent."""
     output_name = output_name or table.query
     if input_names is None:
         input_names = [n for n in table.input_names() if n != output_name]
@@ -569,7 +571,7 @@ def reference_init(table, input_names=None, output_name=None):
     for name in list(input_names) + [output_name]:
         if name not in table.defs:
             raise ConfigError(f"undefined service /{name}")
-        graph = expand(table, DirRef(name))
+        graph = kb_reference.expand(table, DirRef(name))
         mapping = {}
         for old in sorted(graph.nodes):  # children precede parents
             node = graph.nodes[old]
@@ -673,3 +675,13 @@ def test_init_matches_the_reference_store_on_random_kbs():
     for _ in range(300):
         shared += bool(_assert_same_init(load_kb(_random_store_kb(rng))).shared)
     assert shared > 250  # most of them hold a shared node
+
+
+@pytest.mark.parametrize("services,families", [(4, 1), (8, 2), (24, 3), (60, 7)])
+def test_init_matches_the_reference_store_on_large_kb_shapes(services, families):
+    # one init resolves each reference once for all services; the oracle
+    # resolves it at every occurrence
+    rng = random.Random(services)
+    for _ in range(5):
+        cfg = _assert_same_init(load_kb(large_kb_text(rng, services, families)))
+        assert len(cfg.shared) == services // 4 + (services % 4 > 2)

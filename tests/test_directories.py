@@ -1,19 +1,21 @@
 """Directory definitions, pattern clauses, and copy/shared expansion."""
 
 import gc
+import random
+from collections import Counter
 
 import pytest
 
 from coli import directories
-from coli.directories import (DirectoryTable, define_directory, expand,
-                              load_kb, match_pattern)
+from coli.directories import expand, load_kb, match_pattern
 from coli.errors import DepthLimitError, ExpandError, KBError
-from coli.formulas import All, And, Atom, DirRef, Exists, Neg, pretty
+from coli.formulas import All, And, Atom, DirRef, Exists, Neg, children, pretty
 from coli.graphs import FormulaGraph, GNode, preorder
-from coli.parser import parse_dirref, parse_formula, parse_pattern
-from coli.terms import Const, Num, Var, app
+from coli.parser import (FormulaParser, TokenStream, parse_dirref, parse_formula,
+                         parse_pattern)
+from coli.terms import App, Const, Num, Var
 
-from conftest import data_text, graph_depth
+from conftest import app, data_text, graph_depth, large_kb_text
 
 
 def _table(text):
@@ -21,8 +23,7 @@ def _table(text):
 
 
 def test_define_simple():
-    table = DirectoryTable()
-    define_directory(table, "m", [(None, parse_formula("p(a)"))])
+    table = _table("/m = p(a)\n")
     assert table.defs["m"].arity == 0
     assert table.defs["m"].clauses[0].body == parse_formula("p(a)")
 
@@ -213,6 +214,47 @@ def test_to_formula_unfolds_shared_nodes():
     assert len(graph.nodes) == 4
     two = parse_formula("(leaf /\\ leaf) /\\ (leaf /\\ leaf)")
     assert graph.to_formula() == And(two, two)
+
+
+def _leaves(table) -> list:
+    """Every Var, Const and Num object in the table's patterns and bodies."""
+    stack = [part for d in table.defs.values() for c in d.clauses
+             for part in (c.pattern, c.body) if part is not None]
+    found = []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Var, Const, Num)):
+            found.append(x)
+        else:
+            stack.extend(x.args if isinstance(x, (Atom, DirRef, App)) else children(x))
+    return found
+
+
+def test_load_kb_builds_one_parser_per_file_and_shares_its_leaves(monkeypatch):
+    built = Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    counted(FormulaParser)
+    counted(TokenStream)
+    text = large_kb_text(random.Random(19), services=180, families=10)
+    first = load_kb(text)
+    assert sum(len(d.clauses) for d in first.defs.values()) == 203
+    assert built == {"FormulaParser": 1, "TokenStream": 1}
+    leaves = _leaves(first)
+    distinct: dict = {}
+    for leaf in leaves:  # equal leaves of one table are one object
+        assert distinct.setdefault(leaf, leaf) is leaf
+    assert len(leaves) > 3 * len(distinct)
+    # no table shares a leaf object with another load of the same text
+    again = _leaves(load_kb(text))
+    assert not {id(leaf) for leaf in leaves} & {id(leaf) for leaf in again}
 
 
 def test_loading_and_expansion_leave_no_reference_cycles():

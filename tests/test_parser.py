@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from coli import directories
 from coli.directories import load_kb
 from coli.errors import KBError, ParseError
 from coli.formulas import (All, And, Atom, DirRef, Exists, Implies, Neg, Or,
@@ -16,9 +15,10 @@ from coli.formulas import (All, And, Atom, DirRef, Exists, Implies, Neg, Or,
 from coli.parser import (TokenStream, parse_dirref, parse_formula, parse_pattern,
                          parse_term, tokenize)
 from coli.scripts import parse_script
-from coli.terms import App, Const, Num, Var, app, pretty_term
+from coli.terms import App, Const, Num, Var, pretty_term
 
-from conftest import DATA, data_text
+import kb_reference
+from conftest import DATA, app, data_text
 
 def test_parse_base_fact():
     assert parse_formula("fact(0,1)") == Atom("fact", (Num(0), Num(1)))
@@ -469,34 +469,96 @@ def test_parser_matches_recursive_descent_reference():
     assert sum(want[0] == "ok" for want in wants) > len(wants) // 4
 
 
+# KB files: the loader against the per-line loader it replaced
+
+# lines that are not definitions, or whose head is malformed
+KB_OTHER_LINES = ["", "  \t", "# é % ;", "  # heading ? ~", "#", "query /m",
+                  "query/n", "query / k ", "query m", "query /a b", "query /a(3)",
+                  "query /", "/a b = p", "m = p", "/m(X = p", "/ = p", "/(X) = p",
+                  "/m(X)(Y) = p", "/mé = p"]
+# what splits lines: str.splitlines also breaks at \x0c and  
+KB_BREAKS = ["\n", "\n", "\n", "\r\n", "\x0c", " ", "\r"]
+
+
+def _respace_line(rng, text):
+    # _respace without line breaks
+    toks = [tok.value for tok in _ref_tokenize(text)[:-1]]
+    return "".join(tok + rng.choice(["", " ", " ", "  ", "\t"]) for tok in toks)
+
+
+def _random_kb_file(rng):
+    """A KB text of definitions of /m, /n and /k that redefine each other,
+    change arity and add overlapping or disjoint pattern clauses, mixed
+    with comments, query lines, blank lines and malformed heads."""
+    lines = []
+    for _ in range(rng.randrange(1, 9)):
+        pick = rng.random()
+        if pick < 0.2:
+            lines.append(rng.choice(KB_OTHER_LINES))
+            continue
+        name = rng.choice("mnk")
+        if pick < 0.55:
+            pattern = rng.choice(["0", "1", "s(X)", "s(s(X))", "s(0)", "X", ""])
+            pattern = pattern or pretty_term(_random_term(rng, {"X"}, 2))
+            body = pretty(_random_formula(rng, set(), 3))
+            body = body.replace("a", "X") if "X" in pattern else body
+            lines.append(f"/{name}({_respace_line(rng, pattern)}) = "
+                         f"{_respace_line(rng, body)}")
+        else:
+            body = pretty(_random_formula(rng, set(), 3))
+            lines.append(f"/{name} = {_respace_line(rng, body)}")
+    text = "".join(line + rng.choice(KB_BREAKS) for line in lines)
+    return _mutate(rng, text) if rng.random() < 0.4 else text
+
+
+def _load_outcome(load, text):
+    try:
+        table = load(text)
+    except KBError as exc:
+        return "error", str(exc)
+    return "ok", table.query, {n: (d.arity, d.clauses) for n, d in table.defs.items()}
+
+
+def _assert_loads_as_reference(texts, monkeypatch):
+    """load_kb against kb_reference.load_kb, first with coli's per-line parse
+    functions, then with the recursive-descent reference parser; returns
+    the reference outcomes."""
+    got = [_load_outcome(load_kb, text) for text in texts]
+    for parsers in ((parse_formula, parse_pattern), (_ref_formula, _ref_pattern)):
+        monkeypatch.setattr(kb_reference, "parse_formula", parsers[0])
+        monkeypatch.setattr(kb_reference, "parse_pattern", parsers[1])
+        want = [_load_outcome(kb_reference.load_kb, text) for text in texts]
+        for text, g, w in zip(texts, got, want):
+            assert g == w, text
+    return want
+
+
 def test_kb_lines_match_reference(monkeypatch):
     rng = random.Random(5006)
+    want = _assert_loads_as_reference([_random_kb_file(rng) for _ in range(600)],
+                                      monkeypatch)
+    messages = " ".join(w[1] for w in want if w[0] == "error")
+    for part in ("missing '='", "definitions start with '/'", "unclosed pattern",
+                 "directory name must be one identifier", "query line needs",
+                 "overlapping patterns", "redefinition changes arity",
+                 "unexpected character", "expected a formula", "expected a term",
+                 "unbound variable", "trailing input", "(line 5, col "):
+        assert part in messages
+    loaded = [w for w in want if w[0] == "ok"]
+    assert len(loaded) > 100 and any(w[1] for w in loaded)
+    assert any(d[0] for w in loaded for d in w[2].values())  # pattern clauses
+
+
+def test_kb_errors_at_every_position_match_reference(monkeypatch):
+    rng = random.Random(5008)
     texts = []
-    for _ in range(300):
-        lines = []
-        for _ in range(rng.randrange(1, 4)):
-            pattern = pretty_term(_random_term(rng, {"X"}, 2))
-            body = _respace(rng, pretty(_random_formula(rng, set(), 3)))
-            body = body.replace("a", "X") if "X" in pattern else body
-            head = rng.choice(["/m", "/n(" + pattern + ")"])
-            lines.append(f"{head} = {body}")
-        text = "\n".join(lines)
-        texts.append(_mutate(rng, text) if rng.random() < 0.5 else text)
-
-    def load(text):
-        try:
-            table = load_kb(text)
-        except KBError as exc:
-            return "error", str(exc)
-        return "ok", {name: (d.arity, d.clauses) for name, d in table.defs.items()}
-
-    got = [load(text) for text in texts]
-    monkeypatch.setattr(directories, "parse_formula", _ref_formula)
-    monkeypatch.setattr(directories, "parse_pattern", _ref_pattern)
-    want = [load(text) for text in texts]
-    for text, g, w in zip(texts, got, want):
-        assert g == w, text
-    assert {w[0] for w in want} == {"ok", "error"}
+    for _ in range(4):
+        base = "/m(0) = p(1)\r\n# é\n/m(s(X)) = @x. q(x,X)\x0cquery /m\n/n = !/m(2)\n"
+        base = base.replace("p(1)", pretty(_random_formula(rng, set(), 2)))
+        for i in range(len(base) + 1):
+            texts.append(base[:i] + rng.choice("?)(/é=. ,X#") + base[i:])
+    want = _assert_loads_as_reference(texts, monkeypatch)
+    assert sum(w[0] == "error" for w in want) > len(texts) // 2
 
 
 def _script_variants(rng):

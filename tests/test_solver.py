@@ -11,15 +11,15 @@ import pytest
 
 from coli import solver
 from coli.configuration import Path, apply_write, init_configuration
-from coli.directories import DirectoryTable, define_directory
+from coli.directories import Clause, DirectoryDef, DirectoryTable
 from coli.formulas import And, Atom, Implies, Neg, Or, pretty
 from coli.graphs import FormulaGraph
 from coli.parser import parse_formula
 from coli.solver import Substitution, close_elementary, eval_ground, unify
-from coli.terms import App, Const, GVar, Num, app, pretty_term, subst_gvar, term_gvars
+from coli.terms import App, Const, GVar, Num, pretty_term, subst_gvar, term_gvars
 
 from closure_reference import checked_close
-from conftest import data_text, factorial, run_game
+from conftest import app, data_text, factorial, run_game
 from coli.directories import load_kb
 
 
@@ -463,8 +463,8 @@ def _kb_config(facts, rules, output):
         kb = And(kb, f)
     for ante, cons in rules:
         kb = And(kb, Implies(ante, cons))
-    define_directory(table, "kb", [(None, kb)])
-    define_directory(table, "query", [(None, output)])
+    for name, body in (("kb", kb), ("query", output)):
+        table.defs[name] = DirectoryDef(name, 0, (Clause(None, body),))
     table.query = "query"
     return init_configuration(table, input_names=["kb"])
 

@@ -19,11 +19,11 @@ from coli.scripts import (ChooseStmt, ExecuteStmt, ForStmt, IfStmt,
                           ListChannel, Outcome, ProveStmt, ReadStmt, Script,
                           ScriptEnv, WriteStmt)
 from coli.solver import ClosureResult, _Inputs, eval_ground
-from coli.terms import (App, Const, GVar, Num, Var, app, is_ground,
+from coli.terms import (App, Const, GVar, Num, Var, is_ground,
                         pretty_term, subst_const, subst_var, term_gvars,
                         term_vars)
 
-from conftest import SRC
+from conftest import SRC, app
 
 
 def test_eval_ground_arithmetic():
