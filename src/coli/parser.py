@@ -8,7 +8,7 @@ Grammar (quantifier bodies bind tight; parenthesize to widen scope):
     con     := un ("/\\" un)*
     un      := "~" un | "@" ident "." un | "#" ident "." un | "$" un
              | "(" formula ")" | atom | dirref
-    dirref  := "!"? "/" ident ("(" terms ")")?
+    dirref  := "!"? "/" (ident | UpperIdent) ("(" terms ")")?
     atom    := ident ("(" terms ")")?
     term    := sum ; sum := prod ("+" prod)* ; prod := factor ("*" factor)*
     factor  := numeral | ident ("(" terms ")")? | UpperIdent | "(" term ")"
@@ -201,7 +201,7 @@ class FormulaParser:
                 if toks[i] != "/":
                     ts.expected("'/'", i)
                 name = toks[i + 1]
-                if kind(name) != "IDENT":
+                if kind(name) not in ("IDENT", "UIDENT"):  # any identifier
                     ts.expected("directory name", i + 1)
                 i += 2
             elif (tok[:1].isalnum() and not tok[0].isdecimal()

@@ -166,19 +166,6 @@ def term_universe(cfg: Configuration) -> list:
     return universe
 
 
-def _allowed(restrictions, path: Path, rule: str) -> bool:
-    if not restrictions:
-        return True
-    return any(r.path == path and rule in r.rules for r in restrictions)
-
-
-def _priority(restrictions, path: Path, rule: str) -> int:
-    for i, r in enumerate(restrictions):
-        if r.prioritized and r.path == path and rule in r.rules:
-            return i
-    return len(restrictions)
-
-
 def _output_has_neg(cfg: Configuration) -> bool:
     return any(cfg.nodes[nid].op == "neg"
                for nid in preorder(cfg.nodes, [cfg.roots[cfg.output]]))
@@ -297,11 +284,17 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
     """Search for a winning strategy from the current configuration."""
     bounds = bounds or Bounds()
     restrictions = list(restrictions)
-    counters = {"steps": 0}
+    # (path, rule) -> rank: the index of the first prioritized restriction
+    # listing the pair, else len(restrictions).  Once any restriction is set,
+    # only the pairs in this table are searched, in the order of their ranks
+    ranks: dict = {}
+    for i, r in enumerate(restrictions):
+        rank = i if r.prioritized else len(restrictions)
+        for rule in r.rules:
+            ranks[r.path, rule] = min(rank, ranks.get((r.path, rule), rank))
     # negation is the one output connective for which a fresh variable is
     # not the most general write; moves never introduce it, so decide once
     with_neg = _output_has_neg(cfg)
-
     edges: dict = {}  # (position key, move signature) -> child position key
     # position keys whose closure failed; a verdict does not depend on the
     # budget, so unlike `failed` this is kept across deepening iterations.
@@ -309,136 +302,120 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
     # key object, so its `failed`/`edges` lookups compare by identity
     # instead of walking two equal nested tuples
     unclosable: dict = {}
-    start = 0 if with_neg else _start_budget(cfg, bounds.max_replicas)
-    for budget in range(start, bounds.max_replicas + 1):
-        flags = {"budget": False, "depth": False}
-        failed: set = set()
-        found, _key = _search(cfg, 0, budget, restrictions, bounds, flags,
-                              counters, failed, edges, unclosable, trace_sink,
-                              eigen_base=0, with_neg=with_neg)
-        if found is not None:
-            return ProveResult(found, "", counters["steps"])
-        if not flags["budget"]:
-            reason = "bounded" if flags["depth"] else "exhausted"
-            return ProveResult(None, reason, counters["steps"])
-    return ProveResult(None, "bounded", counters["steps"])
+    steps = 0
 
+    def search(cfg, depth, budget, eigen_base):
+        nonlocal steps
+        steps += 1
+        wraps: list = []  # (Step | EnvBranch, fields) above the position
 
-def _search(cfg, depth, budget, restrictions, bounds, flags, counters,
-            failed, edges, unclosable, sink, eigen_base, with_neg):
-    counters["steps"] += 1
-    wraps: list = []
-
-    # forced phase: peel environment output quantifiers with eigenvariables,
-    # apply input-side machine writes most generally (fresh global variable)
-    opts = legal_moves(cfg)
-    progressing = True
-    while progressing:
-        progressing = False
-        for opt in opts:
-            if opt.kind == "read" and opt.side == "output":
+        # forced phase: eigenvariables peel the output's environment
+        # quantifiers, and input-side machine writes take a fresh variable
+        opts = legal_moves(cfg)
+        while forced := [o for o in opts if o.kind == "read" and o.side == "output"
+                         or o.kind == "write" and o.side == "input" and (
+                             not restrictions or (o.path, "write") in ranks)]:
+            opt = forced[0]
+            if opt.kind == "read":
                 eigen_base += 1
                 name = f"_e{eigen_base}"
                 cfg, var = peel_env_symbolic(cfg, opt.path, Const(name))
-                wraps.append(("env", opt.path, var, name))
-            elif opt.kind == "write" and opt.side == "input" \
-                    and _allowed(restrictions, opt.path, "write"):
-                cfg = apply_write(cfg, opt.path)
-                if sink:
-                    sink(move_line(cfg.trace[-1]))
-                wraps.append(("step", cfg.trace[-1]))
+                wraps.append((EnvBranch, (opt.path, var, name)))
             else:
-                continue
+                cfg = apply_write(cfg, opt.path)
+                if trace_sink:
+                    trace_sink(move_line(cfg.trace[-1]))
+                wraps.append((Step, (cfg.trace[-1],)))
             opts = legal_moves(cfg)
-            progressing = True
-            break
 
-    key = _canonical_key(cfg)
-    known = unclosable.get(key)
-    if known is not None:
-        key = known
-    else:
-        if close_elementary(cfg).ok:
-            return _wrap(wraps, Leaf()), None
-        unclosable[key] = key
-    if key in failed:
-        return None, key
+        key = _canonical_key(cfg)
+        known = unclosable.get(key)
+        if known is not None:
+            key = known
+        else:
+            if close_elementary(cfg).ok:
+                return _wrap(wraps, Leaf()), None
+            unclosable[key] = key
+        if key in failed:
+            return None, key
 
-    if depth >= bounds.max_depth:
-        flags["depth"] = True
+        if depth >= bounds.max_depth:
+            flags["depth"] = True
+            failed.add(key)
+            return None, key
+
+        # machine choice points: per service, writes before replications;
+        # input services come before the output.  Input-side plain writes
+        # were taken by the forced phase, so what remains branches for real
+        options: list[MoveOption] = []
+        for name in cfg.roots:
+            mine = [o for o in opts if o.path.dir == name]
+            options += [o for o in mine if o.kind == "write" and o.side == "output"]
+            options += [o for o in mine if o.kind == "replicate"]
+        if restrictions:
+            options = [o for o in options if (o.path, o.kind) in ranks]
+            options.sort(key=lambda o: ranks[o.path, o.kind])
+        if _dead(cfg) and any(o.kind == "replicate" for o in options):
+            # the flag that the chain of replications below would set
+            # (module docstring); nothing below closes
+            flags["budget" if depth + budget < bounds.max_depth
+                  else "depth"] = True
+            failed.add(key)
+            return None, key
+
+        for opt in options:
+            # each option's moves, as (argument, next budget)
+            if opt.kind == "replicate":
+                if opt.index > configuration.REPLICA_LIMIT:
+                    flags["depth"] = True  # a bound that no larger budget lifts
+                    continue
+                if budget <= 0:
+                    flags["budget"] = True
+                    continue
+                moves = [(opt.index, budget - 1)]
+            else:  # write
+                # the fresh global variable subsumes every concrete term for
+                # closure by unification, so plain writes try nothing else;
+                # committing a recurrence is a real choice, and negation in
+                # the output breaks the subsumption argument
+                moves = [(None, budget)]
+                if with_neg or opt.collapse:
+                    universe = bounds.term_universe
+                    if universe is None:
+                        universe = term_universe(cfg)
+                    moves += [(term, budget) for term in universe]
+            for arg, next_budget in moves:
+                sig = (opt.kind, opt.path, arg)
+                known = edges.get((key, sig))
+                if known is not None and known in failed:
+                    continue
+                child = (replicate(cfg, opt.path, arg) if opt.kind == "replicate"
+                         else apply_write(cfg, opt.path, term=arg))
+                if trace_sink:
+                    trace_sink(move_line(child.trace[-1]))
+                sub, child_key = search(child, depth + 1, next_budget,
+                                        eigen_base)
+                if child_key is not None:
+                    edges[key, sig] = child_key
+                if sub is not None:
+                    return _wrap(wraps, Step(child.trace[-1], sub)), None
         failed.add(key)
         return None, key
 
-    options = _branch_options(cfg, opts, restrictions)
-    if _dead(cfg) and any(o.kind == "replicate" for o in options):
-        # the flag that the chain of replications below would set (module
-        # docstring); nothing below closes
-        flags["budget" if depth + budget < bounds.max_depth else "depth"] = True
-        failed.add(key)
-        return None, key
-
-    def explore(make_child, sig, next_budget):
-        known = edges.get((key, sig))
-        if known is not None and known in failed:
-            return None
-        child = make_child()
-        if sink:
-            sink(move_line(child.trace[-1]))
-        sub, child_key = _search(child, depth + 1, next_budget, restrictions,
-                                 bounds, flags, counters, failed, edges,
-                                 unclosable, sink, eigen_base, with_neg)
-        if child_key is not None:
-            edges[(key, sig)] = child_key
-        if sub is not None:
-            return _wrap(wraps, Step(child.trace[-1], sub))
-        return None
-
-    for opt in options:
-        if opt.kind == "replicate":
-            if opt.index > configuration.REPLICA_LIMIT:
-                flags["depth"] = True  # a bound that no larger budget lifts
-                continue
-            if budget <= 0:
-                flags["budget"] = True
-                continue
-            found = explore(lambda: replicate(cfg, opt.path, opt.index),
-                            ("replicate", opt.path, opt.index), budget - 1)
+    start = 0 if with_neg else _start_budget(cfg, bounds.max_replicas)
+    try:
+        for budget in range(start, bounds.max_replicas + 1):
+            flags = {"budget": False, "depth": False}
+            failed: set = set()
+            found, _key = search(cfg, 0, budget, 0)
             if found is not None:
-                return found, None
-        else:  # write
-            # the fresh global variable subsumes every concrete term for
-            # closure by unification, so plain writes try nothing else;
-            # committing a recurrence is a real choice, and negation in the
-            # output breaks the subsumption argument
-            candidates: list = [None]
-            if with_neg or opt.collapse:
-                if bounds.term_universe is not None:
-                    candidates += list(bounds.term_universe)
-                else:
-                    candidates += term_universe(cfg)
-            for cand in candidates:
-                found = explore(
-                    lambda cand=cand: apply_write(cfg, opt.path, term=cand),
-                    ("write", opt.path, cand), budget)
-                if found is not None:
-                    return found, None
-    failed.add(key)
-    return None, key
-
-
-def _branch_options(cfg, opts, restrictions) -> list[MoveOption]:
-    """Machine choice points: per service, writes before replications;
-    input services come before the output.  Input-side plain writes were
-    consumed by the forced phase, so what remains branches for real."""
-    ordered: list[MoveOption] = []
-    for name in cfg.roots:
-        mine = [o for o in opts if o.path.dir == name]
-        ordered += [o for o in mine if o.kind == "write" and o.side == "output"]
-        ordered += [o for o in mine if o.kind == "replicate"]
-    allowed = [o for o in ordered if _allowed(restrictions, o.path, o.kind)]
-    if any(r.prioritized for r in restrictions):
-        allowed.sort(key=lambda o: _priority(restrictions, o.path, o.kind))
-    return allowed
+                return ProveResult(found, "", steps)
+            if not flags["budget"]:
+                reason = "bounded" if flags["depth"] else "exhausted"
+                return ProveResult(None, reason, steps)
+        return ProveResult(None, "bounded", steps)
+    finally:
+        del search  # it holds itself through its closure: free the memos now
 
 
 def _dead(cfg) -> bool:
@@ -448,11 +425,6 @@ def _dead(cfg) -> bool:
 
 
 def _wrap(wraps, tail: Strategy) -> Strategy:
-    node = tail
-    for item in reversed(wraps):
-        if item[0] == "step":
-            node = Step(item[1], node)
-        else:
-            _, path, var, eigen = item
-            node = EnvBranch(path, var, eigen, node)
-    return node
+    for cls, fields in reversed(wraps):
+        tail = cls(*fields, tail)
+    return tail

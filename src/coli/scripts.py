@@ -12,7 +12,7 @@ Script grammar (``%`` starts a comment)::
             | "prove" ";" | "execute" ";"
     restr  := path ":" rule ("," rule)*
     rule   := "read" | "write" | "replicate" | "close"
-    path   := "/" ident ("." (integer | ident))*
+    path   := "/" (ident | UpperIdent) ("." (integer | ident))*
     expr   := naturals, script variables, "+", "*"
     cond   := expr ("=" | "<" | "<=" | ">" | ">=") expr
 
@@ -165,7 +165,9 @@ def _stmt(ts: TokenStream) -> Statement:
 
 def _path(ts: TokenStream) -> Path:
     ts.expect("/")
-    name = _ident(ts, "service name")
+    if kind(ts.peek()) not in ("IDENT", "UIDENT"):  # any identifier, as in a KB
+        ts.expected("service name")
+    name = ts.next()
     segments: list = []
     while ts.at("."):
         ts.next()

@@ -302,7 +302,6 @@ def close_elementary(cfg) -> ClosureResult:
     if not _possibly_coverable(nodes, out, acc):
         return ClosureResult(False, reason="no derivation covers the output")
 
-    max_firings = len(acc.rules) + 8
     visited: set = set()
     # variables shared beyond a single rule: binding them can matter later,
     # so only firings that touch nothing shared are prunable as redundant
@@ -408,7 +407,7 @@ def close_elementary(cfg) -> ClosureResult:
                 opens[pos] = gvars
         return items, nums, opens
 
-    def dfs(facts, outs, unfired, s, fired, dead):
+    def dfs(facts, outs, unfired, s, dead):
         # facts and outs: views of the facts and the output's atoms under s;
         # dead: the firings found redundant on the path to this frame
         hit = next(sat(out, s, facts, outs[1]), None)
@@ -428,8 +427,6 @@ def close_elementary(cfg) -> ClosureResult:
         if key in visited:
             return None
         visited.add(key)
-        if fired >= max_firings:
-            return None
         dead = set(dead)  # what this frame adds is for its subtree only
         # a later twin fails whenever the first one does (see above)
         for pos in firsts:
@@ -444,14 +441,13 @@ def close_elementary(cfg) -> ClosureResult:
                     dead.add(used)
                     continue  # re-derives known facts, binds nothing shared
                 rest = unfired[:pos] + unfired[pos + 1:]
-                found = dfs(child, extend((), outs, s2, fresh), rest, s2,
-                            fired + 1, dead)
+                found = dfs(child, extend((), outs, s2, fresh), rest, s2, dead)
                 if found is not None:
                     return found
         return None
 
     final = dfs(extend(acc.facts), extend(out_atoms),
-                tuple(range(len(acc.rules))), Substitution(), 0, set())
+                tuple(range(len(acc.rules))), Substitution(), set())
     if final is None:
         return ClosureResult(False, reason="no derivation covers the output")
     return ClosureResult(True, subst=final,

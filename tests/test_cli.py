@@ -386,6 +386,44 @@ def test_directory_names_are_one_identifier(capsys, tmp_path, kb, line, name):
                        f"identifier, found {name!r}\n")
 
 
+def test_uppercase_initial_directory_is_referenced(capsys, tmp_path):
+    # a directory name is any identifier, in a body as in a definition head
+    path = tmp_path / "upper.kb"
+    path.write_text("/A = p\n/b = /A /\\ !/A\nquery /b\n")
+    kb = ("--kb", str(path))
+    assert run_cli(capsys, "check", *kb) == (0, "OK\n", "")
+    assert run_cli(capsys, "prove", *kb) == (0, "close\n", "")
+    assert run_cli(capsys, "expand", "/A", *kb) == (0, "p\n", "")
+    assert run_cli(capsys, "expand", "!/A", *kb) == (0, "p\n", "")
+    assert run_cli(capsys, "expand", "/b", *kb) == (0, "p /\\ p\n", "")
+    script = tmp_path / "upper.coli"  # and in a script's path
+    script.write_text("algorithm t { choose(/A: write); prove; execute; }\n")
+    assert run_cli(capsys, "run", *kb, "--script", str(script)) \
+        == (0, "RESULT p /\\ p\n", "")
+
+
+def test_executed_write_replaces_the_eigenvariable(capsys, tmp_path):
+    # negation in the output makes the search write concrete terms, and the
+    # winning one names the environment's value by its eigenvariable; the
+    # executed strategy writes the value read in its place
+    kb = tmp_path / "eigen.kb"
+    kb.write_text("/f = $ @z. eq(z,z)\n"
+                  "/query = @x. #y. (~neq(x,y) /\\ eq(x,y))\nquery /query\n")
+    script = tmp_path / "pe.coli"
+    script.write_text("algorithm t { prove; execute; }\n")
+    code, out, _ = run_cli(capsys, "prove", "--kb", str(kb))
+    assert code == 0 and "  write /query term=_e1\n" in out
+    for value in (0, 1, 7, 12):
+        code, out, _ = run_cli(capsys, "run", "--kb", str(kb), "--script",
+                               str(script), "--inputs", str(value), "--trace")
+        executed = out.split(f"MOVE read /query value={value} var=x\n")[1]
+        assert code == 0
+        assert executed == (
+            f"MOVE replicate /f idx=1\nMOVE write /f.1 var=W1\n"
+            f"MOVE write /query term={value}\nCLOSE subst={{W1={value}}}\n"
+            f"RESULT ~neq({value},{value}) /\\ eq({value},{value})\n")
+
+
 def test_check_broken_script_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.coli"
     bad.write_text("algorithm t { /q.frob; }")

@@ -307,7 +307,8 @@ class _RefParser:
             if copy:
                 self.next()
             self.expect("/")
-            return DirRef(self.ident("directory name"), self.arglist(), copy)
+            return DirRef(self.ident("directory name", ("IDENT", "UIDENT")),
+                          self.arglist(), copy)
         if tok.kind == "IDENT":
             return Atom(self.ident("atom"), self.arglist())
         self.fail(f"expected a formula, found {tok.value or 'end of input'!r}")
@@ -362,9 +363,9 @@ class _RefParser:
             return t
         self.fail(f"expected a term, found {tok.value or 'end of input'!r}")
 
-    def ident(self, what):
+    def ident(self, what, kinds=("IDENT",)):
         tok = self.peek()
-        if tok.kind != "IDENT":
+        if tok.kind not in kinds:
             self.fail(f"expected {what}, found {tok.value or 'end of input'!r}")
         return self.next().value
 
@@ -450,6 +451,17 @@ def _random_texts(rng, count):
         for _ in range(rng.choice((0, 0, 1, 2))):
             text = _mutate(rng, text)
         yield text
+
+
+def test_any_identifier_names_a_referenced_directory():
+    # a referenced name may start uppercase, as a definition head's may
+    for text in ("/A", "!/A", "/Ab(3) /\\ !/m", "~/A -> /B(X)", "/\u00c9",
+                 "/\u00e9", "/_a", "/3", "/A(", "!/ A"):
+        for parse, ref, args in ENTRY_POINTS:
+            assert _outcome(parse, text, *args) == _outcome(ref, text, *args), \
+                (parse.__name__, text, args)
+    assert parse_formula("/A /\\ !/A") == And(DirRef("A", (), False),
+                                              DirRef("A", (), True))
 
 
 def test_parser_matches_recursive_descent_reference():

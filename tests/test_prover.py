@@ -1,6 +1,7 @@
 """Strategy search: the factorial strategy, restriction semantics, bounds,
 determinism, and soundness of returned strategies."""
 
+import gc
 import random
 from collections import Counter
 
@@ -127,6 +128,45 @@ def test_prioritized_restrictions_order_moves():
     assert strategy_moves(flipped.strategy)[0].path == Path("query", (2,))
 
 
+def test_mixed_restrictions_rank_by_their_first_prioritized_entry():
+    # a move's rank is the index of the first prioritized restriction that
+    # lists its (path, rule), whatever plain ones list it earlier; a move
+    # that only plain restrictions list comes after every prioritized one.
+    # All three writes are needed, so the strategy shows the search order
+    kb = "/k = p(c) /\\ q(c) /\\ r(c)\n" \
+         "/query = #x. p(x) \\/ #y. q(y) \\/ #z. r(z)\nquery /query\n"
+    cfg = init_configuration(load_kb(kb))
+    first, second, third = Path("query", (1, 1)), Path("query", (1, 2)), \
+        Path("query", (2,))
+
+    def order(restrictions):
+        result = prove(cfg, restrictions)
+        assert result.ok
+        return [m.path for m in strategy_moves(result.strategy)]
+
+    assert order([]) == [first, second, third]
+    plain = [Restriction(p, ("write",)) for p in (third, second, first)]
+    assert order(plain) == [first, second, third]
+    mixed = [Restriction(third, ("write",)),
+             Restriction(second, ("write", "replicate"), True),
+             Restriction(first, ("write",)),
+             Restriction(third, ("write",), True)]
+    assert order(mixed) == [second, third, first]
+    # a restriction set searches only what it lists, even when it lists nothing
+    empty = prove(cfg, [Restriction(Path("query"), ())])
+    assert (empty.ok, empty.reason, empty.steps) == (False, "exhausted", 1)
+
+
+def test_restrictions_hold_back_forced_input_writes():
+    # the search makes an input service's machine write without branching,
+    # but only when no restriction is set or one lists it
+    cfg = init_configuration(load_kb("/c = @x. p(x)\n/query = p(a)\n"
+                                     "query /query\n"))
+    for listed, won in (None, True), ("c", True), ("query", False):
+        result = prove(cfg, [Restriction(Path(listed), ("write",))] if listed else [])
+        assert (result.ok, result.reason) == (won, "" if won else "exhausted")
+
+
 def test_restriction_validation_errors():
     table = load_kb(data_text("q.kb"))
     cfg = init_configuration(table)
@@ -168,6 +208,19 @@ def test_determinism():
     second = prove(cfg)
     assert first.strategy == second.strategy
     assert first.steps == second.steps
+
+
+def test_prove_leaves_no_garbage_cycle():
+    # the search is a closure that calls itself, a reference cycle; prove
+    # breaks it, so the memos go when it returns, not at a later collection
+    cfg = init_configuration(load_kb(data_text("q.kb")))
+    gc.collect()
+    gc.disable()
+    try:
+        assert prove(cfg, (), Bounds(max_replicas=4)).reason == "bounded"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_collapse_write_strategy_at_service_root():

@@ -1,6 +1,8 @@
 """Script parsing and interpretation: the factorial scripts, loops,
 conditionals, channels, and determinism."""
 
+import operator
+
 import pytest
 
 from coli.errors import ChannelError, ConfigError, ParseError
@@ -213,3 +215,53 @@ algorithm t {
 """)
     outcome, _ = run_script(script, cfg, ScriptEnv(channel=ListChannel([3])))
     assert outcome.won and pretty(outcome.result) == "fact(3,6)"
+
+
+IDENT_KB = "/s = $ @x. id(x,x)\n/query = @y. #z. id(y,z)\nquery /query\n"
+
+
+@pytest.mark.parametrize("op, holds", [
+    ("=", operator.eq), ("<", operator.lt), ("<=", operator.le),
+    (">", operator.gt), (">=", operator.ge)])
+def test_if_else_runs_the_branch_its_condition_picks(op, holds):
+    # the then branch plays the game to a win (read, replicate and two
+    # writes), the else branch loses it with one write fewer, so each run's
+    # outcome and trace show which branch ran
+    cfg = init_configuration(load_kb(IDENT_KB))
+    script = parse_script(f"""
+algorithm t {{
+  /query.read(n);
+  if n {op} 1+2 {{ /s.1.write; /query.write; execute; }}
+  else {{ /s.1.write; execute; }}
+}}
+""")
+    taken = set()
+    for value in range(7):
+        lines = []
+        env = ScriptEnv(channel=ListChannel([value]), trace_sink=lines.append)
+        outcome, _ = run_script(script, cfg, env)
+        taken.add(holds(value, 3))
+        assert outcome.won == holds(value, 3), (op, value)
+        assert len(lines) == (4 if holds(value, 3) else 3), (op, value)
+        if outcome.won:
+            assert pretty(outcome.result) == f"id({value},{value})"
+        else:
+            assert outcome.reason.startswith("closure: "), (op, value)
+    assert taken == {True, False}
+
+
+def test_if_without_else_falls_through():
+    cfg = init_configuration(load_kb(IDENT_KB))
+    script = parse_script("""
+algorithm t {
+  /query.read(n);
+  if n > 3 { execute; }
+  /s.1.write;
+  /query.write;
+  execute;
+}
+""")
+    for value, won in ((2, True), (4, False)):
+        env = ScriptEnv(channel=ListChannel([value]))
+        outcome, _ = run_script(script, cfg, env)
+        assert outcome.won == won, value
