@@ -4,7 +4,8 @@ Commands:
     run     load a KB and a script, play the game, print the result
     prove   search for a winning strategy for the query directly
     expand  print a directory reference's expansion (``--graph`` for sharing)
-    check   parse the KB (and script, if given) and report OK
+    check   parse the KB (and script, if given), build the output service's
+            initial configuration when one is named, and report OK
 
 Exit codes: 0 won / OK; 1 lost or proof search exhausted; 2 usage, parse or
 runtime error, including input nested too deeply for the interpreter's stack
@@ -22,9 +23,9 @@ from .configuration import init_configuration
 from .directories import expand, load_kb
 from .errors import BoundError, ColiError
 from .parser import parse_dirref
-from .prover import Bounds, prove, render_strategy
-from .scripts import (InteractiveChannel, ListChannel, ScriptEnv, parse_script,
-                      run_script)
+
+# prover and scripts are imported inside the commands that use them, so that
+# `expand` and a `check` without a script never compile them
 
 EXIT_WON = 0
 EXIT_LOST = 1
@@ -112,13 +113,16 @@ def _load_table(args):
     return table
 
 
-def _bounds(args) -> Bounds:
+def _bounds(args):
+    from .prover import Bounds
     if args.max_depth < 1 or args.max_replicas < 1:
         raise ColiError("bounds must be positive")
     return Bounds(max_depth=args.max_depth, max_replicas=args.max_replicas)
 
 
 def cmd_run(args) -> int:
+    from .scripts import (InteractiveChannel, ListChannel, ScriptEnv,
+                          parse_script, run_script)
     table = _load_table(args)
     script = parse_script(_read_text(args.script))
     if args.interactive and args.inputs is not None:
@@ -145,6 +149,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .prover import prove, render_strategy
     table = _load_table(args)
     cfg = init_configuration(table)
     sink = (lambda line: print(line)) if args.trace else None
@@ -168,8 +173,11 @@ def cmd_expand(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _load_table(args)
-    if getattr(args, "script", None):
+    table = _load_table(args)
+    if table.query:  # fail as run and prove would on this output service
+        init_configuration(table)
+    if args.script:
+        from .scripts import parse_script
         parse_script(_read_text(args.script))
     print("OK")
     return EXIT_WON

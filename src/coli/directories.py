@@ -26,8 +26,8 @@ from .errors import DepthLimitError, ExpandError, KBError, ParseError
 from .graphs import OPS, FormulaGraph, GNode
 from .parser import FormulaParser
 from .records import Value
-from .solver import eval_ground
-from .terms import App, Num, Term, Var, is_ground, pretty_term, subst_var
+from .terms import (App, Num, Term, Var, eval_ground, is_ground, pretty_term,
+                    subst_var)
 
 DEPTH_LIMIT = 1024
 _NAME = re.compile(r"[^\W\d_]\w*")  # one identifier, as the lexer reads it

@@ -1,9 +1,10 @@
-"""Ground arithmetic, unification over global variables, and elementary closure.
+"""Unification over global variables, and elementary closure.
 
 Unification is the standard syntactic algorithm with an occurs check, except
-that both sides are ground-evaluated before structural descent, so
-``fact(3,W)`` unifies with ``fact(2+1, 2*2+2)`` by binding W to 6.  There is
-no arithmetic constraint solving: ``W+1`` never unifies with ``3``.
+that both sides are ground-evaluated (``terms.eval_ground``) before
+structural descent, so ``fact(3,W)`` unifies with ``fact(2+1, 2*2+2)`` by
+binding W to 6.  There is no arithmetic constraint solving: ``W+1`` never
+unifies with ``3``.
 
 Substitutions are triangular: a binding is stored once, as resolved when it
 was made, and later bindings reach it through chains that are resolved on
@@ -22,21 +23,7 @@ from collections import Counter
 from . import formulas as F
 from .graphs import preorder
 from .records import Record
-from .terms import App, GVar, Num, Term, pretty_term, term_gvars
-
-
-def eval_ground(t: Term) -> Term:
-    """Reduce every ground s/+/* subterm to a numeral; leave the rest alone."""
-    if not isinstance(t, App):
-        return t
-    args = tuple(eval_ground(a) for a in t.args)
-    if t.fn == "s" and len(args) == 1 and isinstance(args[0], Num):
-        return Num(args[0].value + 1)
-    if t.fn in ("+", "*") and len(args) == 2 \
-            and isinstance(args[0], Num) and isinstance(args[1], Num):
-        a, b = args[0].value, args[1].value
-        return Num(a + b if t.fn == "+" else a * b)
-    return App(t.fn, args)
+from .terms import App, GVar, Term, eval_ground, pretty_term, term_gvars
 
 
 class Substitution:

@@ -1,4 +1,5 @@
-"""First-order terms: naturals, constants, variables and arithmetic applications.
+"""First-order terms (naturals, constants, variables, arithmetic applications)
+and ground arithmetic: ``eval_ground`` reduces ground s/+/* to numerals.
 
 Four variable-like things live in terms and they are kept distinct:
 
@@ -129,6 +130,20 @@ def is_ground(t: Term) -> bool:
     if isinstance(t, App):
         return all(is_ground(a) for a in t.args)
     return True
+
+
+def eval_ground(t: Term) -> Term:
+    """Reduce every ground s/+/* subterm to a numeral; leave the rest alone."""
+    if not isinstance(t, App):
+        return t
+    args = tuple(eval_ground(a) for a in t.args)
+    if t.fn == "s" and len(args) == 1 and isinstance(args[0], Num):
+        return Num(args[0].value + 1)
+    if t.fn in ("+", "*") and len(args) == 2 \
+            and isinstance(args[0], Num) and isinstance(args[1], Num):
+        a, b = args[0].value, args[1].value
+        return Num(a + b if t.fn == "+" else a * b)
+    return App(t.fn, args)
 
 
 # str() refuses an int of more than 4,300 digits by default, so larger ones

@@ -28,12 +28,17 @@ def data_path(name: str) -> str:
     return str(DATA / name)
 
 
-def run_coli(*args) -> subprocess.CompletedProcess:
-    """``python -m coli ARGS`` in a child process that imports coli from src/."""
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a child process that imports coli from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "coli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+def run_coli(*args) -> subprocess.CompletedProcess:
+    """``python -m coli ARGS`` in a child process that imports coli from src/."""
+    return run_python("-m", "coli", *args)
 
 
 def factorial(n: int) -> int:

@@ -11,7 +11,7 @@ from coli import cli
 from coli.cli import main
 
 import golden_cases
-from conftest import data_path, data_text, run_coli
+from conftest import data_path, data_text, run_coli, run_python
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +221,57 @@ def test_check_ok_and_broken(capsys, tmp_path):
     bad.write_text("/c == oops\n")
     code, _, err = run_cli(capsys, "check", "--kb", str(bad))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("kb", [
+    "/a = p /\\ !/nothere\nquery /a\n",  # an undefined directory
+    "/a = p\nquery /nope\n",  # an undefined service
+])
+def test_check_rejects_what_prove_rejects(capsys, tmp_path, kb):
+    path = tmp_path / "bad.kb"
+    path.write_text(kb)
+    prove = run_cli(capsys, "prove", "--kb", str(path))
+    assert prove[0] == 2 and prove[2].count("\n") == 1
+    assert run_cli(capsys, "check", "--kb", str(path)) == prove
+
+
+def test_check_builds_the_service_that_query_names(capsys):
+    # rec.kb has no query line, so only the KB is checked unless --query
+    # names an output service
+    kb = ("--kb", data_path("rec.kb"))
+    assert run_cli(capsys, "check", *kb) == (0, "OK\n", "")
+    assert run_cli(capsys, "check", *kb, "--query", "/nope") \
+        == (2, "", "error: undefined service /nope\n")
+
+
+# In process every coli module is already imported, so these run `python -m
+# coli` in a fresh interpreter, which imports prover and scripts only inside
+# the commands that use them.
+@pytest.mark.parametrize("name", ["fact3", "prove-q", "expand-rec-m3-graph"])
+def test_golden_case_in_a_fresh_interpreter(name):
+    proc = run_coli(*golden_cases.argv(name))
+    assert proc.stdout == golden_cases.stdout_path(name).read_text()
+    assert proc.returncode == json.loads(golden_cases.EXIT_CODES.read_text())[name]
+    assert proc.stderr == ""
+
+
+def test_check_with_a_script_in_a_fresh_interpreter():
+    proc = run_coli("check", "--kb", data_path("fact.kb"),
+                    "--script", data_path("fact.coli"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--kb", data_path("rec.kb"), "/m(s(s(s(0))))", "--graph"],
+    ["check", "--kb", data_path("fact.kb")],
+])
+def test_expand_and_check_leave_the_prover_unloaded(argv):
+    child = ("import sys\nfrom coli.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, *sorted(m for m in sys.modules if m.startswith('coli.')))")
+    proc = run_python("-c", child, *argv)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0" and proc.stderr == ""
+    assert not {"coli.prover", "coli.scripts", "coli.solver"} & set(loaded)
 
 
 def test_interactive_matches_batch(capsys, monkeypatch):
