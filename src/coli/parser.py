@@ -150,11 +150,12 @@ class FormulaParser:
     `Const`, `Num`) of all its texts are hash-consed (Filliâtre and Conchon
     2006), so equal leaves are one object.  A pattern text takes every
     UpperIdent as a parameter and lists them in `names`, in order of first
-    occurrence."""
+    occurrence.  Given a stream, it parses in place on it, with no parameters."""
 
-    def __init__(self):
-        self.ts = TokenStream()
+    def __init__(self, ts: TokenStream | None = None):
+        self.ts = TokenStream() if ts is None else ts
         self.leaves, self.vars = {}, {}  # Const by name, Num by value; Var by name
+        self.params, self.names, self.bound = frozenset(), None, []
 
     def feed(self, text: str, params=(), pattern: bool = False) -> TokenStream:
         """Lex text as the next input, over the directory parameters `params`;

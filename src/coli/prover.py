@@ -70,11 +70,10 @@ class Restriction(Value):
 
 
 class Bounds(Value):
-    __slots__ = ("max_depth", "max_replicas", "term_universe")
+    __slots__ = ("max_depth", "max_replicas")
 
-    def __init__(self, max_depth: int = 64, max_replicas: int = 32,
-                 term_universe: tuple | None = None):  # None: from the configuration
-        self._setfields(max_depth, max_replicas, term_universe)
+    def __init__(self, max_depth: int = 64, max_replicas: int = 32):
+        self._setfields(max_depth, max_replicas)
 
 
 class Leaf(Value):
@@ -135,8 +134,8 @@ def strategy_moves(strategy: Strategy) -> list:
     return out
 
 
-def render_strategy(strategy: Strategy, indent: int = 0) -> str:
-    lines = []  # a strategy is a chain: a loop walks it at any length
+def render_strategy(strategy: Strategy) -> str:
+    lines, indent = [], 0  # a strategy is a chain: a loop walks it at any length
     while not isinstance(strategy, Leaf):
         lines.append("  " * indent + (
             move_line(strategy.move)[len("MOVE "):] if isinstance(strategy, Step)
@@ -380,10 +379,7 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
                 # the output breaks the subsumption argument
                 moves = [(None, budget)]
                 if with_neg or opt.collapse:
-                    universe = bounds.term_universe
-                    if universe is None:
-                        universe = term_universe(cfg)
-                    moves += [(term, budget) for term in universe]
+                    moves += [(term, budget) for term in term_universe(cfg)]
             for arg, next_budget in moves:
                 sig = (opt.kind, opt.path, arg)
                 known = edges.get((key, sig))

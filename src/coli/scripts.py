@@ -13,7 +13,7 @@ Script grammar (``%`` starts a comment)::
     restr  := path ":" rule ("," rule)*
     rule   := "read" | "write" | "replicate" | "close"
     path   := "/" (ident | UpperIdent) ("." (integer | ident))*
-    expr   := naturals, script variables, "+", "*"
+    expr   := term    (a KB term: its lowercase names are script variables)
     cond   := expr ("=" | "<" | "<=" | ">" | ">=") expr
 
 A script wins only through `execute`: with a strategy pending from `prove`
@@ -23,18 +23,22 @@ elementary closure of the configuration as it stands.
 
 from __future__ import annotations
 
+import operator
 import sys
 
 from . import formulas as F
 from .configuration import (Configuration, Path, WriteMove, apply_move,
                             apply_read, apply_write, move_line, resolve)
 from .errors import ChannelError, ConfigError, ParseError
-from .parser import TokenStream, kind
-from .prover import (RULE_NAMES, Bounds, EnvBranch, Leaf, ProveResult,
-                     Restriction, Step, Strategy, prove, validate_restrictions)
+from .parser import FormulaParser, TokenStream, kind
+from .prover import (RULE_NAMES, Bounds, EnvBranch, Leaf, Restriction, Step,
+                     Strategy, prove, validate_restrictions)
 from .records import Record, Value
 from .solver import Substitution, close_elementary
-from .terms import Num, subst_const
+from .terms import Num, Term, eval_ground, pretty_term, subst_const
+
+_COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
 
 
 # AST ------------------------------------------------------------------
@@ -65,7 +69,7 @@ class ChooseStmt(Value):
 class ForStmt(Value):
     __slots__ = ("var", "lo", "hi", "body")
 
-    def __init__(self, var: str, lo: object, hi: object, body: tuple):
+    def __init__(self, var: str, lo: Term, hi: Term, body: tuple):
         self._setfields(var, lo, hi, body)
 
 
@@ -73,7 +77,7 @@ class IfStmt(Value):
     __slots__ = ("cond", "then", "orelse")
 
     def __init__(self, cond: tuple, then: tuple, orelse: tuple):
-        self._setfields(cond, then, orelse)
+        self._setfields(cond, then, orelse)  # cond: (comparison, Term, Term)
 
 
 class ProveStmt(Value):
@@ -101,20 +105,21 @@ def parse_script(text: str) -> Script:
     ts.expect("algorithm")
     name = _ident(ts, "algorithm name")
     ts.expect("{")
-    body = _stmts(ts)
+    body = _stmts(FormulaParser(ts))  # expressions are terms, read on ts
     ts.expect("}")
     ts.finish()
     return Script(name, body)
 
 
-def _stmts(ts: TokenStream) -> tuple:
+def _stmts(terms: FormulaParser) -> tuple:
     out = []
-    while ts.peek() not in ("}", ""):
-        out.append(_stmt(ts))
+    while terms.ts.peek() not in ("}", ""):
+        out.append(_stmt(terms))
     return tuple(out)
 
 
-def _stmt(ts: TokenStream) -> Statement:
+def _stmt(terms: FormulaParser) -> Statement:
+    ts = terms.ts
     tok = ts.peek()
     if tok == "prove":
         ts.next()
@@ -138,24 +143,28 @@ def _stmt(ts: TokenStream) -> Statement:
         ts.next()
         var = _ident(ts, "loop variable")
         ts.expect("=")
-        lo = _expr(ts)
+        lo = terms.term()
         ts.expect("to")
-        hi = _expr(ts)
+        hi = terms.term()
         ts.expect("{")
-        body = _stmts(ts)
+        body = _stmts(terms)
         ts.expect("}")
         return ForStmt(var, lo, hi, body)
     if tok == "if":
         ts.next()
-        cond = _cond(ts)
+        lhs, op = terms.term(), ts.peek()
+        if op not in _COMPARE:
+            ts.error(f"expected a comparison, found {op!r}")
+        ts.next()
+        cond = (op, lhs, terms.term())
         ts.expect("{")
-        then = _stmts(ts)
+        then = _stmts(terms)
         ts.expect("}")
         orelse: tuple = ()
         if ts.at("else"):
             ts.next()
             ts.expect("{")
-            orelse = _stmts(ts)
+            orelse = _stmts(terms)
             ts.expect("}")
         return IfStmt(cond, then, orelse)
     if tok == "/":
@@ -215,43 +224,6 @@ def _rule(ts: TokenStream) -> str:
     return ts.next()
 
 
-def _expr(ts: TokenStream):
-    e = _expr_prod(ts)
-    while ts.at("+"):
-        ts.next()
-        e = ("+", e, _expr_prod(ts))
-    return e
-
-
-def _expr_prod(ts: TokenStream):
-    e = _expr_atom(ts)
-    while ts.at("*"):
-        ts.next()
-        e = ("*", e, _expr_atom(ts))
-    return e
-
-
-def _expr_atom(ts: TokenStream):
-    tok = ts.peek()
-    if kind(tok) == "INT":
-        value = ts.numeral()
-        ts.next()
-        return value
-    if kind(tok) == "IDENT":
-        ts.next()
-        return tok
-    ts.error(f"expected a number or script variable, found {tok!r}")
-
-
-def _cond(ts: TokenStream):
-    lhs = _expr(ts)
-    tok = ts.peek()
-    if tok not in ("=", "<", "<=", ">", ">="):
-        ts.error(f"expected a comparison, found {tok!r}")
-    ts.next()
-    return (tok, lhs, _expr(ts))
-
-
 def _ident(ts: TokenStream, what: str) -> str:
     if kind(ts.peek()) != "IDENT":
         ts.expected(what)
@@ -260,21 +232,26 @@ def _ident(ts: TokenStream, what: str) -> str:
 
 # environment channel ---------------------------------------------------
 
+def _env_value(text: str) -> int | None:
+    """The natural an environment value's text spells in decimal digits, or None."""
+    text = text.strip()
+    return int(text) if text.isdecimal() else None
+
+
 class ListChannel:
     """Environment values supplied up front, consumed strictly in order."""
 
     def __init__(self, values):
         self.values = []
         for k, v in enumerate(values, start=1):
-            try:
-                self.values.append(int(v))
+            try:  # an int is a natural already, and str() may refuse a long one
+                value = v if isinstance(v, int) and v >= 0 else _env_value(str(v))
             except ValueError:
-                text = str(v).strip()
-                if text.isdecimal():  # more digits than int() converts
-                    raise ParseError(f"numeral too long ({len(text)} digits) "
-                                     f"in environment value {k}") from None
-                raise ChannelError(
-                    f"environment values must be naturals, got {v!r}") from None
+                raise ParseError(f"numeral too long ({len(str(v).strip())} digits) "
+                                 f"in environment value {k}") from None
+            if value is None:
+                raise ChannelError(f"environment values must be naturals, got {v!r}")
+            self.values.append(value)
         self.pos = 0
 
     def next_value(self, path: str, var: str) -> int:
@@ -282,8 +259,6 @@ class ListChannel:
             raise ChannelError(f"no environment value left for {path}")
         value = self.values[self.pos]
         self.pos += 1
-        if value < 0:
-            raise ChannelError(f"environment values must be naturals, got {value}")
         return value
 
 
@@ -301,28 +276,26 @@ class InteractiveChannel:
             line = self.infile.readline()
             if line == "":
                 raise ChannelError("environment input closed")
-            line = line.strip()
-            if line.isdecimal():
-                try:
-                    return int(line)
-                except ValueError:  # more digits than int() converts: a strike
-                    pass
+            try:
+                value = _env_value(line)
+            except ValueError:  # more digits than int() converts: a strike
+                continue
+            if value is not None:
+                return value
         raise ChannelError("three non-numeric environment inputs")
 
 
 # interpreter ------------------------------------------------------------
 
 class ScriptEnv(Record):
-    """`pending` is a won prove awaiting execute."""
-    __slots__ = ("channel", "variables", "restrictions", "pending", "bounds",
-                 "trace_sink")
+    """A run's channel, bounds and trace sink, then its state: the script
+    variables, the chosen restrictions and `pending`, a won prove to execute."""
+    __slots__ = ("channel", "bounds", "trace_sink", "variables", "restrictions",
+                 "pending")
 
-    def __init__(self, channel: object, variables: dict | None = None,
-                 restrictions: list | None = None, pending: ProveResult | None = None,
-                 bounds: Bounds = Bounds(), trace_sink: object = None):
-        self._setfields(channel, {} if variables is None else variables,
-                        [] if restrictions is None else restrictions, pending,
-                        bounds, trace_sink)
+    def __init__(self, channel: object, bounds: Bounds = Bounds(),
+                 trace_sink: object = None):
+        self._setfields(channel, bounds, trace_sink, {}, [], None)
 
 
 class Outcome(Record):
@@ -341,6 +314,7 @@ class Outcome(Record):
 def run_script(script: Script, cfg: Configuration, env: ScriptEnv):
     """Execute the statements in order; the game is decided by execute (or a
     failing prove).  Returns (outcome, final configuration)."""
+    env.variables, env.restrictions, env.pending = {}, [], None  # each run's own
     outcome, cfg = _run_block(script.body, cfg, env)
     if outcome is None:
         outcome = Outcome("lost", "script ended without closing")
@@ -386,8 +360,9 @@ def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
                 return outcome, cfg
         return None, cfg
     if isinstance(stmt, IfStmt):
-        branch = stmt.then if _test(stmt.cond, env.variables) else stmt.orelse
-        return _run_block(branch, cfg, env)
+        op, lhs, rhs = stmt.cond
+        holds = _COMPARE[op](eval_expr(lhs, env.variables), eval_expr(rhs, env.variables))
+        return _run_block(stmt.then if holds else stmt.orelse, cfg, env)
     if isinstance(stmt, ProveStmt):
         result = prove(cfg, env.restrictions, env.bounds, env.trace_sink)
         if not result.ok:
@@ -400,10 +375,7 @@ def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
             outcome, cfg = execute_strategy(proved.strategy, cfg, env)
             outcome.steps = proved.steps
             return outcome, cfg
-        closed = close_elementary(cfg)
-        if closed.ok:
-            return Outcome("won", subst=closed.subst, result=closed.output), cfg
-        return Outcome("lost", f"closure: {closed.reason}"), cfg
+        return _close(cfg), cfg
     raise ConfigError(f"unknown statement {stmt!r}")
 
 
@@ -417,10 +389,7 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
     node, eigens = strategy, {}
     while True:
         if isinstance(node, Leaf):
-            closed = close_elementary(cfg)
-            if closed.ok:
-                return Outcome("won", subst=closed.subst, result=closed.output), cfg
-            return Outcome("lost", f"closure: {closed.reason}"), cfg
+            return _close(cfg), cfg
         if isinstance(node, Step):
             move = node.move
             if isinstance(move, WriteMove) and move.term is not None:
@@ -444,6 +413,13 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
         raise ConfigError(f"unknown strategy node {node!r}")
 
 
+def _close(cfg: Configuration) -> Outcome:
+    closed = close_elementary(cfg)
+    if closed.ok:
+        return Outcome("won", subst=closed.subst, result=closed.output)
+    return Outcome("lost", f"closure: {closed.reason}")
+
+
 def resolve_path(path: Path, variables) -> Path:
     """The path with each script-variable segment replaced by its value."""
     segs = list(path.segments)
@@ -458,23 +434,17 @@ def resolve_path(path: Path, variables) -> Path:
     return Path(path.dir, tuple(segs))
 
 
-def eval_expr(expr, variables) -> int:
-    if isinstance(expr, int):
-        return expr
-    if isinstance(expr, str):
-        if expr not in variables:
-            raise ConfigError(f"undefined script variable {expr!r}")
-        return variables[expr]
-    op, lhs, rhs = expr
-    a, b = eval_expr(lhs, variables), eval_expr(rhs, variables)
-    return a + b if op == "+" else a * b
-
-
-def _test(cond, variables) -> bool:
-    op, lhs, rhs = cond
-    a, b = eval_expr(lhs, variables), eval_expr(rhs, variables)
-    return {"=": a == b, "<": a < b, "<=": a <= b,
-            ">": a > b, ">=": a >= b}[op]
+def eval_expr(term: Term, variables) -> int:
+    """The expression's value: each script variable's value put in for its
+    name, then the ground arithmetic of `eval_ground`."""
+    ground = term
+    for name, value in variables.items():
+        ground = subst_const(ground, name, Num(value))
+    value = eval_ground(ground)
+    if not isinstance(value, Num):
+        raise ConfigError(f"expression {pretty_term(term)} is not arithmetic "
+                          "over defined script variables")
+    return value.value
 
 
 def _emit_new(before: Configuration, after: Configuration, sink):

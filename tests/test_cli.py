@@ -325,12 +325,25 @@ def test_interactive_unconvertible_numerals_are_strikes(capsys, monkeypatch):
     assert out.count("ENV move at /query (@y): ") == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "3.5"])
+@pytest.mark.parametrize("value", ["abc", "3.5", "1_0", "+3", "-0", "-1"])
 def test_non_numeric_input_exits_2(capsys, value):
     code, out, err = run_cli(capsys, "run", "--kb", data_path("fact.kb"),
                              "--script", data_path("fact.coli"), "--inputs", value)
     assert (code, out) == (2, "")
     assert err == f"error: environment values must be naturals, got {value!r}\n"
+
+
+@pytest.mark.parametrize("bound", ["m", "f(2)", "n+g(n)"])
+def test_expression_that_is_not_arithmetic_exits_2(capsys, tmp_path, bound):
+    # an undefined script variable, or a function other than s, + and *
+    script = tmp_path / "bad.coli"
+    script.write_text(f"algorithm a {{\n  /query.read(n);\n"
+                      f"  for i = 1 to {bound} {{ /d.i.write; }}\n}}\n")
+    code, out, err = run_cli(capsys, "run", "--kb", data_path("fact.kb"),
+                             "--script", str(script), "--inputs", "3")
+    assert (code, out) == (2, "")
+    assert err == (f"error: expression {bound} is not arithmetic over defined "
+                   "script variables\n")
 
 
 @pytest.mark.parametrize("which, text, byte", [

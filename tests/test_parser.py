@@ -664,7 +664,7 @@ def test_token_counts_of_data_files_match_reference():
     ('algorithm a {\n  bogus;\n}',
      "unknown statement 'bogus' (line 2, col 3)"),
     ('algorithm a {\n  for i = ; to 2 {}\n}',
-     "expected a number or script variable, found ';' (line 2, col 11)"),
+     "expected a term, found ';' (line 2, col 11)"),
     ('algorithm a { prove; } execute;',
      "trailing input 'execute' (line 1, col 24)"),
     ('algo a {}',

@@ -236,19 +236,6 @@ def test_collapse_write_strategy_at_service_root():
     assert out.won and pretty(out.result) == "p(5)"
 
 
-def test_explicit_term_universe_bound():
-    # an explicit universe replaces the derived one at committing writes
-    table = load_kb("/q2 = $ #x. p(x)\nquery /q2\n")
-    cfg = init_configuration(table)
-    wide = prove(cfg, [Restriction(Path("q2"), ("write",))],
-                 Bounds(term_universe=(Num(0), Num(1), Num(2))))
-    narrow = prove(cfg, [Restriction(Path("q2"), ("write",))],
-                   Bounds(term_universe=()))
-    assert not wide.ok and not narrow.ok
-    assert wide.reason == narrow.reason == "exhausted"
-    assert narrow.steps < wide.steps
-
-
 def test_term_universe_contents():
     cfg = _fact_after_read(3)
     universe = term_universe(cfg)
@@ -380,12 +367,17 @@ def _random_restrictions(rng, cfg):
             for path in rng.sample(pool, rng.randint(1, min(4, len(pool))))]
 
 
-ORACLE_UNIVERSE = (Num(0), Const("a"))
-ORACLE_BOUNDS = [Bounds(d, r, ORACLE_UNIVERSE)
-                 for d, r in ((8, 3), (5, 4), (4, 3), (3, 2), (2, 4))]
+ORACLE_BOUNDS = [Bounds(d, r) for d, r in ((8, 3), (5, 4), (4, 3), (3, 2), (2, 4))]
 
 
-def test_dead_position_prune_keeps_verdicts_strategies_and_wins(monkeypatch):
+@pytest.fixture
+def oracle_universe(monkeypatch):
+    """Committing writes try 0 and a, whatever terms the game holds."""
+    monkeypatch.setattr(prover, "term_universe", lambda cfg: (Num(0), Const("a")))
+
+
+def test_dead_position_prune_keeps_verdicts_strategies_and_wins(monkeypatch,
+                                                                 oracle_universe):
     # the prune against the same search with `_dead` switched off, on small
     # random games at every bound pair, with and without restrictions: it
     # may only drop search nodes, and won strategies beat the environment's
@@ -422,7 +414,7 @@ def test_dead_position_prune_keeps_verdicts_strategies_and_wins(monkeypatch):
     assert pruned >= 100 and min(verdicts.values()) >= 30, (pruned, verdicts)
 
 
-def test_closures_in_random_games_match_the_reference(monkeypatch):
+def test_closures_in_random_games_match_the_reference(monkeypatch, oracle_universe):
     # every closure that proof search attempts on small random games, each
     # checked against the reference search
     rng = random.Random(21)
@@ -436,7 +428,7 @@ def test_closures_in_random_games_match_the_reference(monkeypatch):
     monkeypatch.setattr(prover, "close_elementary", close)
     for _trial in range(150):
         cfg = init_configuration(load_kb(_random_game(rng)))
-        prove(cfg, (), Bounds(6, 3, ORACLE_UNIVERSE))
+        prove(cfg, (), Bounds(6, 3))
     # the searches reach wins and derivations that fail, not only shapes
     # that closure rejects before it searches
     assert outcomes[True, ""] >= 15, outcomes
@@ -522,7 +514,7 @@ def _random_derivation(rng):
         + f"/query = {output}\nquery /query\n"
 
 
-def test_start_budget_is_admissible_and_keeps_verdicts(monkeypatch):
+def test_start_budget_is_admissible_and_keeps_verdicts(monkeypatch, oracle_universe):
     # deepening from 0 wins at no budget below the start, at tight and loose
     # depths, and starting there changes no verdict, reason or strategy.
     # The start is above 0 on a good share of the won games
@@ -531,14 +523,14 @@ def test_start_budget_is_admissible_and_keeps_verdicts(monkeypatch):
     for case, cfg, replicas in _oracle_configurations(rng):
         for max_depth in (2, 3, 4, 64):
             bounds = Bounds(max_depth, replicas if max_depth == 64 else
-                            min(replicas, 4), ORACLE_UNIVERSE)
+                            min(replicas, 4))
             start = prover._start_budget(cfg, bounds.max_replicas)
             fast = prove(cfg, (), bounds)
             with monkeypatch.context() as patch:
                 patch.setattr(prover, "_start_budget", lambda *args: 0)
                 full = prove(cfg, (), bounds)
-                below = prove(cfg, (), Bounds(max_depth, start - 1,
-                                              ORACLE_UNIVERSE)) if start else None
+                below = prove(cfg, (), Bounds(max_depth, start - 1)) \
+                    if start else None
             key = (case, max_depth)
             assert (fast.ok, fast.reason) == (full.ok, full.reason), key
             started[start > 0, full.ok] += 1
@@ -618,9 +610,7 @@ def test_render_strategy_is_iterative_and_matches_the_recursive_one():
     strategies += [prove(_fact_after_read(3)).strategy,
                    prove(init_configuration(load_kb(data_text("ident.kb")))).strategy]
     for strategy in strategies:
-        for indent in (0, 2):
-            assert render_strategy(strategy, indent) \
-                == _render_recursively(strategy, indent)
+        assert render_strategy(strategy) == _render_recursively(strategy)
     long = Leaf()
     for i in range(5000):
         long = Step(ReplicateMove(Path("d"), 5000 - i), long)

@@ -2,6 +2,7 @@
 conditionals, channels, and determinism."""
 
 import operator
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from coli.scripts import (ChooseStmt, ExecuteStmt, ForStmt, IfStmt, ListChannel,
                           parse_script, run_script)
 from coli.configuration import Path, init_configuration
 from coli.directories import load_kb
+from coli.terms import App, Const, Num
 
 from conftest import data_text, factorial, run_game
 
@@ -22,7 +24,7 @@ def test_parse_fact_script():
     read, loop, write, execute = script.body
     assert read == ReadStmt(Path("query"), "n")
     assert isinstance(loop, ForStmt)
-    assert loop.var == "i" and loop.lo == 1 and loop.hi == "n"
+    assert loop.var == "i" and loop.lo == Num(1) and loop.hi == Const("n")
     assert loop.body == (WriteStmt(Path("d", ("i",))),
                          WriteStmt(Path("d", ("i",))))
     assert write == WriteStmt(Path("query"))
@@ -57,7 +59,7 @@ algorithm t {            % top comment
 """)
     read, branch = script.body
     assert isinstance(branch, IfStmt)
-    assert branch.cond == ("<=", "n", ("+", 2, 1))
+    assert branch.cond == ("<=", Const("n"), App("+", (Num(2), Num(1))))
     assert branch.then == (WriteStmt(Path("q")),)
     assert branch.orelse == (ProveStmt(),)
 
@@ -103,6 +105,15 @@ def test_restricted_q_script_loses_exhausted():
     outcome, _, _ = run_game("q.kb", "q_restricted.coli", [])
     assert not outcome.won
     assert outcome.reason == "exhausted"
+
+
+def test_list_channel_takes_naturals_as_ints_or_decimal_text():
+    # an int of more than 4,300 digits, which str() refuses, is still a natural
+    huge = 10 ** 5000
+    assert ListChannel([3, " 4 ", huge]).values == [3, 4, huge]
+    for bad in (-1, "+3", "1_0", "-0", 2.0):
+        with pytest.raises(ChannelError, match="must be naturals"):
+            ListChannel([bad])
 
 
 def test_channel_exhausted():
@@ -164,6 +175,17 @@ algorithm mixed {
     assert pretty(outcome.result) == "fact(2,2)"
     assert [str(m.path) for m in final.trace] == \
         ["/query", "/d", "/d.1", "/d.1", "/d", "/d.2", "/d.2", "/query"]
+
+
+def test_a_reused_env_starts_each_run_afresh():
+    # the restrictions, variables and pending prove of one run do not reach
+    # the next: q_free after q_restricted is bounded, as on its own
+    cfg = init_configuration(load_kb(data_text("q.kb")))
+    env = ScriptEnv(ListChannel([]))
+    restricted, _ = run_script(parse_script(data_text("q_restricted.coli")), cfg, env)
+    free, _ = run_script(parse_script(data_text("q_free.coli")), cfg, env)
+    assert (restricted.reason, free.reason) == ("exhausted", "bounded")
+    assert env.restrictions == [] and env.variables == {} and env.pending is None
 
 
 def test_schoose_in_script_orders_search():
@@ -265,3 +287,74 @@ algorithm t {
         env = ScriptEnv(channel=ListChannel([value]))
         outcome, _ = run_script(script, cfg, env)
         assert outcome.won == won, value
+
+
+READ_KB = "/s = $ @x. id(x,x)\n/query = @a. @b. @c. #z. id(c,z)\nquery /query\n"
+COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge}
+
+
+def _random_expr(rng, depth=3):
+    """A numeral, one of the read variables a, b and c, or (op, operands...)
+    for "+", "*" and "s"."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(["a", "b", "c", str(rng.randint(0, 9))])
+    if roll < 0.45:
+        return ("s", _random_expr(rng, depth - 1))
+    return (rng.choice("+*"), _random_expr(rng, depth - 1),
+            _random_expr(rng, depth - 1))
+
+
+def _render(expr, rng):
+    """The expression's text and precedence (1 sum, 2 product, 3 atom): a
+    sum under a product is parenthesized, and any operand at random."""
+    if isinstance(expr, str):
+        return expr, 3
+    if expr[0] == "s":
+        return f"s({_render(expr[1], rng)[0]})", 3
+    mine = 1 if expr[0] == "+" else 2
+    parts = []
+    for operand in expr[1:]:
+        text, prec = _render(operand, rng)
+        parts.append(f"({text})" if prec < mine or rng.random() < 0.15 else text)
+    return expr[0].join(parts), mine
+
+
+def _value(expr, read):
+    """The expression's value in Python's own arithmetic."""
+    if isinstance(expr, str):
+        return read[expr] if expr in read else int(expr)
+    if expr[0] == "s":
+        return _value(expr[1], read) + 1
+    a, b = _value(expr[1], read), _value(expr[2], read)
+    return a + b if expr[0] == "+" else a * b
+
+
+def test_expressions_match_python_arithmetic():
+    # seeded random expressions as for bounds and if operands.  The body
+    # wins the game, so a loop's outcome shows whether it ran: from E to its
+    # value and from the value to E both run, from the value + 1 to E not;
+    # an if against a second expression wins as Python's comparison holds
+    rng = random.Random(24)
+    cfg = init_configuration(load_kb(READ_KB))
+    win = "/s.1.write; /query.write; execute;"
+    seen = set()
+    for _ in range(300):
+        read = {name: rng.randint(0, 6) for name in "abc"}
+        lhs, rhs = _random_expr(rng), _random_expr(rng)
+        text, other = _render(lhs, rng)[0], _render(rhs, rng)[0]
+        value = _value(lhs, read)
+        op = rng.choice(list(COMPARE))
+        holds = COMPARE[op](value, _value(rhs, read))
+        seen.add((op, holds))
+        for body, wins in ((f"for i = {text} to {value} {{ {win} }}", True),
+                           (f"for i = {value} to {text} {{ {win} }}", True),
+                           (f"for i = {value + 1} to {text} {{ {win} }}", False),
+                           (f"if {text} {op} {other} {{ {win} }}", holds)):
+            script = parse_script("algorithm t { /query.read(a); /query.read(b); "
+                                  f"/query.read(c); {body} }}")
+            channel = ListChannel([read["a"], read["b"], read["c"]])
+            outcome, _ = run_script(script, cfg, ScriptEnv(channel))
+            assert outcome.won == wins, (body, read)
+    assert seen == {(op, holds) for op in COMPARE for holds in (True, False)}

@@ -188,7 +188,7 @@ def test_value_class_defaults_and_keywords():
     assert Path("d").segments == ()
     move = WriteMove(_P, term=Num(4))
     assert (move.path, move.gvar, move.term) == (_P, None, Num(4))
-    assert Bounds(max_replicas=4) == Bounds(64, 4, None)
+    assert Bounds(max_replicas=4) == Bounds(64, 4)
     assert Atom("p").args == () and DirRef("m") == DirRef("m", (), False)
     assert MoveOption("write", _P, "output", collapse=True).index is None
     env = ScriptEnv(ListChannel([]))
