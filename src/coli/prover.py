@@ -13,10 +13,12 @@ the number of replications it may spend:
   try the fresh global variable first; concrete candidate terms are explored
   only where that is not most general — when the write commits a recurrence,
   or when the output contains negation.
-* Every node attempts elementary closure; success yields the strategy leaf.
-  A closure verdict depends only on the node's canonical position, so each
-  `prove` call remembers the positions whose closure failed and does not
-  try them again, in any deepening iteration.
+* Every node from the start level on (below) attempts elementary closure;
+  success yields the strategy leaf, and the result keeps the leaf's
+  position and closure for `execute`.  A closure verdict depends only on
+  the node's canonical position, so each `prove` call remembers the
+  positions whose closure failed and does not try them again, in any
+  deepening iteration.
 * A dead position is not searched below when it offers a replicate
   option.  It holds something that closure rejects and that no move can
   remove (configuration's module docstring), so no position below it
@@ -35,6 +37,15 @@ replications holds b body parts at most, so level b derives all it does
 and no skipped iteration could win.  An uncovered query starts at 0: any
 start gives its verdict, but its trace would lose its replicate moves.
 `steps` counts the nodes from the start.
+
+The same bound skips closure inside an iteration.  At budget B a node that
+has b = B - budget replications spent holds at most b replicas of each
+input recurrence, and the moves that spend nothing add no input fact or
+rule: input-side writes take a fresh variable, which the relaxation also
+takes, and the start is 0 wherever the output has a recurrence that a
+write could collapse.  So the node's closure derives no more than level b,
+which covers nothing below the start, and only nodes with b >= start try
+closure.
 
 Failure is `exhausted` when the whole (restricted) space was explored within
 bounds and `bounded` when a branch hit max_depth, max_replicas or
@@ -55,8 +66,8 @@ from .configuration import (Configuration, Move, MoveOption, Path, _peel,
 from .errors import ConfigError
 from .graphs import preorder
 from .records import Record, Value
-from .solver import (Substitution, _decompose_input, _Inputs, _satisfiable,
-                     close_elementary, unify_atoms)
+from .solver import (ClosureResult, Substitution, _decompose_input, _Inputs,
+                     _satisfiable, close_elementary, unify_atoms)
 from .terms import App, Const, GVar, Num, is_ground
 
 RULE_NAMES = ("read", "write", "replicate", "close")
@@ -101,11 +112,16 @@ Strategy = Leaf | Step | EnvBranch
 
 
 class ProveResult(Record):
-    """`reason` is empty on success, else exhausted | bounded."""
-    __slots__ = ("strategy", "reason", "steps")
+    """`reason` is empty on success, else exhausted | bounded.  A win also
+    keeps the configuration it was proved from (`source`), the position
+    at the strategy's leaf and that position's winning closure."""
+    __slots__ = ("strategy", "reason", "steps", "source", "leaf", "closed")
 
-    def __init__(self, strategy: Strategy | None, reason: str = "", steps: int = 0):
-        self._setfields(strategy, reason, steps)
+    def __init__(self, strategy: Strategy | None, reason: str = "", steps: int = 0,
+                 source: Configuration | None = None,
+                 leaf: Configuration | None = None,
+                 closed: ClosureResult | None = None):
+        self._setfields(strategy, reason, steps, source, leaf, closed)
 
     @property
     def ok(self) -> bool:
@@ -302,9 +318,10 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
     # instead of walking two equal nested tuples
     unclosable: dict = {}
     steps = 0
+    won = None  # the winning leaf's position and closure
 
     def search(cfg, depth, budget, eigen_base):
-        nonlocal steps
+        nonlocal steps, won
         steps += 1
         wraps: list = []  # (Step | EnvBranch, fields) above the position
 
@@ -331,8 +348,10 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
         known = unclosable.get(key)
         if known is not None:
             key = known
-        else:
-            if close_elementary(cfg).ok:
+        elif level - budget >= start:  # below the start closure cannot win
+            closed = close_elementary(cfg)
+            if closed.ok:
+                won = cfg, closed
                 return _wrap(wraps, Leaf()), None
             unclosable[key] = key
         if key in failed:
@@ -400,12 +419,12 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
 
     start = 0 if with_neg else _start_budget(cfg, bounds.max_replicas)
     try:
-        for budget in range(start, bounds.max_replicas + 1):
+        for level in range(start, bounds.max_replicas + 1):
             flags = {"budget": False, "depth": False}
             failed: set = set()
-            found, _key = search(cfg, 0, budget, 0)
+            found, _key = search(cfg, 0, level, 0)
             if found is not None:
-                return ProveResult(found, "", steps)
+                return ProveResult(found, "", steps, cfg, *won)
             if not flags["budget"]:
                 reason = "bounded" if flags["depth"] else "exhausted"
                 return ProveResult(None, reason, steps)

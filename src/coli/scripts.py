@@ -19,6 +19,16 @@ Script grammar (``%`` starts a comment)::
 A script wins only through `execute`: with a strategy pending from `prove`
 it walks that strategy against the environment, otherwise it attempts
 elementary closure of the configuration as it stands.
+
+A won `prove` keeps the position at its strategy's leaf and the closure
+that won there.  When `execute` follows at once, on the configuration that
+`prove` searched from, and the strategy has no environment branch, `execute`
+takes that leaf and closure as they are and emits the leaf's moves.
+Configurations are values and a fresh write is numbered by the position it
+is made in, so walking such a strategy would apply the same moves to the same
+position, rebuild exactly that leaf and repeat the closure that already won.
+A strategy with a branch is walked: its leaf holds eigenvariables, where
+the run has the environment's values.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from .parser import FormulaParser, TokenStream, kind
 from .prover import (RULE_NAMES, Bounds, EnvBranch, Leaf, Restriction, Step,
                      Strategy, prove, validate_restrictions)
 from .records import Record, Value
-from .solver import Substitution, close_elementary
+from .solver import ClosureResult, Substitution, close_elementary
 from .terms import Num, Term, eval_ground, pretty_term, subst_const
 
 _COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
@@ -370,12 +380,17 @@ def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
         env.pending = result
         return None, cfg
     if isinstance(stmt, ExecuteStmt):
-        if env.pending is not None:
-            proved, env.pending = env.pending, None
+        if env.pending is None:
+            return _outcome(close_elementary(cfg)), cfg
+        proved, env.pending = env.pending, None
+        if proved.source is cfg and _branch_free(proved.strategy):
+            # a replay would rebuild the won leaf (module docstring)
+            _emit_new(cfg, proved.leaf, env.trace_sink)
+            outcome, cfg = _outcome(proved.closed), proved.leaf
+        else:
             outcome, cfg = execute_strategy(proved.strategy, cfg, env)
-            outcome.steps = proved.steps
-            return outcome, cfg
-        return _close(cfg), cfg
+        outcome.steps = proved.steps
+        return outcome, cfg
     raise ConfigError(f"unknown statement {stmt!r}")
 
 
@@ -389,7 +404,7 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
     node, eigens = strategy, {}
     while True:
         if isinstance(node, Leaf):
-            return _close(cfg), cfg
+            return _outcome(close_elementary(cfg)), cfg
         if isinstance(node, Step):
             move = node.move
             if isinstance(move, WriteMove) and move.term is not None:
@@ -413,8 +428,13 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
         raise ConfigError(f"unknown strategy node {node!r}")
 
 
-def _close(cfg: Configuration) -> Outcome:
-    closed = close_elementary(cfg)
+def _branch_free(strategy: Strategy) -> bool:
+    while isinstance(strategy, Step):
+        strategy = strategy.rest
+    return isinstance(strategy, Leaf)
+
+
+def _outcome(closed: ClosureResult) -> Outcome:
     if closed.ok:
         return Outcome("won", subst=closed.subst, result=closed.output)
     return Outcome("lost", f"closure: {closed.reason}")

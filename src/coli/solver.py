@@ -4,7 +4,9 @@ Unification is the standard syntactic algorithm with an occurs check, except
 that both sides are ground-evaluated (``terms.eval_ground``) before
 structural descent, so ``fact(3,W)`` unifies with ``fact(2+1, 2*2+2)`` by
 binding W to 6.  There is no arithmetic constraint solving: ``W+1`` never
-unifies with ``3``.
+unifies with ``3``.  Closure ground-evaluates the facts and the output's
+atoms once per call, so a deep ground argument such as ``s(s(...(0)))`` is
+reduced once, not at each unification.
 
 Substitutions are triangular: a binding is stored once, as resolved when it
 was made, and later bindings reach it through chains that are resolved on
@@ -186,6 +188,14 @@ def _atom(node) -> F.Atom:
     return F.Atom(node.pred, node.args)
 
 
+def _evaluated(node) -> F.Atom:
+    """The atom node as an atom, its arguments ground-evaluated, so that
+    each `unify` on it finds its arithmetic already reduced.  Facts and
+    the output's atoms are built this way; a rule's arguments hold the
+    variables of its writes, so evaluating them would mostly copy terms."""
+    return F.Atom(node.pred, tuple(map(eval_ground, node.args)))
+
+
 def _decompose_input(cfg, root: int, acc: _Inputs) -> str | None:
     """Add the facts and rules of the input conjunction at root to acc, or
     return the reason why its first other part is not elementary."""
@@ -193,7 +203,7 @@ def _decompose_input(cfg, root: int, acc: _Inputs) -> str | None:
     for part in _conjuncts(nodes, root):
         node = nodes[part]
         if node.op == "atom":
-            acc.facts.append(_atom(node))
+            acc.facts.append(_evaluated(node))
         elif node.op == "implies":
             ante = [nodes[c] for c in _conjuncts(nodes, node.children[0])]
             cons = [nodes[c] for c in _conjuncts(nodes, node.children[1])]
@@ -296,7 +306,7 @@ def close_elementary(cfg) -> ClosureResult:
                 for ante, cons in acc.rules]
     # the output's atoms in preorder: its connectives are fixed, so these
     # atoms under a substitution stand for the output under it
-    atoms = {nid: _atom(nodes[nid]) for nid in preorder(nodes, [out])
+    atoms = {nid: _evaluated(nodes[nid]) for nid in preorder(nodes, [out])
              if nodes[nid].op == "atom"}
     out_atoms = tuple(atoms.values())
     outside = set().union(*map(_formula_gvars, out_atoms + tuple(acc.facts)))
@@ -319,7 +329,7 @@ def close_elementary(cfg) -> ClosureResult:
             for fact, num in zip(facts[0], facts[1]):
                 if (mine, num) in failed:
                     continue
-                s2 = unify_atoms(node, fact, s)
+                s2 = unify_atoms(atoms[nid], fact, s)
                 if s2 is not None:
                     yield s2
                 elif mine is not None:

@@ -134,17 +134,46 @@ def is_ground(t: Term) -> bool:
 
 
 def eval_ground(t: Term) -> Term:
-    """Reduce every ground s/+/* subterm to a numeral; leave the rest alone."""
-    if not isinstance(t, App):
+    """Reduce every ground s/+/* subterm to a numeral; leave the rest alone.
+    A leaf, or an application of leaves, is reduced at once; a deeper term
+    is walked on an explicit stack, so its depth costs no frames."""
+    if t.__class__ is not App:
         return t
-    args = tuple(eval_ground(a) for a in t.args)
-    if t.fn == "s" and len(args) == 1 and isinstance(args[0], Num):
-        return Num(args[0].value + 1)
-    if t.fn in ("+", "*") and len(args) == 2 \
-            and isinstance(args[0], Num) and isinstance(args[1], Num):
+    for a in t.args:
+        if a.__class__ is App:
+            break
+    else:
+        return _reduce(t.fn, t.args, t)
+    # an explicit stack of (application, values of its arguments so far);
+    # arguments that are not applications are taken over in one pass
+    frames = [(t, [])]
+    while True:
+        app, vals = frames[-1]
+        args = app.args
+        i = len(vals)
+        while i < len(args) and args[i].__class__ is not App:
+            vals.append(args[i])
+            i += 1
+        if i < len(args):
+            frames.append((args[i], []))
+            continue
+        frames.pop()
+        value = _reduce(app.fn, tuple(vals), None)
+        if not frames:
+            return value
+        frames[-1][1].append(value)
+
+
+def _reduce(fn: str, args: tuple, same) -> Term:
+    """fn applied to evaluated args; `same`, if given, is that application."""
+    if len(args) == 1:
+        if fn == "s" and args[0].__class__ is Num:
+            return Num(args[0].value + 1)
+    elif len(args) == 2 and (fn == "+" or fn == "*") \
+            and args[0].__class__ is Num and args[1].__class__ is Num:
         a, b = args[0].value, args[1].value
-        return Num(a + b if t.fn == "+" else a * b)
-    return App(t.fn, args)
+        return Num(a + b if fn == "+" else a * b)
+    return App(fn, args) if same is None else same
 
 
 # str() refuses an int of more than 4,300 digits by default, so larger ones

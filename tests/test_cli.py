@@ -120,6 +120,35 @@ def test_prove_deep_terms_subprocess(tmp_path):
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
 
 
+def _chain_kb(tmp_path, n):
+    """p(0), a replicable step p(x) -> p(s(x)), and the query p(s^n(0)):
+    a win takes n replications and a closure over n + 1 facts."""
+    kb = tmp_path / "chain.kb"
+    kb.write_text("/c = p(0)\n/d = $ @x. (p(x) -> p(s(x)))\n"
+                  f"/query = p({'s(' * n}0{')' * n})\nquery /query\n")
+    return str(kb)
+
+
+def test_prove_long_chain_subprocess(tmp_path):
+    # closure runs only once the start level's 250 replicas are made, on
+    # atoms whose 250-deep arguments are evaluated once per call: the
+    # search closes at its last node only, not at each of its 251
+    proc = run_coli("prove", "--kb", _chain_kb(tmp_path, 250),
+                    "--max-depth", "3000", "--max-replicas", "800")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "close"
+    assert sum(line.startswith("replicate /d") for line in lines) == 250
+
+
+def test_prove_chain_past_the_replica_limit_subprocess(tmp_path):
+    # 300 replications exceed REPLICA_LIMIT (256), a bound no budget lifts
+    proc = run_coli("prove", "--kb", _chain_kb(tmp_path, 300),
+                    "--max-depth", "3000", "--max-replicas", "800")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == "PROVE fail reason=bounded steps=257\n"
+
+
 def test_read_under_deep_negations_subprocess(tmp_path):
     # a read substitutes its value through 1,000 nested ~ without a frame
     # per level

@@ -253,12 +253,13 @@ def test_render_strategy_mentions_moves():
     assert text.strip().endswith("close")
 
 
-@pytest.mark.parametrize("n,closures,steps", [(4, 6, 6), (8, 10, 10),
-                                              (12, 14, 14)])
+@pytest.mark.parametrize("n,closures,steps", [(4, 2, 6), (8, 2, 10),
+                                              (12, 2, 14)])
 def test_closure_runs_once_per_position(monkeypatch, n, closures, steps):
     # iterative deepening revisits positions, but each distinct canonical
     # position is closed at most once per prove call; the deepening starts
-    # at budget n here, so it walks the chain once
+    # at budget n here, so it walks the chain once, and closure runs only
+    # where all n replicas are made: after the last one, and after its write
     keys = []
 
     def counting(cfg):
@@ -476,10 +477,10 @@ def _oracle_configurations(rng):
     each read and partly driven, then small random games."""
     for kb in HAND_GAMES:
         yield kb, init_configuration(load_kb(kb)), 8
-    for k in (0, 1, 5, 17, 30):
+    for k in range(31):
         yield f"chain({k})", init_configuration(load_kb(_chain(k))), 32
     fact = load_kb(data_text("fact.kb"))
-    for n in range(7):
+    for n in range(13):
         yield f"fact({n})", apply_read(init_configuration(fact), Path("query"),
                                        n, "n"), 32
     partial = apply_read(init_configuration(fact), Path("query"), 3, "n")
@@ -514,18 +515,71 @@ def _random_derivation(rng):
         + f"/query = {output}\nquery /query\n"
 
 
+def _watch_positions(patch):
+    """Record, as prove runs, each position it keys, with its key and
+    whether prove closed it: a list of [position, key, closed]."""
+    seen = []
+    key_of, close = prover._canonical_key, prover.close_elementary
+
+    def keyed(cfg):
+        seen.append([cfg, key_of(cfg), False])
+        return seen[-1][1]
+
+    def closing(cfg):
+        assert seen[-1][0] is cfg  # prove closes a position right after keying it
+        seen[-1][2] = True
+        return close(cfg)
+
+    patch.setattr(prover, "_canonical_key", keyed)
+    patch.setattr(prover, "close_elementary", closing)
+    return seen
+
+
+def _check_skipped(origin, seen, tally, case):
+    """The real closure fails at every position whose key prove never
+    closed, which it skipped below the start level, and after every write
+    such a position offers: a write spends no budget, so its child is below
+    the start too.  tally counts what was checked."""
+    closed = {key for _cfg, key, did in seen if did}
+    for cfg, key, _did in seen:
+        if key in closed:
+            continue
+        tally["skipped"] += 1
+        assert not close_elementary(cfg).ok, case
+        # the moves since the origin that spent no budget
+        for side in {"output" if m.path.dir == cfg.output else "input"
+                     for m in cfg.trace[len(origin.trace):]
+                     if isinstance(m, WriteMove)}:
+            tally[f"after {side}-side writes"] += 1
+        for opt in legal_moves(cfg):
+            if opt.kind != "write":
+                continue
+            # the start is 0 where the output holds a recurrence to collapse
+            assert not opt.collapse, (case, opt)
+            tally[f"{opt.side}-side write"] += 1
+            assert not close_elementary(apply_write(cfg, opt.path)).ok, (case, opt)
+
+
 def test_start_budget_is_admissible_and_keeps_verdicts(monkeypatch, oracle_universe):
     # deepening from 0 wins at no budget below the start, at tight and loose
     # depths, and starting there changes no verdict, reason or strategy.
-    # The start is above 0 on a good share of the won games
+    # The start is above 0 on a good share of the won games.  Closure fails
+    # wherever the search skips it, and a game that offers a collapsing
+    # write starts at 0
     rng = random.Random(22)
-    started = Counter()
+    started, skips = Counter(), Counter()
     for case, cfg, replicas in _oracle_configurations(rng):
+        if any(o.collapse for o in legal_moves(cfg)):
+            assert prover._start_budget(cfg, 32) == 0, case
+            skips["collapsible game"] += 1
         for max_depth in (2, 3, 4, 64):
             bounds = Bounds(max_depth, replicas if max_depth == 64 else
                             min(replicas, 4))
             start = prover._start_budget(cfg, bounds.max_replicas)
-            fast = prove(cfg, (), bounds)
+            with monkeypatch.context() as patch:
+                seen = _watch_positions(patch)
+                fast = prove(cfg, (), bounds)
+            _check_skipped(cfg, seen, skips, (case, max_depth))
             with monkeypatch.context() as patch:
                 patch.setattr(prover, "_start_budget", lambda *args: 0)
                 full = prove(cfg, (), bounds)
@@ -543,6 +597,10 @@ def test_start_budget_is_admissible_and_keeps_verdicts(monkeypatch, oracle_unive
                                 for m in strategy_moves(full.strategy))
             assert start <= replicas_used, (key, start)
     assert started[True, True] >= 25, started
+    # the input-side writes were all forced before the positions were keyed
+    assert skips["skipped"] >= 500 and skips["after input-side writes"] >= 300, skips
+    assert skips["after output-side writes"] >= 20, skips
+    assert skips["output-side write"] >= 100 and skips["collapsible game"] >= 10, skips
 
 
 def test_start_budget_on_the_ladders():

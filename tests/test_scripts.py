@@ -3,11 +3,14 @@ conditionals, channels, and determinism."""
 
 import operator
 import random
+from collections import Counter
 
 import pytest
 
+from coli import scripts
 from coli.errors import ChannelError, ConfigError, ParseError
 from coli.formulas import pretty
+from coli.prover import Bounds, prove, render_strategy
 from coli.scripts import (ChooseStmt, ExecuteStmt, ForStmt, IfStmt, ListChannel,
                           ProveStmt, ReadStmt, ScriptEnv, WriteStmt,
                           parse_script, run_script)
@@ -16,6 +19,7 @@ from coli.directories import load_kb
 from coli.terms import App, Const, Num
 
 from conftest import data_text, factorial, run_game
+from test_prover import _random_game
 
 
 def test_parse_fact_script():
@@ -358,3 +362,96 @@ def test_expressions_match_python_arithmetic():
             outcome, _ = run_script(script, cfg, ScriptEnv(channel))
             assert outcome.won == wins, (body, read)
     assert seen == {(op, holds) for op in COMPARE for holds in (True, False)}
+
+
+# --- execute after prove: the won leaf against a replay -------------------
+
+PROVE_EXECUTE = "algorithm a {\n  prove;\n  execute;\n}\n"
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """play(cfg, script, inputs, bounds) runs the script as it is and with
+    the won leaf's reuse switched off, so that execute walks the strategy.
+    It returns each run's outcome fields, emitted lines and final trace,
+    and whether the first run reused the leaf."""
+    walked = []
+    walk = scripts.execute_strategy
+
+    def counting(*args):
+        walked.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(scripts, "execute_strategy", counting)
+
+    def run(cfg, text, inputs, bounds):
+        lines: list = []
+        env = ScriptEnv(ListChannel(inputs), bounds, lines.append)
+        outcome, final = run_script(parse_script(text), cfg, env)
+        return (outcome.status, outcome.reason, outcome.steps,
+                None if outcome.subst is None else outcome.subst.render(),
+                None if outcome.result is None else pretty(outcome.result),
+                lines, final.trace)
+
+    def play(cfg, text, inputs, bounds=Bounds()):
+        walked.clear()
+        reused = run(cfg, text, inputs, bounds)
+        took_reuse = not walked
+        with monkeypatch.context() as patch:
+            patch.setattr(scripts, "_branch_free", lambda strategy: False)
+            replayed = run(cfg, text, inputs, bounds)
+        return reused, replayed, took_reuse
+
+    return play
+
+
+def test_execute_reuses_the_won_leaf_that_a_replay_rebuilds(both_paths):
+    # fact after each read: execute takes the leaf, and its outcome, MOVE
+    # lines and final trace are those of walking the strategy
+    fact = init_configuration(load_kb(data_text("fact.kb")))
+    for n in range(13):
+        reused, replayed, took_reuse = both_paths(
+            fact, data_text("fact_short.coli"), [n])
+        assert took_reuse and reused == replayed, n
+        assert reused[:2] == ("won", "") and reused[4] == f"fact({n},{factorial(n)})"
+
+
+def test_execute_reuses_the_leaf_only_of_a_branch_free_strategy(both_paths):
+    # seeded won random games: a strategy without an environment branch
+    # reuses its leaf, one with a branch is walked, and both give what the
+    # walk gives
+    rng = random.Random(25)
+    paths = Counter()
+    for _ in range(400):
+        cfg = init_configuration(load_kb(_random_game(rng)))
+        bounds = Bounds(6, 3)
+        reused, replayed, took_reuse = both_paths(cfg, PROVE_EXECUTE,
+                                                  [rng.randrange(7)] * 4, bounds)
+        assert reused == replayed
+        proved = prove(cfg, (), bounds)
+        if proved.ok:
+            assert took_reuse == ("branch read" not in render_strategy(proved.strategy))
+            paths[took_reuse, reused[0]] += 1
+    assert paths[True, "won"] >= 30 and paths[False, "won"] >= 10, paths
+
+
+def test_execute_walks_a_strategy_with_a_branch(both_paths):
+    # ident's prove comes before the environment's read, so its strategy
+    # branches on the value
+    ident = init_configuration(load_kb(data_text("ident.kb")))
+    reused, replayed, took_reuse = both_paths(ident, data_text("ident.coli"), [5])
+    assert not took_reuse and reused == replayed
+    assert reused[0] == "won" and reused[4] == "id(5,5)"
+
+
+def test_execute_walks_a_strategy_after_a_move_since_prove(both_paths):
+    # the read between prove and execute changes the configuration, so the
+    # leaf that prove reached is not the one execute plays to
+    kb = ("/c = p(0)\n/d = $ @x. (p(x) -> p(s(x)))\n/e = $ #y. r(y)\n"
+          "/query = p(s(0))\nquery /query\n")
+    script = "algorithm a {\n  prove;\n  /e.1.read(v);\n  execute;\n}\n"
+    cfg = init_configuration(load_kb(kb))
+    reused, replayed, took_reuse = both_paths(cfg, script, [4])
+    assert not took_reuse and reused == replayed
+    assert reused[0] == "won" and reused[4] == "p(1)"
+    assert [str(m.path) for m in reused[6]] == ["/e", "/e.1", "/d", "/d.1"]

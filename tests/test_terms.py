@@ -110,6 +110,48 @@ def test_pretty_term_matches_the_recursive_printer():
             assert pretty_term(t, prec) == reference_pretty_term(t, prec), t
 
 
+def reference_eval_ground(t):
+    """The recursive evaluator that eval_ground replaced."""
+    if not isinstance(t, App):
+        return t
+    args = tuple(reference_eval_ground(a) for a in t.args)
+    if t.fn == "s" and len(args) == 1 and isinstance(args[0], Num):
+        return Num(args[0].value + 1)
+    if t.fn in ("+", "*") and len(args) == 2 \
+            and isinstance(args[0], Num) and isinstance(args[1], Num):
+        a, b = args[0].value, args[1].value
+        return Num(a + b if t.fn == "+" else a * b)
+    return App(t.fn, args)
+
+
+def test_eval_ground_matches_the_recursive_evaluator():
+    rng = random.Random(18)
+    for _ in range(600):
+        t = _random_term(rng, rng.randrange(0, 7))
+        assert eval_ground(t) == reference_eval_ground(t), t
+
+
+def test_eval_ground_takes_no_frame_per_level(default_recursion_limit):
+    # 1,000 nested s(...), chains of + and * nested 1,000 deep on either
+    # side, and an s(...) chain over a variable, which stays as it is
+    # (compared as text: equality of deep terms recurses)
+    deep_s, left, right, product, open_s = (Num(0), Num(0), Num(0), Num(1),
+                                            GVar("W1"))
+    for _ in range(1000):
+        deep_s = App("s", (deep_s,))
+        left = App("+", (left, Num(1)))
+        right = App("+", (Num(2), right))
+        product = App("*", (Num(1), App("s", (product,))))
+        open_s = App("s", (open_s,))
+    assert eval_ground(deep_s) == Num(1000)
+    assert eval_ground(left) == Num(1000)
+    assert eval_ground(right) == Num(2000)
+    assert eval_ground(product) == Num(1001)
+    assert pretty_term(eval_ground(open_s)) == pretty_term(open_s)
+    assert pretty_term(eval_ground(App("f", (left, open_s)))) \
+        == f"f(1000,{pretty_term(open_s)})"
+
+
 def test_pretty_term_rejects_a_non_term():
     with pytest.raises(TypeError, match="not a term"):
         pretty_term(app("f", Num(1), "x"))
