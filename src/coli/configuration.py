@@ -42,13 +42,14 @@ key or its dead-position check, whichever asks first.
 
 from __future__ import annotations
 
+from operator import is_not
+
 from . import formulas as F
 from .directories import DirectoryTable, Expansion
 from .errors import BoundError, ConfigError, SharedNodeError
 from .graphs import FormulaGraph, GNode
 from .records import Value
-from .terms import (App, Const, GVar, Num, Term, Var, pretty_term, subst_var,
-                    term_vars)
+from .terms import App, Const, GVar, Num, Term, Var, pretty_term, replace
 
 REPLICA_LIMIT = 256  # replicas of one recurrence
 
@@ -272,7 +273,7 @@ def _is_machine(op: str, sign: int) -> bool:
 def _subst_nodes(cfg: Configuration, nid: int, var: str, value: Term):
     """In-place substitution of value for the free var below nid.  The walk
     keeps an explicit stack, so depth costs no interpreter frames."""
-    nodes, shared = cfg.nodes, cfg.shared
+    nodes, shared, get = cfg.nodes, cfg.shared, {var: value}.get
     stack = [nid]
     while stack:
         nid = stack.pop()
@@ -280,8 +281,8 @@ def _subst_nodes(cfg: Configuration, nid: int, var: str, value: Term):
             continue
         node = nodes[nid]
         if node.op == "atom":
-            if any(var in term_vars(t) for t in node.args):
-                args = tuple(subst_var(t, var, value) for t in node.args)
+            args = tuple(replace(t, Var, get) for t in node.args)
+            if any(map(is_not, args, node.args)):
                 nodes[nid] = GNode(node.op, node.children, node.pred, args,
                                    node.var, node.replicas)
         elif node.op not in ("all", "exists") or node.var != var:

@@ -27,7 +27,7 @@ from .graphs import OPS, FormulaGraph, GNode
 from .parser import FormulaParser
 from .records import Value
 from .terms import (App, Num, Term, Var, eval_ground, is_ground, pretty_term,
-                    subst_var)
+                    replace)
 
 DEPTH_LIMIT = 1024
 _NAME = re.compile(r"[^\W\d_]\w*")  # one identifier, as the lexer reads it
@@ -110,19 +110,24 @@ def _match(p: Term, a: Term, bindings: dict) -> bool:
 
 def _patterns_overlap(p: Term, q: Term) -> bool:
     # patterns overlap when some ground argument matches both; a variable
-    # matches anything, and s^k(0) chains interoperate with numerals
-    if isinstance(p, Var) or isinstance(q, Var):
-        return True
-    if isinstance(p, Num) and isinstance(q, Num):
-        return p.value == q.value
-    if isinstance(p, App) and p.fn == "s" and isinstance(q, Num):
-        return q.value > 0 and _patterns_overlap(p.args[0], Num(q.value - 1))
-    if isinstance(q, App) and q.fn == "s" and isinstance(p, Num):
-        return _patterns_overlap(q, p)
-    if isinstance(p, App) and isinstance(q, App):
-        return (p.fn == q.fn and len(p.args) == len(q.args)
-                and all(_patterns_overlap(a, b) for a, b in zip(p.args, q.args)))
-    return p == q
+    # matches anything, and s^k(0) chains interoperate with numerals.  Pairs
+    # of subpatterns wait on an explicit stack, so depth costs no frames
+    pairs = [(p, q)]
+    while pairs:
+        p, q = pairs.pop()
+        if isinstance(p, Num) and isinstance(q, App):
+            p, q = q, p
+        if isinstance(p, Var) or isinstance(q, Var):
+            continue
+        if isinstance(p, App) and isinstance(q, App):
+            if p.fn != q.fn or len(p.args) != len(q.args):
+                return False
+            pairs += zip(p.args, q.args)
+        elif isinstance(p, App) and p.fn == "s" and isinstance(q, Num) and q.value:
+            pairs.append((p.args[0], Num(q.value - 1)))
+        elif p != q:  # at most one side is an application here
+            return False
+    return True
 
 
 def resolve_ref(table: DirectoryTable, name: str,
@@ -225,9 +230,7 @@ class Expansion:
 
 
 def _bind(args: tuple, env: dict) -> tuple:
-    for name, value in env.items():
-        args = tuple(subst_var(t, name, value) for t in args)
-    return args
+    return tuple(replace(t, Var, env.get) for t in args)
 
 
 def load_kb(text: str) -> DirectoryTable:

@@ -68,7 +68,7 @@ from .graphs import preorder
 from .records import Record, Value
 from .solver import (ClosureResult, Substitution, _decompose_input, _Inputs,
                      _satisfiable, close_elementary, unify_atoms)
-from .terms import App, Const, GVar, Num, is_ground
+from .terms import Const, GVar, Num, is_ground, leaves
 
 RULE_NAMES = ("read", "write", "replicate", "close")
 
@@ -162,19 +162,11 @@ def render_strategy(strategy: Strategy) -> str:
 
 
 def term_universe(cfg: Configuration) -> list:
-    """Candidate write terms: 0, then the numerals and constants in play.
-    Terms are scanned on an explicit stack, so their depth costs no frames."""
-    nums, consts = set(), set()
-    stack = [t for nid in preorder(cfg.nodes, cfg.roots.values())
-             for t in cfg.nodes[nid].args]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Num):
-            nums.add(t.value)
-        elif isinstance(t, Const):
-            consts.add(t.name)
-        elif isinstance(t, App):
-            stack.extend(t.args)
+    """Candidate write terms: 0, then the numerals and constants in play."""
+    found = [x for nid in preorder(cfg.nodes, cfg.roots.values())
+             for t in cfg.nodes[nid].args for x in leaves(t)]
+    nums = {x.value for x in found if x.__class__ is Num}
+    consts = {x.name for x in found if x.__class__ is Const}
     universe: list = [Num(0)]
     universe += [Num(v) for v in sorted(nums) if v != 0]
     universe += [Const(n) for n in sorted(consts)]

@@ -45,7 +45,7 @@ from .prover import (RULE_NAMES, Bounds, EnvBranch, Leaf, Restriction, Step,
                      Strategy, prove, validate_restrictions)
 from .records import Record, Value
 from .solver import ClosureResult, Substitution, close_elementary
-from .terms import Num, Term, eval_ground, pretty_term, subst_const
+from .terms import Const, Num, Term, eval_ground, pretty_term, replace
 
 _COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
             ">": operator.gt, ">=": operator.ge}
@@ -408,10 +408,7 @@ def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
         if isinstance(node, Step):
             move = node.move
             if isinstance(move, WriteMove) and move.term is not None:
-                term = move.term
-                for eigen, value in eigens.items():
-                    term = subst_const(term, eigen, value)
-                move = WriteMove(move.path, term=term)
+                move = WriteMove(move.path, term=replace(move.term, Const, eigens.get))
             cfg2 = apply_move(cfg, move)
             _emit_new(cfg, cfg2, env.trace_sink)
             cfg = cfg2
@@ -457,10 +454,8 @@ def resolve_path(path: Path, variables) -> Path:
 def eval_expr(term: Term, variables) -> int:
     """The expression's value: each script variable's value put in for its
     name, then the ground arithmetic of `eval_ground`."""
-    ground = term
-    for name, value in variables.items():
-        ground = subst_const(ground, name, Num(value))
-    value = eval_ground(ground)
+    values = {name: Num(value) for name, value in variables.items()}
+    value = eval_ground(replace(term, Const, values.get))
     if not isinstance(value, Num):
         raise ConfigError(f"expression {pretty_term(term)} is not arithmetic "
                           "over defined script variables")

@@ -25,7 +25,7 @@ from collections import Counter
 from . import formulas as F
 from .graphs import preorder
 from .records import Record
-from .terms import App, GVar, Term, eval_ground, pretty_term, term_gvars
+from .terms import App, GVar, Term, eval_ground, pretty_term, replace, term_gvars
 
 
 class Substitution:
@@ -48,9 +48,10 @@ class Substitution:
     def bindings(self) -> dict[str, Term]:
         return {name: self._value(name) for name in self._stored}
 
-    def _value(self, name: str) -> Term:
+    def _value(self, name: str) -> Term | None:
+        """name's resolved value, or None when name is unbound."""
         value = self._resolved.get(name)
-        if value is not None:
+        if value is not None or name not in self._stored:
             return value
         # resolve the chain below name deepest first, on an explicit stack,
         # so that a long chain costs no interpreter frames
@@ -71,11 +72,10 @@ class Substitution:
         return resolved[name]
 
     def apply(self, t: Term) -> Term:
-        if isinstance(t, GVar):
-            return self._value(t.name) if t.name in self._stored else t
-        if isinstance(t, App):
-            return App(t.fn, tuple(self.apply(a) for a in t.args))
-        return t
+        if t.__class__ is not App:
+            value = self._value(t.name) if t.__class__ is GVar else None
+            return t if value is None else value
+        return replace(t, GVar, self._value)
 
     def apply_formula(self, f: F.Formula) -> F.Formula:
         if isinstance(f, F.Atom):
@@ -113,6 +113,8 @@ class Substitution:
         return len(self._stored)
 
     def __getitem__(self, name):
+        if name not in self._stored:
+            raise KeyError(name)
         return self._value(name)
 
     def render(self) -> str:
@@ -124,24 +126,32 @@ class Substitution:
 
 
 def unify(t1: Term, t2: Term, subst: Substitution | None = None):
-    """Most general extension of subst equating t1 and t2, or None."""
+    """Most general extension of subst equating t1 and t2, or None.
+
+    Argument pairs are unified left to right, depth first, from an explicit
+    stack, so a term's depth costs no frames.  Each pair is kept with the
+    substitution it was resolved under, and is resolved again only when a
+    binding has been made since."""
     s = subst if subst is not None else Substitution()
-    a = eval_ground(s.apply(t1))
-    b = eval_ground(s.apply(t2))
-    if a == b:
-        return s
-    if isinstance(a, GVar):
-        return s.bind(a.name, b)
-    if isinstance(b, GVar):
-        return s.bind(b.name, a)
-    if isinstance(a, App) and isinstance(b, App) \
-            and a.fn == b.fn and len(a.args) == len(b.args):
-        for x, y in zip(a.args, b.args):
-            s = unify(x, y, s)
-            if s is None:
+    a, b, pairs = eval_ground(s.apply(t1)), eval_ground(s.apply(t2)), []
+    while True:
+        if a is b:
+            pass
+        elif a.__class__ is GVar and a != b:
+            s = s.bind(a.name, b)
+        elif b.__class__ is GVar and a != b:
+            s = s.bind(b.name, a)
+        elif a.__class__ is App and b.__class__ is App:
+            if a.fn != b.fn or len(a.args) != len(b.args):
                 return None
-        return s
-    return None
+            pairs += reversed([(x, y, s) for x, y in zip(a.args, b.args)])
+        elif a != b:  # at most one side is an application here
+            return None
+        if s is None or not pairs:
+            return s
+        a, b, under = pairs.pop()
+        if under is not s:
+            a, b = eval_ground(s.apply(a)), eval_ground(s.apply(b))
 
 
 def unify_atoms(a1: F.Atom, a2: F.Atom, subst: Substitution):
@@ -364,17 +374,13 @@ def close_elementary(cfg) -> ClosureResult:
         # shared variable is bound to
         mine, names = own[ri], {}
 
-        def blind(t):
-            if isinstance(t, GVar) and t.name in mine:
-                if t.name not in names:
-                    names[t.name] = f"_r{len(names)}"
-                return GVar(names[t.name])
-            if isinstance(t, App):
-                return App(t.fn, tuple(blind(a) for a in t.args))
-            return t
+        def blind(name):
+            if name in mine:
+                return GVar(names.setdefault(name, f"_r{len(names)}"))
 
         ante, cons = acc.rules[ri]
-        return tuple(F.Atom(atom.pred, tuple(blind(s.apply(t)) for t in atom.args))
+        return tuple(F.Atom(atom.pred, tuple(replace(s.apply(t), GVar, blind)
+                                             for t in atom.args))
                      for atom in ante + cons)
 
     # ids for facts, output atoms and rule forms: frozen atoms cache no hash

@@ -9,9 +9,27 @@ Four variable-like things live in terms and they are kept distinct:
 * ``GVar``   -- a global variable (W1, W2, ...) introduced by write moves and
                resolved by unification; never written in source text.
 * ``Num``    -- a natural-number literal.
+
+Every term walk in coli goes through two walks, both on explicit stacks, so
+a term's depth costs no interpreter frames:
+
+* ``leaves(t)``  -- t's non-application subterms, left to right (the fold
+                    behind ``term_gvars``, ``is_ground`` and the prover's
+                    term universe);
+* ``replace(t, cls, get)`` -- t with the leaves of class cls that ``get``
+                    maps put in (the map behind ``subst_*``,
+                    ``Substitution.apply`` and closure's rule renaming).
+                    ``eval_ground`` rebuilds deep terms on the same stack.
+
+Unification (``solver.unify``) keeps its own stack of argument pairs.  What
+still recurses is ``App.__eq__`` and ``App.__hash__``, one frame per level
+of the term, and ``directories._match``, which runs inside expansion's
+raised recursion limit.
 """
 
 from __future__ import annotations
+
+from operator import is_not
 
 from .records import Value
 
@@ -74,98 +92,117 @@ class App(Value):
 Term = Num | Const | Var | GVar | App
 
 
-def term_vars(t: Term) -> set:
-    """All Var names occurring in t."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        out = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    return set()
+def leaves(t: Term) -> list:
+    """t's non-application subterms, left to right, found on an explicit
+    stack, so depth costs no frames."""
+    if t.__class__ is not App:
+        return [t]
+    out, stack = [], list(t.args[::-1])
+    while stack:
+        t = stack.pop()
+        if t.__class__ is App:
+            stack += reversed(t.args)
+        else:
+            out.append(t)
+    return out
+
+
+def replace(t: Term, cls: type, get) -> Term:
+    """t with each leaf of class cls whose name `get` maps to a value put in
+    for that value (`get` returns None to keep a leaf).  An application in
+    which nothing changed comes back as the same object.  A leaf, or an
+    application of leaves, is done in one pass, and a deeper term by
+    `_rebuild`."""
+    if t.__class__ is not App:
+        if t.__class__ is cls:
+            value = get(t.name)
+            if value is not None:
+                return value
+        return t
+    vals = None
+    for i, a in enumerate(t.args):
+        if a.__class__ is cls:
+            value = get(a.name)
+            if value is not None:
+                if vals is None:
+                    vals = list(t.args)
+                vals[i] = value
+        elif a.__class__ is App:
+            return _rebuild(t, cls, get, False)
+    return t if vals is None else App(t.fn, tuple(vals))
+
+
+def _rebuild(t: App, cls, get, evaluate: bool) -> Term:
+    """t rebuilt bottom-up on an explicit stack, so its depth costs no
+    frames: the leaves as `replace` puts them in, and each application with
+    its new arguments, reduced as `eval_ground` does when evaluate is set.
+    An application in which nothing changed stays the same object."""
+    # the application being rebuilt, an iterator over its arguments and
+    # their new values so far; the same for its ancestors on `frames`
+    app, rest, vals, frames = t, iter(t.args), [], []
+    while True:
+        for a in rest:
+            if a.__class__ is App:
+                frames.append((app, rest, vals))
+                app, rest, vals = a, iter(a.args), []
+                break
+            if a.__class__ is cls:
+                value = get(a.name)
+                if value is not None:
+                    a = value
+            vals.append(a)
+        else:
+            value = _reduce(app.fn, vals) if evaluate else None
+            if value is None:
+                changed = any(map(is_not, vals, app.args))
+                value = App(app.fn, tuple(vals)) if changed else app
+            if not frames:
+                return value
+            app, rest, vals = frames.pop()
+            vals.append(value)
 
 
 def term_gvars(t: Term) -> set:
     """All GVar names occurring in t."""
-    if isinstance(t, GVar):
-        return {t.name}
-    if isinstance(t, App):
-        out = set()
-        for a in t.args:
-            out |= term_gvars(a)
-        return out
-    return set()
-
-
-def subst_var(t: Term, name: str, value: Term) -> Term:
-    """Replace every occurrence of Var(name) in t by value."""
-    if isinstance(t, Var) and t.name == name:
-        return value
-    if isinstance(t, App):
-        return App(t.fn, tuple(subst_var(a, name, value) for a in t.args))
-    return t
-
-
-def subst_gvar(t: Term, name: str, value: Term) -> Term:
-    # the runtime never calls it; it stays because bench/tracer.py wraps it by name
-    if isinstance(t, GVar) and t.name == name:
-        return value
-    if isinstance(t, App):
-        return App(t.fn, tuple(subst_gvar(a, name, value) for a in t.args))
-    return t
-
-
-def subst_const(t: Term, name: str, value: Term) -> Term:
-    if isinstance(t, Const) and t.name == name:
-        return value
-    if isinstance(t, App):
-        return App(t.fn, tuple(subst_const(a, name, value) for a in t.args))
-    return t
+    if t.__class__ is not App:
+        return {t.name} if t.__class__ is GVar else set()
+    return {x.name for x in leaves(t) if x.__class__ is GVar}
 
 
 def is_ground(t: Term) -> bool:
     """True when t contains no Var and no GVar."""
-    if isinstance(t, (Var, GVar)):
-        return False
-    if isinstance(t, App):
-        return all(is_ground(a) for a in t.args)
-    return True
+    return not any(x.__class__ is Var or x.__class__ is GVar for x in leaves(t))
+
+
+def subst_var(t: Term, name: str, value: Term) -> Term:
+    """Replace every occurrence of Var(name) in t by value."""
+    return replace(t, Var, {name: value}.get)
+
+
+def subst_gvar(t: Term, name: str, value: Term) -> Term:
+    # the runtime never calls it; it stays because bench/tracer.py wraps it by name
+    return replace(t, GVar, {name: value}.get)
+
+
+def subst_const(t: Term, name: str, value: Term) -> Term:
+    return replace(t, Const, {name: value}.get)
 
 
 def eval_ground(t: Term) -> Term:
     """Reduce every ground s/+/* subterm to a numeral; leave the rest alone.
-    A leaf, or an application of leaves, is reduced at once; a deeper term
-    is walked on an explicit stack, so its depth costs no frames."""
+    A leaf, or an application of leaves, is reduced at once, and a deeper
+    term by `_rebuild`."""
     if t.__class__ is not App:
         return t
     for a in t.args:
         if a.__class__ is App:
-            break
-    else:
-        return _reduce(t.fn, t.args, t)
-    # an explicit stack of (application, values of its arguments so far);
-    # arguments that are not applications are taken over in one pass
-    frames = [(t, [])]
-    while True:
-        app, vals = frames[-1]
-        args = app.args
-        i = len(vals)
-        while i < len(args) and args[i].__class__ is not App:
-            vals.append(args[i])
-            i += 1
-        if i < len(args):
-            frames.append((args[i], []))
-            continue
-        frames.pop()
-        value = _reduce(app.fn, tuple(vals), None)
-        if not frames:
-            return value
-        frames[-1][1].append(value)
+            return _rebuild(t, None, None, True)
+    value = _reduce(t.fn, t.args)
+    return t if value is None else value
 
 
-def _reduce(fn: str, args: tuple, same) -> Term:
-    """fn applied to evaluated args; `same`, if given, is that application."""
+def _reduce(fn: str, args) -> Num | None:
+    """The numeral that fn makes of the evaluated args, or None."""
     if len(args) == 1:
         if fn == "s" and args[0].__class__ is Num:
             return Num(args[0].value + 1)
@@ -173,7 +210,7 @@ def _reduce(fn: str, args: tuple, same) -> Term:
             and args[0].__class__ is Num and args[1].__class__ is Num:
         a, b = args[0].value, args[1].value
         return Num(a + b if fn == "+" else a * b)
-    return App(fn, args) if same is None else same
+    return None
 
 
 # str() refuses an int of more than 4,300 digits by default, so larger ones

@@ -120,6 +120,37 @@ def test_prove_deep_terms_subprocess(tmp_path):
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
 
 
+def test_run_reads_into_a_deep_term_subprocess(tmp_path):
+    # a read puts its value under 1,500 nested s(...): the substitution, the
+    # closure's evaluation and its unification take no frame per level
+    kb = tmp_path / "deep.kb"
+    kb.write_text("/c = p(1503)\n/query = @x. p(" + "s(" * 1500 + "x"
+                  + ")" * 1500 + ")\nquery /query\n")
+    script = tmp_path / "read.coli"
+    script.write_text("algorithm a {\n  /query.read(n);\n  execute;\n}\n")
+    proc = run_coli("run", "--kb", str(kb), "--script", str(script),
+                    "--inputs", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "RESULT p(1503)"
+
+
+def test_check_deep_patterns_subprocess(tmp_path):
+    # two clause patterns 1,500 levels deep are compared for overlap
+    # without a frame per level, whether they overlap or not
+    def chain(n, bottom):
+        return "s(" * n + bottom + ")" * n
+
+    kb = tmp_path / "deep.kb"
+    kb.write_text(f"/m({chain(1500, '0')}) = p\n/m({chain(1499, '0')}) = q\n")
+    proc = run_coli("check", "--kb", str(kb))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")
+    kb.write_text(f"/m({chain(1500, 'X')}) = p\n/m({chain(1500, '0')}) = q\n")
+    proc = run_coli("check", "--kb", str(kb))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: line 2: /m: overlapping patterns s(s(")
+    assert proc.stderr.count("\n") == 1
+
+
 def _chain_kb(tmp_path, n):
     """p(0), a replicable step p(x) -> p(s(x)), and the query p(s^n(0)):
     a win takes n replications and a closure over n + 1 facts."""

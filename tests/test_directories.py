@@ -15,6 +15,7 @@ from coli.parser import (FormulaParser, TokenStream, parse_dirref, parse_formula
                          parse_pattern)
 from coli.terms import App, Const, Num, Var
 
+import kb_reference
 from conftest import app, data_text, graph_depth, large_kb_text
 
 
@@ -56,6 +57,28 @@ def test_overlap_names_the_earliest_clause():
     with pytest.raises(KBError, match=r"^line 4: /m: overlapping patterns "
                                       r"s\(0\) and s\(X\)$"):
         _table(text)
+
+
+def _random_pattern(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        return rng.choice([Num(0), Num(1), Num(2), Var("X"), Var("Y"), Const("a")])
+    if roll < 0.7:
+        return app("s", _random_pattern(rng, depth - 1))
+    return app("f", _random_pattern(rng, depth - 1), _random_pattern(rng, depth - 1))
+
+
+def test_patterns_overlap_matches_the_recursive_check():
+    # the pairs of subpatterns wait on a stack; the recursive check that
+    # this replaced is kept in kb_reference
+    rng = random.Random(24)
+    overlapping = 0
+    for _ in range(600):
+        p, q = _random_pattern(rng, 4), _random_pattern(rng, 4)
+        want = kb_reference._patterns_overlap(p, q)
+        assert directories._patterns_overlap(p, q) == want, (p, q)
+        overlapping += want
+    assert 100 < overlapping < 500, overlapping
 
 
 def test_clauses_added_one_line_at_a_time():

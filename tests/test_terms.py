@@ -18,10 +18,11 @@ from coli.prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction,
 from coli.scripts import (ChooseStmt, ExecuteStmt, ForStmt, IfStmt,
                           ListChannel, Outcome, ProveStmt, ReadStmt, Script,
                           ScriptEnv, WriteStmt)
-from coli.solver import ClosureResult, _Inputs, eval_ground
-from coli.terms import (App, Const, GVar, Num, Var, is_ground,
-                        pretty_term, subst_const, subst_var, term_gvars,
-                        term_vars)
+from coli.solver import (ClosureResult, Substitution, _Inputs, eval_ground,
+                         unify)
+from coli.terms import (App, Const, GVar, Num, Var, is_ground, leaves,
+                        pretty_term, replace, subst_const, subst_gvar,
+                        subst_var, term_gvars)
 
 from conftest import SRC, app
 
@@ -48,7 +49,7 @@ def test_eval_ground_reduces_inner_subterms():
 
 def test_vars_and_gvars():
     t = app("f", Var("x"), app("g", GVar("W2"), Const("a")))
-    assert term_vars(t) == {"x"}
+    assert leaves(t) == [Var("x"), GVar("W2"), Const("a")]
     assert term_gvars(t) == {"W2"}
     assert not is_ground(t)
     assert is_ground(app("f", Num(1), Const("a")))
@@ -150,6 +151,187 @@ def test_eval_ground_takes_no_frame_per_level(default_recursion_limit):
     assert pretty_term(eval_ground(open_s)) == pretty_term(open_s)
     assert pretty_term(eval_ground(App("f", (left, open_s)))) \
         == f"f(1000,{pretty_term(open_s)})"
+
+
+# --- the two walks, leaves and replace, against the recursive walkers ---
+
+def reference_term_gvars(t):
+    """The recursive walker that term_gvars replaced."""
+    if isinstance(t, GVar):
+        return {t.name}
+    if isinstance(t, App):
+        return set().union(*map(reference_term_gvars, t.args))
+    return set()
+
+
+def reference_is_ground(t):
+    if isinstance(t, (Var, GVar)):
+        return False
+    return not isinstance(t, App) or all(map(reference_is_ground, t.args))
+
+
+def reference_subst(t, cls, name, value):
+    """The recursive subst_var, subst_gvar and subst_const, by class."""
+    if isinstance(t, cls) and t.name == name:
+        return value
+    if isinstance(t, App):
+        return App(t.fn, tuple(reference_subst(a, cls, name, value) for a in t.args))
+    return t
+
+
+def reference_apply(bindings, t):
+    """The recursive Substitution.apply, over the resolved bindings."""
+    if isinstance(t, GVar):
+        return bindings.get(t.name, t)
+    if isinstance(t, App):
+        return App(t.fn, tuple(reference_apply(bindings, a) for a in t.args))
+    return t
+
+
+def reference_unify(t1, t2, s):
+    """The recursive unify: argument pairs left to right, depth first."""
+    a = reference_eval_ground(reference_apply(s.bindings, t1))
+    b = reference_eval_ground(reference_apply(s.bindings, t2))
+    if a == b:
+        return s
+    if isinstance(a, GVar):
+        return s.bind(a.name, b)
+    if isinstance(b, GVar):
+        return s.bind(b.name, a)
+    if isinstance(a, App) and isinstance(b, App) \
+            and a.fn == b.fn and len(a.args) == len(b.args):
+        for x, y in zip(a.args, b.args):
+            s = reference_unify(x, y, s)
+            if s is None:
+                return None
+        return s
+    return None
+
+
+_LEAVES = [Num(0), Num(1), Num(2), Const("a"), Const("b"), Var("x"), Var("y"),
+           GVar("W1"), GVar("W2"), GVar("W3")]
+
+
+def _walker_term(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(_LEAVES)
+    fn = rng.choice(["s", "+", "*", "f"])
+    arity = {"s": 1, "+": 2, "*": 2}.get(fn) or rng.randrange(4)
+    return App(fn, tuple(_walker_term(rng, depth - 1) for _ in range(arity)))
+
+
+def _perturbed(rng, t):
+    """t with some subterms swapped for a variable or a fresh term, so that
+    a pair of terms often, but not always, unifies."""
+    roll = rng.random()
+    if roll < 0.15:
+        return GVar(rng.choice(["W1", "W2", "W3", "W4"]))
+    if roll < 0.2:
+        return _walker_term(rng, 2)
+    if isinstance(t, App):
+        return App(t.fn, tuple(_perturbed(rng, a) for a in t.args))
+    return t
+
+
+def _variable_term(rng, depth=2):
+    """f or g over mostly variables, so that unifying two of them binds
+    variables to variables, and the order of the bindings shows."""
+    if depth == 0 or rng.random() < 0.4:
+        return GVar(rng.choice(["W1", "W2", "W3", "W4"])) if rng.random() < 0.85 \
+            else rng.choice(_LEAVES)
+    return App(rng.choice("fg"), tuple(_variable_term(rng, depth - 1) for _ in range(3)))
+
+
+def test_walks_match_the_recursive_walkers():
+    rng = random.Random(24)
+    for _ in range(600):
+        t = _walker_term(rng, rng.randrange(0, 6))
+        assert leaves(t) == [x for x in _preorder(t) if not isinstance(x, App)]
+        assert term_gvars(t) == reference_term_gvars(t), t
+        assert is_ground(t) == reference_is_ground(t), t
+        value = _walker_term(rng, 2)
+        for subst, cls, name in ((subst_var, Var, "x"), (subst_gvar, GVar, "W1"),
+                                 (subst_const, Const, "a")):
+            assert subst(t, name, value) == reference_subst(t, cls, name, value), t
+
+
+def _preorder(t):
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack += reversed(t.args)
+
+
+def test_substitution_and_unify_match_the_recursive_walkers():
+    rng = random.Random(25)
+    unified = 0
+    for _ in range(600):
+        s = Substitution()
+        if rng.random() < 0.5:
+            s = s.bind("W3", _walker_term(rng, 2)) or s
+        roll = rng.random()
+        if roll < 0.3:  # variables meeting variables: the order of the pairs shows
+            t1, t2 = _variable_term(rng), _variable_term(rng)
+        else:
+            t1 = _walker_term(rng, rng.randrange(0, 6))
+            t2 = _perturbed(rng, t1) if roll < 0.85 else _walker_term(rng, 4)
+        assert s.apply(t1) == reference_apply(s.bindings, t1), t1
+        got, want = unify(t1, t2, s), reference_unify(t1, t2, s)
+        assert (got is None) == (want is None), (t1, t2)
+        if got is not None:
+            unified += 1
+            assert got.render() == want.render(), (t1, t2)
+            assert got.apply(t1) == reference_apply(got.bindings, t1)
+    assert 100 < unified < 550  # both outcomes are well covered
+
+
+def test_replace_keeps_what_it_does_not_change():
+    rng = random.Random(26)
+    for _ in range(300):
+        t = _walker_term(rng, rng.randrange(0, 6))
+        assert replace(t, Var, {}.get) is t
+        assert replace(t, GVar, {"W9": Num(0)}.get) is t
+    t = app("f", app("g", Const("a"), GVar("W1")), app("h", Const("b")), Num(3))
+    new = subst_gvar(t, "W1", Num(7))
+    assert new == app("f", app("g", Const("a"), Num(7)), app("h", Const("b")), Num(3))
+    assert new.args[1] is t.args[1] and new.args[2] is t.args[2]
+    assert new.args[0].args[0] is t.args[0].args[0]
+    assert Substitution().bind("W2", Num(1)).apply(t) is t
+
+
+def _chain(fn, n, bottom):
+    for _ in range(n):
+        bottom = App(fn, (bottom,))
+    return bottom
+
+
+def test_walks_take_no_frame_per_level(default_recursion_limit):
+    # deep terms compare as text or through leaves: equality of two deep
+    # applications still recurses
+    n = 3000
+    open_f, closed_f = _chain("f", n, GVar("W1")), _chain("f", n, Const("a"))
+    assert leaves(open_f) == [GVar("W1")] and term_gvars(open_f) == {"W1"}
+    assert not is_ground(open_f) and is_ground(closed_f)
+    assert not is_ground(_chain("f", n, Var("x")))
+    text = pretty_term(closed_f)
+    assert pretty_term(subst_gvar(open_f, "W1", Const("a"))) == text
+    assert pretty_term(subst_var(_chain("f", n, Var("x")), "x", Const("a"))) == text
+    assert pretty_term(subst_const(closed_f, "a", GVar("W1"))) == pretty_term(open_f)
+    assert subst_const(closed_f, "b", Num(0)) is closed_f
+    s = Substitution().bind("W1", Const("a"))
+    assert pretty_term(s.apply(open_f)) == text
+    found = unify(open_f, closed_f)
+    assert found is not None and found.render() == "{W1=a}"
+    assert unify(open_f, _chain("f", n, app("g", GVar("W1")))) is None
+    assert unify(closed_f, _chain("f", n, Const("b"))) is None
+    assert unify(_chain("s", n, Num(0)), Num(n)).render() == "{}"
+    # no arithmetic solving: s^n(W2) never unifies with a numeral
+    assert unify(_chain("s", n, GVar("W2")), Num(n + 2)) is None
+    assert unify(_chain("s", n, GVar("W2")), _chain("s", n, app("g", Num(2)))).render() \
+        == "{W2=g(2)}"
 
 
 def test_pretty_term_rejects_a_non_term():
