@@ -22,9 +22,8 @@ _EXPORTS = {
     "formulas": "All And Atom DirRef Exists Formula Implies Neg Or Recur pretty",
     "graphs": "FormulaGraph GNode",
     "parser": "parse_dirref parse_formula parse_term",
-    "prover": "Bounds EnvBranch Leaf ProveResult Restriction Step Strategy "
-              "prove render_strategy strategy_moves term_universe "
-              "validate_restrictions",
+    "prover": "Bounds EnvBranch ProveResult Restriction Strategy prove "
+              "render_strategy term_universe validate_restrictions",
     "scripts": "InteractiveChannel ListChannel Outcome Script ScriptEnv "
                "execute_strategy parse_script run_script",
     "solver": "ClosureResult Substitution close_elementary unify unify_atoms",

@@ -20,7 +20,7 @@ import sys
 
 from . import formulas as F
 from .configuration import init_configuration
-from .directories import expand, load_kb
+from .directories import _name, expand, load_kb
 from .errors import BoundError, ColiError
 from .parser import parse_dirref
 
@@ -107,9 +107,8 @@ def _read_text(path: str) -> str:
 
 def _load_table(args):
     table = load_kb(_read_text(args.kb))
-    if args.query:
-        name = args.query
-        table.query = name[1:] if name.startswith("/") else name
+    if args.query is not None:  # checked as a KB's query line is
+        table.query = _name(args.query.removeprefix("/"))
     return table
 
 

@@ -589,10 +589,9 @@ def apply_move(cfg: Configuration, move: Move) -> Configuration:
     return out
 
 
-def replay(table: DirectoryTable, moves, input_names=None,
-           output_name=None) -> Configuration:
+def replay(table: DirectoryTable, moves) -> Configuration:
     """Fold a recorded trace over a fresh configuration."""
-    cfg = init_configuration(table, input_names, output_name)
+    cfg = init_configuration(table)
     for move in moves:
         cfg = apply_move(cfg, move)
     return cfg

@@ -14,7 +14,7 @@ the number of replications it may spend:
   only where that is not most general — when the write commits a recurrence,
   or when the output contains negation.
 * Every node from the start level on (below) attempts elementary closure;
-  success yields the strategy leaf, and the result keeps the leaf's
+  success ends the won line (below), and the result keeps the leaf's
   position and closure for `execute`.  A closure verdict depends only on
   the node's canonical position, so each `prove` call remembers the
   positions whose closure failed and does not try them again, in any
@@ -47,6 +47,15 @@ write could collapse.  So the node's closure derives no more than level b,
 which covers nothing below the start, and only nodes with b >= start try
 closure.
 
+A strategy is the won line in play order: a tuple of the machine moves
+from the searched position to the winning leaf, with an `EnvBranch` point
+where the environment picks, and closing after the last item implied.
+Every prover move targets a path that `legal_moves` listed, so no replica
+is created on the way and each move appends exactly one entry to the
+trace; `peel_env_symbolic` appends none.  So the moves are the leaf's
+trace past the searched position, and `search` only records at which
+trace length each branch was peeled.
+
 Failure is `exhausted` when the whole (restricted) space was explored within
 bounds and `bounded` when a branch hit max_depth, max_replicas or
 `configuration.REPLICA_LIMIT`.
@@ -59,7 +68,7 @@ additionally order the moves they match.
 from __future__ import annotations
 
 from . import configuration
-from .configuration import (Configuration, Move, MoveOption, Path, _peel,
+from .configuration import (Configuration, MoveOption, Path, _peel,
                             apply_write, legal_moves, move_line,
                             peel_env_symbolic, replicate, resolve,
                             service_regions)
@@ -87,28 +96,16 @@ class Bounds(Value):
         self._setfields(max_depth, max_replicas)
 
 
-class Leaf(Value):
-    """Close the configuration here."""
-    __slots__ = ()
-
-
-class Step(Value):
-    __slots__ = ("move", "rest")
-
-    def __init__(self, move: Move, rest: "Strategy"):
-        self._setfields(move, rest)
-
-
 class EnvBranch(Value):
-    """The environment picks a value at path; the subtree is parametric in
-    the eigenvariable constant standing for that value."""
-    __slots__ = ("path", "var", "eigen", "rest")
+    """The environment picks a value at path; the rest of the line is
+    parametric in the eigenvariable constant standing for that value."""
+    __slots__ = ("path", "var", "eigen")
 
-    def __init__(self, path: Path, var: str, eigen: str, rest: "Strategy"):
-        self._setfields(path, var, eigen, rest)
+    def __init__(self, path: Path, var: str, eigen: str):
+        self._setfields(path, var, eigen)
 
 
-Strategy = Leaf | Step | EnvBranch
+Strategy = tuple  # of Move | EnvBranch, in play order; then close
 
 
 class ProveResult(Record):
@@ -139,25 +136,14 @@ def validate_restrictions(cfg: Configuration, restrictions) -> list[Restriction]
     return checked
 
 
-def strategy_moves(strategy: Strategy) -> list:
-    """The machine moves along the strategy's spine, for inspection."""
-    out = []
-    node = strategy
-    while not isinstance(node, Leaf):
-        if isinstance(node, Step):
-            out.append(node.move)
-        node = node.rest
-    return out
-
-
 def render_strategy(strategy: Strategy) -> str:
-    lines, indent = [], 0  # a strategy is a chain: a loop walks it at any length
-    while not isinstance(strategy, Leaf):
+    lines, indent = [], 0
+    for item in strategy:
+        branch = isinstance(item, EnvBranch)
         lines.append("  " * indent + (
-            move_line(strategy.move)[len("MOVE "):] if isinstance(strategy, Step)
-            else f"branch read {strategy.path} (@{strategy.var} = any value)"))
-        indent += isinstance(strategy, EnvBranch)
-        strategy = strategy.rest
+            f"branch read {item.path} (@{item.var} = any value)" if branch
+            else move_line(item)[len("MOVE "):]))
+        indent += branch
     return "\n".join(lines + ["  " * indent + "close"])
 
 
@@ -310,12 +296,13 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
     # instead of walking two equal nested tuples
     unclosable: dict = {}
     steps = 0
-    won = None  # the winning leaf's position and closure
+    won = None  # the winning leaf's position and closure, and its line's branches
 
-    def search(cfg, depth, budget, eigen_base):
+    def search(cfg, depth, budget, branches):
+        """None on a win, else the position's key.  `branches` holds a
+        (trace length, EnvBranch) pair per environment pick on the line."""
         nonlocal steps, won
         steps += 1
-        wraps: list = []  # (Step | EnvBranch, fields) above the position
 
         # forced phase: eigenvariables peel the output's environment
         # quantifiers, and input-side machine writes take a fresh variable
@@ -325,15 +312,13 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
                              not restrictions or (o.path, "write") in ranks)]:
             opt = forced[0]
             if opt.kind == "read":
-                eigen_base += 1
-                name = f"_e{eigen_base}"
+                name = f"_e{len(branches) + 1}"
                 cfg, var = peel_env_symbolic(cfg, opt.path, Const(name))
-                wraps.append((EnvBranch, (opt.path, var, name)))
+                branches += ((len(cfg.trace), EnvBranch(opt.path, var, name)),)
             else:
                 cfg = apply_write(cfg, opt.path)
                 if trace_sink:
                     trace_sink(move_line(cfg.trace[-1]))
-                wraps.append((Step, (cfg.trace[-1],)))
             opts = legal_moves(cfg)
 
         key = _canonical_key(cfg)
@@ -343,16 +328,16 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
         elif level - budget >= start:  # below the start closure cannot win
             closed = close_elementary(cfg)
             if closed.ok:
-                won = cfg, closed
-                return _wrap(wraps, Leaf()), None
+                won = cfg, closed, branches
+                return None
             unclosable[key] = key
         if key in failed:
-            return None, key
+            return key
 
         if depth >= bounds.max_depth:
             flags["depth"] = True
             failed.add(key)
-            return None, key
+            return key
 
         # machine choice points: per service, writes before replications;
         # input services come before the output.  Input-side plain writes
@@ -371,7 +356,7 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
             flags["budget" if depth + budget < bounds.max_depth
                   else "depth"] = True
             failed.add(key)
-            return None, key
+            return key
 
         for opt in options:
             # each option's moves, as (argument, next budget)
@@ -400,23 +385,24 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
                          else apply_write(cfg, opt.path, term=arg))
                 if trace_sink:
                     trace_sink(move_line(child.trace[-1]))
-                sub, child_key = search(child, depth + 1, next_budget,
-                                        eigen_base)
-                if child_key is not None:
-                    edges[key, sig] = child_key
-                if sub is not None:
-                    return _wrap(wraps, Step(child.trace[-1], sub)), None
+                child_key = search(child, depth + 1, next_budget, branches)
+                if child_key is None:
+                    return None
+                edges[key, sig] = child_key
         failed.add(key)
-        return None, key
+        return key
 
     start = 0 if with_neg else _start_budget(cfg, bounds.max_replicas)
     try:
         for level in range(start, bounds.max_replicas + 1):
             flags = {"budget": False, "depth": False}
             failed: set = set()
-            found, _key = search(cfg, 0, level, 0)
-            if found is not None:
-                return ProveResult(found, "", steps, cfg, *won)
+            if search(cfg, 0, level, ()) is None:
+                leaf, closed, branches = won
+                line = list(leaf.trace[len(cfg.trace):])
+                for i, (at, branch) in enumerate(branches):
+                    line.insert(at - len(cfg.trace) + i, branch)
+                return ProveResult(tuple(line), "", steps, cfg, leaf, closed)
             if not flags["budget"]:
                 reason = "bounded" if flags["depth"] else "exhausted"
                 return ProveResult(None, reason, steps)
@@ -429,9 +415,3 @@ def _dead(cfg) -> bool:
     """Whether some region of the position is dead: no position reachable
     from it closes (configuration's module docstring)."""
     return any(entry[2] for entry in service_regions(cfg))
-
-
-def _wrap(wraps, tail: Strategy) -> Strategy:
-    for cls, fields in reversed(wraps):
-        tail = cls(*fields, tail)
-    return tail

@@ -18,7 +18,10 @@ Script grammar (``%`` starts a comment)::
 
 A script wins only through `execute`: with a strategy pending from `prove`
 it walks that strategy against the environment, otherwise it attempts
-elementary closure of the configuration as it stands.
+elementary closure of the configuration as it stands.  A strategy is a
+tuple in play order (prover's module docstring), so walking it is one loop:
+each move is applied, each `EnvBranch` reads the channel's next value, and
+closure follows the last item.
 
 A won `prove` keeps the position at its strategy's leaf and the closure
 that won there.  When `execute` follows at once, on the configuration that
@@ -37,12 +40,13 @@ import operator
 import sys
 
 from . import formulas as F
-from .configuration import (Configuration, Path, WriteMove, apply_move,
-                            apply_read, apply_write, move_line, resolve)
+from .configuration import (Configuration, Path, ReadMove, WriteMove,
+                            apply_move, apply_read, apply_write, move_line,
+                            resolve)
 from .errors import ChannelError, ConfigError, ParseError
 from .parser import FormulaParser, TokenStream, kind
-from .prover import (RULE_NAMES, Bounds, EnvBranch, Leaf, Restriction, Step,
-                     Strategy, prove, validate_restrictions)
+from .prover import (RULE_NAMES, Bounds, EnvBranch, Restriction, Strategy,
+                     prove, validate_restrictions)
 from .records import Record, Value
 from .solver import ClosureResult, Substitution, close_elementary
 from .terms import Const, Num, Term, eval_ground, pretty_term, replace
@@ -395,40 +399,27 @@ def _exec(stmt: Statement, cfg: Configuration, env: ScriptEnv):
 
 
 def execute_strategy(strategy: Strategy, cfg: Configuration, env: ScriptEnv):
-    """Walk a strategy against the live environment channel.
+    """Walk a strategy against the live environment channel, then close.
 
-    Machine steps are applied as recorded; at an environment branch the next
+    Machine moves are applied as recorded; at an environment branch the next
     channel value picks the move and stands for the branch's eigenvariable
     in every later write of a term.
     """
-    node, eigens = strategy, {}
-    while True:
-        if isinstance(node, Leaf):
-            return _outcome(close_elementary(cfg)), cfg
-        if isinstance(node, Step):
-            move = node.move
-            if isinstance(move, WriteMove) and move.term is not None:
-                move = WriteMove(move.path, term=replace(move.term, Const, eigens.get))
-            cfg2 = apply_move(cfg, move)
-            _emit_new(cfg, cfg2, env.trace_sink)
-            cfg = cfg2
-            node = node.rest
-            continue
-        if isinstance(node, EnvBranch):
-            value = env.channel.next_value(str(node.path), node.var)
-            cfg2 = apply_read(cfg, node.path, value, node.var)
-            _emit_new(cfg, cfg2, env.trace_sink)
-            cfg = cfg2
-            eigens[node.eigen] = Num(value)
-            node = node.rest
-            continue
-        raise ConfigError(f"unknown strategy node {node!r}")
+    eigens = {}
+    for item in strategy:
+        if isinstance(item, EnvBranch):
+            value = env.channel.next_value(str(item.path), item.var)
+            eigens[item.eigen] = Num(value)
+            item = ReadMove(item.path, value, item.var)
+        elif isinstance(item, WriteMove) and item.term is not None:
+            item = WriteMove(item.path, term=replace(item.term, Const, eigens.get))
+        before, cfg = cfg, apply_move(cfg, item)
+        _emit_new(before, cfg, env.trace_sink)
+    return _outcome(close_elementary(cfg)), cfg
 
 
 def _branch_free(strategy: Strategy) -> bool:
-    while isinstance(strategy, Step):
-        strategy = strategy.rest
-    return isinstance(strategy, Leaf)
+    return not any(isinstance(item, EnvBranch) for item in strategy)
 
 
 def _outcome(closed: ClosureResult) -> Outcome:

@@ -34,6 +34,10 @@ CASES = {
     "prove-fact": "prove --kb fact.kb --max-replicas 3",
     "prove-ident": "prove --kb ident.kb",
     "prove-q": "prove --kb q.kb --max-replicas 6 --trace",
+    "prove-branch2": "prove --kb branch2.kb",
+    "run-branch2": "run --kb branch2.kb --script ident.coli --inputs 2,5 --trace",
+    "prove-midbranch": "prove --kb midbranch.kb --trace",
+    "run-midbranch": "run --kb midbranch.kb --script ident.coli --inputs 4 --trace",
     "expand-dirs-o": "expand --kb dirs.kb /o",
     "expand-dirs-o-graph": "expand --kb dirs.kb /o --graph",
     "expand-dirs-n-graph": "expand --kb dirs.kb /n --graph",

@@ -168,8 +168,9 @@ def test_prove_long_chain_subprocess(tmp_path):
                     "--max-depth", "3000", "--max-replicas", "800")
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "close"
+    assert len(lines) == 501 and lines[-1] == "close"
     assert sum(line.startswith("replicate /d") for line in lines) == 250
+    assert sum(line.startswith("write /d.") for line in lines) == 250
 
 
 def test_prove_chain_past_the_replica_limit_subprocess(tmp_path):
@@ -508,6 +509,20 @@ def test_directory_names_are_one_identifier(capsys, tmp_path, kb, line, name):
         assert (code, out) == (2, "")
         assert err == (f"error: line {line}: directory name must be one "
                        f"identifier, found {name!r}\n")
+
+
+@pytest.mark.parametrize("query, name", [
+    ("", ""), ("/", ""), ("/a b", "a b"), ("a(3)", "a(3)"),
+])
+def test_query_option_is_one_identifier(capsys, query, name):
+    # --query is checked as a KB's query line is: an empty name does not
+    # fall back to the KB's own query, and a name that is not one
+    # identifier is not looked up as a service
+    for command in ("check", "prove"):
+        assert run_cli(capsys, command, "--kb", data_path("ident.kb"),
+                       "--query", query) \
+            == (2, "", "error: directory name must be one identifier, "
+                       f"found {name!r}\n")
 
 
 def test_uppercase_initial_directory_is_referenced(capsys, tmp_path):

@@ -36,9 +36,8 @@ EXPORTS = {
     "graphs": ["FormulaGraph", "GNode"],
     "parser": ["parse_dirref", "parse_formula", "parse_term"],
     "prover": [
-        "Bounds", "EnvBranch", "Leaf", "ProveResult", "Restriction", "Step",
-        "Strategy", "prove", "render_strategy", "strategy_moves",
-        "term_universe", "validate_restrictions"],
+        "Bounds", "EnvBranch", "ProveResult", "Restriction", "Strategy",
+        "prove", "render_strategy", "term_universe", "validate_restrictions"],
     "scripts": [
         "InteractiveChannel", "ListChannel", "Outcome", "Script", "ScriptEnv",
         "execute_strategy", "parse_script", "run_script"],
@@ -75,6 +74,10 @@ def test_star_import_binds_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         coli.no_such_name
+
+
+def test_all_lists_exactly_the_exports():
+    assert sorted(coli.__all__) == sorted(name for _module, name in NAMES)
 
 
 def test_eval_ground_lives_in_terms():

@@ -2,24 +2,24 @@
 determinism, and soundness of returned strategies."""
 
 import gc
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from coli import configuration, prover
-from coli.configuration import (Path, ReplicateMove, WriteMove, apply_read,
-                                apply_write, init_configuration, legal_moves,
-                                replicate)
+from coli.configuration import (Path, ReadMove, ReplicateMove, WriteMove,
+                                apply_read, apply_write, init_configuration,
+                                legal_moves, replicate)
 from coli.directories import load_kb
 from coli.errors import ConfigError
-from coli.prover import (Bounds, EnvBranch, Leaf, Restriction, Step, prove,
-                         render_strategy, strategy_moves, term_universe,
-                         validate_restrictions)
+from coli.prover import (Bounds, EnvBranch, Restriction, prove,
+                         render_strategy, term_universe, validate_restrictions)
 from coli.scripts import ListChannel, ScriptEnv, execute_strategy
 from coli.solver import close_elementary
 from coli.formulas import pretty
-from coli.terms import Const, Num
+from coli.terms import Const, Num, leaves, replace
 
 from closure_reference import checked_close
 from conftest import data_text
@@ -31,11 +31,16 @@ def _fact_after_read(n):
     return apply_read(cfg, Path("query"), n, "n")
 
 
+def _moves(strategy):
+    """The strategy's machine moves, without its environment branches."""
+    return [m for m in strategy if not isinstance(m, EnvBranch)]
+
+
 def test_factorial_strategy_shape():
     cfg = _fact_after_read(3)
     result = prove(cfg)
     assert result.ok
-    moves = strategy_moves(result.strategy)
+    moves = _moves(result.strategy)
     replicas = [m for m in moves if isinstance(m, ReplicateMove)]
     writes = [m for m in moves if isinstance(m, WriteMove)]
     assert [m.index for m in replicas] == [1, 2, 3]
@@ -52,7 +57,7 @@ def test_prove_records_only_legal_moves():
     result = prove(cfg)
     assert result.ok
     current = cfg
-    for move in strategy_moves(result.strategy):
+    for move in _moves(result.strategy):
         options = {(o.kind, str(o.path)) for o in legal_moves(current)}
         if isinstance(move, WriteMove):
             assert ("write", str(move.path)) in options
@@ -120,12 +125,12 @@ def test_prioritized_restrictions_order_moves():
 
     plain = prove(cfg)
     assert plain.ok
-    assert strategy_moves(plain.strategy)[0].path == Path("query", (1,))
+    assert _moves(plain.strategy)[0].path == Path("query", (1,))
 
     flipped = prove(cfg, [Restriction(Path("query", (2,)), ("write",), True),
                           Restriction(Path("query", (1,)), ("write",), True)])
     assert flipped.ok
-    assert strategy_moves(flipped.strategy)[0].path == Path("query", (2,))
+    assert _moves(flipped.strategy)[0].path == Path("query", (2,))
 
 
 def test_mixed_restrictions_rank_by_their_first_prioritized_entry():
@@ -142,7 +147,7 @@ def test_mixed_restrictions_rank_by_their_first_prioritized_entry():
     def order(restrictions):
         result = prove(cfg, restrictions)
         assert result.ok
-        return [m.path for m in strategy_moves(result.strategy)]
+        return [m.path for m in _moves(result.strategy)]
 
     assert order([]) == [first, second, third]
     plain = [Restriction(p, ("write",)) for p in (third, second, first)]
@@ -194,7 +199,7 @@ def test_env_branch_strategy():
     cfg = init_configuration(table)
     result = prove(cfg)
     assert result.ok
-    assert isinstance(result.strategy, EnvBranch)
+    assert isinstance(result.strategy[0], EnvBranch)
     for value in range(7):
         out, _ = execute_strategy(result.strategy, cfg,
                                   ScriptEnv(channel=ListChannel([value])))
@@ -229,7 +234,7 @@ def test_collapse_write_strategy_at_service_root():
     cfg = init_configuration(table)
     result = prove(cfg)
     assert result.ok
-    moves = strategy_moves(result.strategy)
+    moves = _moves(result.strategy)
     assert len(moves) == 1 and str(moves[0].path) == "/q2"
     out, _ = execute_strategy(result.strategy, cfg,
                               ScriptEnv(channel=ListChannel([])))
@@ -270,7 +275,7 @@ def test_closure_runs_once_per_position(monkeypatch, n, closures, steps):
     result = prove(_fact_after_read(n))
     assert result.ok and result.steps == steps
     assert len(keys) == len(set(keys)) == closures
-    replicas = [m for m in strategy_moves(result.strategy)
+    replicas = [m for m in _moves(result.strategy)
                 if isinstance(m, ReplicateMove)]
     assert len(replicas) == n
     assert {str(m.path) for m in replicas} == {"/d"}
@@ -436,6 +441,91 @@ def test_closures_in_random_games_match_the_reference(monkeypatch, oracle_univer
     assert outcomes[False, "no derivation covers the output"] >= 200, outcomes
 
 
+# --- a strategy is the won line -----------------------------------------
+
+def _random_branch_game(rng):
+    """A random input beside a replicable p(x) /\\ r(x,x), and an output of
+    one to three parts, each an atom under environment and machine
+    quantifiers in either order: games whose wins branch, also mid-line.
+    Beside a negated atom, which nothing derives, a write takes a concrete
+    term, which may be an eigenvariable."""
+    atom = _random_atom
+    inputs = [_random_input(rng), "$ @x. (p(x) /\\ r(x,x))",
+              rng.choice(["$ @x. (p(x) -> q(x))", "@x. q(x)", "q(a)"])]
+    parts = [rng.choice([
+        lambda: f"@y. #w. {atom(rng, 'yw')}",
+        lambda: f"#w. @y. {atom(rng, 'yw')}",
+        lambda: f"@y. {atom(rng, 'y')}",
+        lambda: atom(rng, ()),
+        lambda: f"@y. #w. (~n(y,w) /\\ {atom(rng, 'yw')})",
+    ])() for _ in range(rng.randint(1, 3))]
+    return "".join(f"/i{k} = {text}\n" for k, text in enumerate(inputs)) \
+        + "/query = " + " /\\ ".join(parts) + "\nquery /query\n"
+
+
+def test_strategy_is_the_won_line_and_wins_for_every_environment():
+    # seeded won games, a third of them proved after a first random move:
+    # the strategy's moves are the leaf's trace past the position proved
+    # from, its eigenvariables are _e1.._ek in order, and walking it wins
+    # for every tuple of environment values in {0..3}^k, each read taking
+    # its value and each eigenvariable that value in the written terms.
+    # The term universe is the real one, so that writes can name an
+    # eigenvariable
+    rng = random.Random(25)
+    won = Counter()
+    for trial in range(300):
+        kb = _random_branch_game(rng) if trial % 2 else _random_game(rng)
+        source = init_configuration(load_kb(kb))
+        opts = legal_moves(source)
+        if trial % 3 == 0 and opts:
+            o = rng.choice(opts)
+            source = (apply_read(source, o.path, rng.randrange(3), "v")
+                      if o.kind == "read" else apply_write(source, o.path)
+                      if o.kind == "write" else replicate(source, o.path, o.index))
+        result = prove(source, (), Bounds(8, 2))
+        if not result.ok:
+            continue
+        strategy, case = result.strategy, (kb, source.trace)
+        branches = [item for item in strategy if isinstance(item, EnvBranch)]
+        assert _moves(strategy) == result.leaf.trace[len(source.trace):], case
+        assert [b.eigen for b in branches] \
+            == [f"_e{i}" for i in range(1, len(branches) + 1)], case
+        terms = [m.term for m in strategy
+                 if isinstance(m, WriteMove) and m.term is not None]
+        won[len(branches)] += 1
+        won["mid-line"] += bool(branches) and strategy[0] is not branches[0]
+        won["after a move"] += bool(source.trace)
+        won["eigen write"] += any(x in {Const(b.eigen) for b in branches}
+                                  for t in terms for x in leaves(t))
+        for values in itertools.product(range(4), repeat=len(branches)):
+            env = ScriptEnv(channel=ListChannel(list(values)))
+            outcome, final = execute_strategy(strategy, source, env)
+            assert outcome.won and env.channel.pos == len(values), (case, values)
+            eigens = {b.eigen: Num(v) for b, v in zip(branches, values)}
+            reads = iter(values)
+            assert final.trace[len(source.trace):] == [
+                ReadMove(item.path, next(reads), item.var)
+                if isinstance(item, EnvBranch)
+                else WriteMove(item.path, term=replace(item.term, Const, eigens.get))
+                if isinstance(item, WriteMove) and item.term is not None
+                else item for item in strategy], (case, values)
+    assert won[0] >= 25 and won[1] >= 30 and won[2] >= 15 and won[3] >= 5, won
+    assert won["mid-line"] >= 20 and won["after a move"] >= 20, won
+    assert won["eigen write"] >= 3, won
+
+
+def test_long_chain_strategy_hashes_compares_and_reprs(default_recursion_limit):
+    # 250 replications, each with its input-side write: a flat tuple hashes,
+    # compares and prints without a frame per move
+    cfg = init_configuration(load_kb(_chain(250)))
+    first, second = (prove(cfg, (), Bounds(3000, 800)) for _ in range(2))
+    assert first.ok and first.strategy is not second.strategy
+    assert len(first.strategy) == 500
+    assert first.strategy == second.strategy
+    assert hash(first.strategy) == hash(second.strategy)
+    assert repr(first.strategy).count("ReplicateMove(") == 250
+
+
 # --- the start budget against deepening from 0 ---------------------------
 
 def _chain(k):
@@ -594,7 +684,7 @@ def test_start_budget_is_admissible_and_keeps_verdicts(monkeypatch, oracle_unive
                 == render_strategy(full.strategy), key
             assert below is None or not below.ok, (key, start)
             replicas_used = sum(isinstance(m, ReplicateMove)
-                                for m in strategy_moves(full.strategy))
+                                for m in _moves(full.strategy))
             assert start <= replicas_used, (key, start)
     assert started[True, True] >= 25, started
     # the input-side writes were all forced before the positions were keyed
@@ -638,15 +728,16 @@ def test_start_budget_work_is_bounded_on_a_partly_driven_game(monkeypatch):
 
 
 def _render_recursively(strategy, indent=0):
-    """The printer as it was, one frame per step: the reference."""
+    """The printer as it was, one frame per item: the reference."""
     pad = "  " * indent
-    if isinstance(strategy, Leaf):
+    if not strategy:
         return f"{pad}close"
-    if isinstance(strategy, Step):
-        head = configuration.move_line(strategy.move)[len("MOVE "):]
-        return f"{pad}{head}\n{_render_recursively(strategy.rest, indent)}"
-    return (f"{pad}branch read {strategy.path} (@{strategy.var} = any value)\n"
-            f"{_render_recursively(strategy.rest, indent + 1)}")
+    head, rest = strategy[0], strategy[1:]
+    if isinstance(head, EnvBranch):
+        return (f"{pad}branch read {head.path} (@{head.var} = any value)\n"
+                f"{_render_recursively(rest, indent + 1)}")
+    line = configuration.move_line(head)[len("MOVE "):]
+    return f"{pad}{line}\n{_render_recursively(rest, indent)}"
 
 
 def test_render_strategy_is_iterative_and_matches_the_recursive_one():
@@ -658,20 +749,16 @@ def test_render_strategy_is_iterative_and_matches_the_recursive_one():
              ReplicateMove(Path("d"), 2)]
 
     def chain(length):
-        node = Leaf()
-        for _ in range(length):
-            node = EnvBranch(Path("query"), "y", "_e1", node) \
-                if rng.random() < 0.3 else Step(rng.choice(moves), node)
-        return node
+        return tuple(EnvBranch(Path("query"), "y", "_e1")
+                     if rng.random() < 0.3 else rng.choice(moves)
+                     for _ in range(length))
 
     strategies = [chain(rng.randint(0, 12)) for _ in range(60)]
     strategies += [prove(_fact_after_read(3)).strategy,
                    prove(init_configuration(load_kb(data_text("ident.kb")))).strategy]
     for strategy in strategies:
         assert render_strategy(strategy) == _render_recursively(strategy)
-    long = Leaf()
-    for i in range(5000):
-        long = Step(ReplicateMove(Path("d"), 5000 - i), long)
+    long = tuple(ReplicateMove(Path("d"), i) for i in range(1, 5001))
     lines = render_strategy(long).split("\n")
     assert len(lines) == 5001 and lines[-1] == "close"
     assert lines[0] == "replicate /d idx=1" and lines[-2] == "replicate /d idx=5000"

@@ -13,8 +13,7 @@ from coli.directories import Clause, DirectoryDef
 from coli.formulas import (All, And, Atom, DirRef, Exists, Implies, Neg, Or,
                            Recur)
 from coli.graphs import FormulaGraph, GNode
-from coli.prover import (Bounds, EnvBranch, Leaf, ProveResult, Restriction,
-                         Step)
+from coli.prover import Bounds, EnvBranch, ProveResult, Restriction
 from coli.scripts import (ChooseStmt, ExecuteStmt, ForStmt, IfStmt,
                           ListChannel, Outcome, ProveStmt, ReadStmt, Script,
                           ScriptEnv, WriteStmt)
@@ -357,9 +356,8 @@ FROZEN = [
     (lambda: MoveOption("replicate", _P, "input", 1), "side"),
     (lambda: Clause(None, _A), "body"), (lambda: DirectoryDef("c", 0, ()), "arity"),
     (lambda: Restriction(_P, ("read",), True), "rules"),
-    (lambda: Bounds(), "max_depth"), (lambda: Leaf(), "extra"),
-    (lambda: Step(WriteMove(_P), Leaf()), "move"),
-    (lambda: EnvBranch(_P, "n", "e0", Leaf()), "eigen"),
+    (lambda: Bounds(), "max_depth"),
+    (lambda: EnvBranch(_P, "n", "e0"), "eigen"),
     (lambda: ReadStmt(_P, "n"), "var"), (lambda: WriteStmt(_P), "path"),
     (lambda: ChooseStmt(((_P, ("read",)),), False), "prioritized"),
     (lambda: ForStmt("i", 1, "n", ()), "hi"),
