@@ -176,19 +176,15 @@ class Configuration:
                 yield root
 
 
-def init_configuration(table: DirectoryTable, input_names=None,
-                       output_name: str | None = None) -> Configuration:
-    """Expand the named services into a fresh configuration with empty trace."""
-    output_name = output_name or table.query
-    if not output_name:
+def init_configuration(table: DirectoryTable) -> Configuration:
+    """Expand the input services and the query into a fresh configuration."""
+    if not table.query:
         raise ConfigError("no output service designated (missing 'query /name')")
-    if input_names is None:
-        input_names = [n for n in table.input_names() if n != output_name]
     cfg = Configuration()
-    cfg.output = output_name
+    cfg.output = table.query
     shared: set[int] = set()
     expansion = Expansion(table, cfg.nodes)  # one for all services
-    for name in list(input_names) + [output_name]:
+    for name in table.input_names() + [table.query]:
         if name not in table.defs:
             raise ConfigError(f"undefined service /{name}")
         cfg.roots[name], found = expansion.expand(F.DirRef(name))
@@ -389,29 +385,21 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
         raise BoundError(f"replica limit {REPLICA_LIMIT} exceeded at {path}")
     out = cfg._clone(regions)
 
-    # copy the body on an explicit stack, children before their parent;
-    # `done` holds the new ids of copied nodes whose parent is still open.
-    # Nodes are immutable, so one whose children stay the same (a leaf, say)
-    # is shared rather than rebuilt
-    done: list = []
-    stack = [(node.children[0], False)]
-    while stack:
-        old, entered = stack.pop()
-        if old in out.shared:
-            done.append(old)
-            continue
-        n = out.nodes[old]
-        if not entered:
-            stack.append((old, True))
-            stack.extend((c, False) for c in reversed(n.children))
-            continue
-        cut = len(done) - len(n.children)
-        kids = tuple(done[cut:])
-        del done[cut:]
-        done.append(len(out.nodes))
-        out.nodes[done[-1]] = n if kids == n.children else GNode(
+    # copy the body up to shared nodes.  Nodes are immutable, so one whose
+    # children stay the same (a leaf, say) is shared rather than rebuilt
+    nodes, shared = out.nodes, out.shared
+
+    def copy(old, kids):
+        if old in shared:
+            return old
+        n, new = nodes[old], len(nodes)
+        nodes[new] = n if kids == n.children else GNode(
             n.op, kids, n.pred, n.args, n.var, n.replicas)
-    pairs = node.replicas + ((index, done.pop()),)
+        return new
+
+    body = F.fold(node.children[0],
+                  lambda old: () if old in shared else nodes[old].children, copy)
+    pairs = node.replicas + ((index, body),)
     out.nodes[nid] = GNode(node.op, node.children, node.pred, node.args,
                            node.var, tuple(sorted(pairs)))
     out.trace.append(ReplicateMove(path, index))

@@ -3,6 +3,10 @@
 The parser builds these trees and the printer renders them; expansion turns
 them into formula graphs, which is what the game is played on.
 
+Bottom-up walks of formula trees and node graphs (``pretty``, graph
+unfolding, replica copies, substitution and closure's bound) go through one
+explicit-stack postorder fold, ``fold``, so depth costs them no frames.
+
 Concrete syntax (see parser.py):
 
     ~F        negation
@@ -123,27 +127,50 @@ def with_children(f: Formula, kids: tuple) -> Formula:
     return f
 
 
-# Precedence levels for printing; parenthesize any child that binds
-# looser than its context, and right children of the left-associative
-# binary connectives at equal level.
+def fold(root, children, make):
+    """make(node, results) at every node below root, children first and left
+    to right, where results holds make's values at children(node); returns
+    make's value at root.  The walk keeps an explicit stack, so depth costs
+    no interpreter frames.  A walk over a graph with shared nodes visits one
+    once when children returns () for a node it has already made."""
+    done: list = []  # make's values whose parent is still open
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None and (kids := children(node)):
+            stack.append((node, kids))
+            stack += [(c, None) for c in reversed(kids)]
+            continue
+        cut = len(done) - len(kids)
+        done[cut:] = [make(node, tuple(done[cut:]))]
+    return done[0]
+
+
+# Precedence levels for printing; parenthesize any child that binds looser
+# than its context, and right children of the left-associative binary
+# connectives at equal level.  Atoms, at the prefix level, never need it.
 _LEVEL = {Implies: 1, Or: 2, And: 3}
 _UNARY_LEVEL = 4
 
 
-def pretty(f: Formula, level: int = 0) -> str:
+def pretty(f: Formula) -> str:
+    return fold(f, children, _pretty_node)[0]
+
+
+def _pretty_node(f: Formula, kids: tuple) -> tuple:
+    """f's text and precedence level, from its children's."""
     if isinstance(f, (Atom, DirRef)):
         head = f.pred if isinstance(f, Atom) else f"{'!' if f.copy else ''}/{f.name}"
-        return f"{head}({','.join(map(pretty_term, f.args))})" if f.args else head
+        text = f"{head}({','.join(map(pretty_term, f.args))})" if f.args else head
+        return text, _UNARY_LEVEL
     if isinstance(f, (_Unary, _Quantifier)):
         bound = f"{f.var}. " if isinstance(f, _Quantifier) else ""
-        body = pretty(f.body, _UNARY_LEVEL)
-        return _wrap(f"{GLYPHS[type(f)]}{bound}{body}", _UNARY_LEVEL, level)
+        return f"{GLYPHS[type(f)]}{bound}{_wrap(kids[0], _UNARY_LEVEL)}", _UNARY_LEVEL
     mine = _LEVEL[type(f)]
     # Implies is right associative: its left child needs strictly tighter binding
     left_at, right_at = (mine + 1, mine) if isinstance(f, Implies) else (mine, mine + 1)
-    left, right = pretty(f.left, left_at), pretty(f.right, right_at)
-    return _wrap(f"{left} {GLYPHS[type(f)]} {right}", mine, level)
+    return f"{_wrap(kids[0], left_at)} {GLYPHS[type(f)]} {_wrap(kids[1], right_at)}", mine
 
 
-def _wrap(text: str, mine: int, ctx: int) -> str:
-    return f"({text})" if mine < ctx else text
+def _wrap(kid: tuple, ctx: int) -> str:
+    return f"({kid[0]})" if kid[1] < ctx else kid[0]

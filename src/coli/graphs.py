@@ -5,6 +5,8 @@ referenced node the child of several parents (in-degree > 1), which is how
 cirquent-style sharing is represented.  A game configuration's node store
 holds its services' expansions side by side; it records these nodes once, as
 they are expanded into it, and treats each as read-only.
+
+`FormulaGraph.to_formula` unfolds a graph by the fold `formulas.fold`.
 """
 
 from __future__ import annotations
@@ -71,35 +73,27 @@ class FormulaGraph(Record):
         self._setfields({} if nodes is None else nodes, root)
 
     def to_formula(self, nid: int | None = None) -> F.Formula:
-        """Unfold the graph below nid (default: root) into a formula tree.
-
-        The walk is postorder on an explicit stack, so depth costs no
-        interpreter frames; a shared node is built once and its formula reused.
-        """
+        """Unfold the graph below nid (default: root) into a formula tree, by
+        `formulas.fold`; a shared node is built once and its formula reused."""
         nodes, built = self.nodes, {}
-        root = self.root if nid is None else nid
-        stack = [root]
-        while stack:
-            top = stack[-1]
-            if top in built:
-                stack.pop()
-                continue
-            node = nodes[top]
-            missing = [c for c in node.children if c not in built]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            kids = [built[c] for c in node.children]
+
+        def make(n, kids):
+            if n in built:
+                return built[n]
+            node = nodes[n]
             if node.op == "atom":
-                built[top] = F.Atom(node.pred, node.args)
+                f = F.Atom(node.pred, node.args)
             elif node.op in ("all", "exists"):
-                built[top] = _FORMULAS[node.op](node.var, *kids)
+                f = _FORMULAS[node.op](node.var, *kids)
             elif node.op in _FORMULAS:
-                built[top] = _FORMULAS[node.op](*kids)
+                f = _FORMULAS[node.op](*kids)
             else:
                 raise ColiError(f"unknown node op {node.op!r}")
-        return built[root]
+            built[n] = f
+            return f
+
+        return F.fold(self.root if nid is None else nid,
+                      lambda n: () if n in built else nodes[n].children, make)
 
     def in_degrees(self) -> dict:
         degrees = {nid: 0 for nid in preorder(self.nodes, [self.root])}

@@ -16,6 +16,8 @@ holding a variable that the firing before it bound.  Closure also skips work
 whose outcome it already knows: a pair of output atom and fact that failed
 to unify is not tried again in the call, and a firing that only re-derived
 known facts is not tried again below the frame that found it.
+
+``Substitution.apply_formula`` and ``_satisfiable`` walk by ``formulas.fold``.
 """
 
 from __future__ import annotations
@@ -78,23 +80,12 @@ class Substitution:
         return replace(t, GVar, self._value)
 
     def apply_formula(self, f: F.Formula) -> F.Formula:
-        if isinstance(f, F.Atom):
-            return F.Atom(f.pred, tuple(eval_ground(self.apply(t)) for t in f.args))
-        # rebuild the connectives bottom up on an explicit stack, so that a
-        # deep formula costs no interpreter frames
-        done: list = []
-        stack = [(f, False)]
-        while stack:
-            g, kids_done = stack.pop()
-            if kids_done:
-                k = len(done) - len(F.children(g))
-                done[k:] = [F.with_children(g, tuple(done[k:]))]
-            elif isinstance(g, F.Atom):
-                done.append(self.apply_formula(g))
-            else:
-                stack.append((g, True))
-                stack.extend((c, False) for c in reversed(F.children(g)))
-        return done[0]
+        return F.fold(f, F.children, self._apply_node)
+
+    def _apply_node(self, g: F.Formula, kids: tuple) -> F.Formula:
+        if g.__class__ is F.Atom:
+            return F.Atom(g.pred, tuple(eval_ground(self.apply(t)) for t in g.args))
+        return F.with_children(g, kids)
 
     def bind(self, name: str, t: Term):
         """Extended substitution with the unbound name -> t, or None on
@@ -487,25 +478,23 @@ def _possibly_coverable(nodes: dict, out: int, acc: _Inputs) -> bool:
 
 
 def _satisfiable(nodes: dict, out: int, holds) -> bool:
-    """Whether out holds when each atom node nid holds as holds(nid) says."""
-    # each node's bound, children first, on an explicit stack
+    """Whether out holds when each atom node nid holds as holds(nid) says;
+    the fold makes each node's bound once."""
     upper: dict = {}
-    stack = [out]
-    while stack:
-        node = nodes[stack[-1]]
-        if node.op in ("and", "or"):
-            todo = [c for c in node.children if c not in upper]
-            if todo:
-                stack.extend(todo)
-                continue
-            left, right = (upper[c] for c in node.children)
-            bound = left and right if node.op == "and" else left or right
-        elif node.op == "atom":
-            bound = holds(stack[-1])
-        else:
-            bound = True  # the negated side of ~ or -> may hold
-        upper[stack.pop()] = bound
-    return upper[out]
+
+    def children(nid):
+        node = nodes[nid]
+        return node.children if node.op in ("and", "or") and nid not in upper else ()
+
+    def make(nid, kids):
+        if nid not in upper:
+            op = nodes[nid].op
+            # all(()) holds: the negated side of ~ or -> may hold
+            upper[nid] = (holds(nid) if op == "atom" else any(kids) if op == "or"
+                          else all(kids))
+        return upper[nid]
+
+    return F.fold(out, children, make)
 
 
 def _formula_gvars(atom: F.Atom) -> set:

@@ -67,6 +67,21 @@ def graph_depth(graph) -> int:
     return depth(graph.root)
 
 
+class BoundedStore(dict):
+    """A node store that fails the test once it is read more than `limit`
+    times, so a walk that visits a shared node once per path, in time
+    exponential in the sharing depth, fails at once instead of hanging."""
+
+    def __init__(self, nodes: dict, limit: int):
+        super().__init__(nodes)
+        self.left = limit
+
+    def __getitem__(self, nid):
+        self.left -= 1
+        assert self.left >= 0, "a walk read the node store too often"
+        return super().__getitem__(nid)
+
+
 def snapshot(cfg):
     """Everything a move may change: two configurations with equal
     snapshots hold the same position under the same node ids."""

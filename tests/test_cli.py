@@ -120,6 +120,28 @@ def test_prove_deep_terms_subprocess(tmp_path):
     assert proc.stdout == "PROVE fail reason=exhausted steps=1\n"
 
 
+@pytest.mark.parametrize("body", ["~" * 1000 + "p", "@x. " * 1000 + "p(x)"],
+                         ids=["neg", "all"])
+def test_expand_deep_formula_subprocess(tmp_path, body):
+    # a formula 1,000 levels deep prints without a frame per level
+    kb = tmp_path / "deep.kb"
+    kb.write_text(f"/c = {body}\nquery /c\n")
+    proc = run_coli("expand", "--kb", str(kb), "/c")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, body + "\n", "")
+
+
+def test_run_reports_a_deep_input_subprocess(tmp_path):
+    # closure's LOST reason prints an input 1,000 levels deep
+    kb = tmp_path / "deep.kb"
+    kb.write_text("/c = " + "~" * 1000 + " p\n/q = p\nquery /q\n")
+    script = tmp_path / "execute.coli"
+    script.write_text("algorithm a {\n  execute;\n}\n")
+    proc = run_coli("run", "--kb", str(kb), "--script", str(script))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines()[-1] == \
+        "LOST reason=closure: input is not elementary: " + "~" * 1000 + "p"
+
+
 def test_run_reads_into_a_deep_term_subprocess(tmp_path):
     # a read puts its value under 1,500 nested s(...): the substitution, the
     # closure's evaluation and its unification take no frame per level

@@ -50,8 +50,9 @@ def test_init_no_inputs():
 
 def test_init_undefined_service():
     table = load_kb("/d = p\n")
+    table.query = "missing"
     with pytest.raises(ConfigError):
-        init_configuration(table, output_name="missing")
+        init_configuration(table)
 
 
 def test_initial_legal_moves(fact_config):
@@ -173,15 +174,18 @@ def test_no_path_into_an_unplayed_quantifier():
 
 
 def test_shared_node_is_read_only():
-    table = load_kb("/m = #x. p(x)\n/o = /m /\\ /m\nquery /o\n")
-    cfg = init_configuration(table, input_names=[])
+    # /m takes a parameter, so that it is no input service
+    table = load_kb("/m(0) = #x. p(x)\n/o = /m(0) /\\ /m(0)\nquery /o\n")
+    cfg = init_configuration(table)
     with pytest.raises(SharedNodeError):
         apply_write(cfg, Path("o", (1,)))
 
 
 def test_recurrence_over_a_shared_body():
     # the body is neither collapsed into nor copied: replicas point at it
-    cfg = init_configuration(load_kb(SHARED_RECUR_KB), input_names=[])
+    # /m takes a parameter, so that it is no input service
+    cfg = init_configuration(load_kb(
+        "/m(0) = #x. p(x)\n/o = $ /m(0) /\\ /m(0)\nquery /o\n"))
     assert [(o.kind, str(o.path)) for o in legal_moves(cfg)] == \
         [("replicate", "/o.1")]
     with pytest.raises(SharedNodeError):
@@ -299,8 +303,7 @@ def _explore(cfg, depth, first_seen):
 def test_shared_nodes_stay_read_only(kb, query):
     # the shared set covers every node with two parents, shared nodes never
     # change, and no write reaches inside one, along every move sequence
-    table = load_kb(kb)
-    _explore(init_configuration(table, output_name=query), 4, {})
+    _explore(init_configuration(_table(kb, query)), 4, {})
 
 
 def test_gvar_count_matches_fresh_writes():
@@ -558,17 +561,14 @@ def test_region_cache_matches_reference_walks(kb, mixed):
 
 # the store built in one pass against expansion, renumbering and in-degrees
 
-def reference_init(table, input_names=None, output_name=None):
+def reference_init(table):
     """(nodes, roots, shared) of the initial store, built the way it was
     before services were expanded in place: expand each service into a
     graph of its own with the reference expander, renumber its nodes in id
     order after the store's, and take as shared the nodes with more than
     one parent."""
-    output_name = output_name or table.query
-    if input_names is None:
-        input_names = [n for n in table.input_names() if n != output_name]
     nodes, roots, shared = {}, {}, set()
-    for name in list(input_names) + [output_name]:
+    for name in table.input_names() + [table.query]:
         if name not in table.defs:
             raise ConfigError(f"undefined service /{name}")
         graph = kb_reference.expand(table, DirRef(name))
@@ -587,17 +587,24 @@ def reference_init(table, input_names=None, output_name=None):
     return nodes, roots, frozenset(shared)
 
 
-def _assert_same_init(table, output_name=None):
+def _table(kb, query):
+    """The table of kb, with query as its output service if one is given."""
+    table = load_kb(kb)
+    table.query = query or table.query
+    return table
+
+
+def _assert_same_init(table):
     """Check init_configuration against reference_init: the same store, or
     the same error; returns the configuration, if any."""
     try:
-        want = reference_init(table, output_name=output_name)
+        want = reference_init(table)
     except ColiError as exc:
         with pytest.raises(ColiError) as raised:
-            init_configuration(table, output_name=output_name)
+            init_configuration(table)
         assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return None
-    cfg = init_configuration(table, output_name=output_name)
+    cfg = init_configuration(table)
     assert (cfg.nodes, cfg.roots, cfg.shared) == want
     return cfg
 
@@ -610,7 +617,7 @@ def _assert_same_init(table, output_name=None):
 ], ids=["fact", "ident", "q", "rec", "dirs-copy", "dirs-shared", "shared",
         "shared-recur"])
 def test_init_matches_the_reference_store(kb, output):
-    _assert_same_init(load_kb(kb), output)
+    _assert_same_init(_table(kb, output))
 
 
 @pytest.mark.parametrize("kb,output,error", [
@@ -622,10 +629,10 @@ def test_init_matches_the_reference_store(kb, output):
 ], ids=["undefined-directory", "undefined-service", "no-clause", "arity",
         "depth"])
 def test_init_fails_as_the_reference_does(kb, output, error):
-    table = load_kb(kb)
+    table = _table(kb, output)
     with pytest.raises(ColiError, match=f"^{re.escape(error)}$"):
-        reference_init(table, output_name=output)
-    _assert_same_init(table, output)
+        reference_init(table)
+    _assert_same_init(table)
 
 
 def _random_store_kb(rng):

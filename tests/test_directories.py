@@ -16,7 +16,7 @@ from coli.parser import (FormulaParser, TokenStream, parse_dirref, parse_formula
 from coli.terms import App, Const, Num, Var
 
 import kb_reference
-from conftest import app, data_text, graph_depth, large_kb_text
+from conftest import BoundedStore, app, data_text, graph_depth, large_kb_text
 
 
 def _table(text):
@@ -237,6 +237,11 @@ def test_to_formula_unfolds_shared_nodes():
     assert len(graph.nodes) == 4
     two = parse_formula("(leaf /\\ leaf) /\\ (leaf /\\ leaf)")
     assert graph.to_formula() == And(two, two)
+    # 2^60 leaves unfolded: each of the 61 nodes is built once and reused
+    graph = expand(table, parse_dirref("/h(60)"))
+    f = FormulaGraph(nodes=BoundedStore(graph.nodes, 3 * len(graph.nodes)),
+                     root=graph.root).to_formula()
+    assert f.left is f.right
 
 
 def _leaves(table) -> list:

@@ -10,8 +10,8 @@ import pytest
 
 from coli.directories import load_kb
 from coli.errors import KBError, ParseError
-from coli.formulas import (All, And, Atom, DirRef, Exists, Implies, Neg, Or,
-                           Recur, pretty)
+from coli.formulas import (GLYPHS, All, And, Atom, DirRef, Exists, Implies, Neg,
+                           Or, Recur, pretty)
 from coli.parser import (TokenStream, parse_dirref, parse_formula, parse_pattern,
                          parse_term, tokenize)
 from coli.scripts import parse_script
@@ -127,10 +127,31 @@ def _random_formula(rng, scope, depth):
                 _random_formula(rng, scope, depth - 1))
 
 
+_REF_LEVEL = {Implies: 1, Or: 2, And: 3}
+
+
+def _pretty_recursively(f, level=0):
+    """The printer as it was, one frame per formula level: the reference."""
+    if isinstance(f, (Atom, DirRef)):
+        head = f.pred if isinstance(f, Atom) else f"{'!' if f.copy else ''}/{f.name}"
+        return f"{head}({','.join(map(pretty_term, f.args))})" if f.args else head
+    if isinstance(f, (Neg, Recur, All, Exists)):
+        bound = f"{f.var}. " if isinstance(f, (All, Exists)) else ""
+        text = f"{GLYPHS[type(f)]}{bound}{_pretty_recursively(f.body, 4)}"
+        return f"({text})" if 4 < level else text
+    mine = _REF_LEVEL[type(f)]
+    left_at, right_at = (mine + 1, mine) if isinstance(f, Implies) else (mine, mine + 1)
+    text = (f"{_pretty_recursively(f.left, left_at)} {GLYPHS[type(f)]} "
+            f"{_pretty_recursively(f.right, right_at)}")
+    return f"({text})" if mine < level else text
+
+
 def test_pretty_parse_round_trip():
+    # pretty prints what the recursive printer did, and the text parses back
     rng = random.Random(20240801)
     for _ in range(400):
         f = _random_formula(rng, set(), rng.randrange(1, 7))
+        assert pretty(f) == _pretty_recursively(f)
         assert parse_formula(pretty(f)) == f, pretty(f)
 
 
@@ -157,12 +178,17 @@ def test_parse_at_any_nesting_depth(default_recursion_limit):
                         lambda t: t.args[0] if isinstance(t, App) else None)
     assert (depth, leaf) == (n, Num(0))
     assert parse_formula("(" * n + "p" + ")" * n) == Atom("p", ())
-    depth, leaf = _peel(parse_formula("~" * n + "p"),
-                        lambda f: f.body if isinstance(f, Neg) else None)
-    assert (depth, leaf) == (n, Atom("p", ()))
-    depth, leaf = _peel(parse_formula("@x. ~(" * n + "p(x)" + ")" * n),
-                        lambda f: f.body if isinstance(f, (All, Neg)) else None)
-    assert (depth, leaf) == (2 * n, Atom("p", (Var("x"),)))
+    # each chain prints, and its text parses back to the same chain
+    negs = parse_formula("~" * n + "p")
+    assert pretty(negs) == "~" * n + "p"
+    for f in (negs, parse_formula(pretty(negs))):
+        depth, leaf = _peel(f, lambda f: f.body if isinstance(f, Neg) else None)
+        assert (depth, leaf) == (n, Atom("p", ()))
+    alls = parse_formula("@x. ~(" * n + "p(x)" + ")" * n)
+    assert pretty(alls) == "@x. ~" * n + "p(x)"
+    for f in (alls, parse_formula(pretty(alls))):
+        depth, leaf = _peel(f, lambda f: f.body if isinstance(f, (All, Neg)) else None)
+        assert (depth, leaf) == (2 * n, Atom("p", (Var("x"),)))
     ref = parse_dirref("!/m(" + "s(" * n + "0" + ")" * (n + 1))
     depth, leaf = _peel(ref.args[0], lambda t: t.args[0] if isinstance(t, App) else None)
     assert (ref.name, ref.copy, depth, leaf) == ("m", True, n, Num(0))

@@ -12,15 +12,15 @@ import pytest
 from coli import solver
 from coli.configuration import Path, apply_write, init_configuration
 from coli.directories import Clause, DirectoryDef, DirectoryTable
-from coli.formulas import And, Atom, Implies, Neg, Or, pretty
+from coli.formulas import And, Atom, DirRef, Implies, Neg, Or, pretty
 from coli.graphs import FormulaGraph
 from coli.parser import parse_formula
 from coli.solver import Substitution, close_elementary, eval_ground, unify
 from coli.terms import App, Const, GVar, Num, pretty_term, subst_gvar, term_gvars
 
 from closure_reference import checked_close
-from conftest import app, data_text, factorial, run_game
-from coli.directories import load_kb
+from conftest import BoundedStore, app, data_text, factorial, run_game
+from coli.directories import expand, load_kb
 
 
 # --- unification: worked examples --------------------------------------
@@ -466,7 +466,7 @@ def _kb_config(facts, rules, output):
     for name, body in (("kb", kb), ("query", output)):
         table.defs[name] = DirectoryDef(name, 0, (Clause(None, body),))
     table.query = "query"
-    return init_configuration(table, input_names=["kb"])
+    return init_configuration(table)
 
 
 def test_close_matches_exhaustive_oracle():
@@ -756,3 +756,13 @@ def test_close_with_twin_rules_matches_oracle():
         else:
             losses += 1
     assert wins > 100 and losses > 50
+
+
+def test_satisfiable_bounds_each_shared_node_once():
+    # /h(60) is a conjunction with 2^60 paths to its one leaf over 61 nodes
+    table = load_kb("/h(0) = leaf\n/h(s(X)) = /h(X) /\\ /h(X)\n")
+    graph = expand(table, DirRef("h", (Num(60),)))
+    held = []
+    assert solver._satisfiable(BoundedStore(graph.nodes, 4 * len(graph.nodes)),
+                               graph.root, lambda nid: not held.append(nid))
+    assert len(held) == 1
