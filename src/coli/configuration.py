@@ -38,6 +38,17 @@ path: the service root and every replica root the path enters.  Every other
 region keeps its nodes and its entry.  A region missing from the cache is
 walked once, on an explicit stack, by `legal_moves`, the prover's position
 key or its dead-position check, whichever asks first.
+
+The moves of proof search record their landing node: the node they peeled,
+for a write or an environment peel, and the new replica's root, for a
+replicate; a read records none.  Outside the subtree at that node a move
+changes no option but a replicate's next index, so every other option that
+it opens lies in that subtree.  They are listed where the option it took
+was, or, for a replica, after its recurrence's older replicas.  A landing
+node that is shared, or made shared by the peel, opens nothing.
+`landing_option` reads the record, and proof search uses it to take a
+forced move without listing every option again (prover's module
+docstring).
 """
 
 from __future__ import annotations
@@ -124,7 +135,9 @@ class Configuration:
     """Node ids are dense and never freed, so the next one is len(nodes);
     the fresh global variables so far are W1 .. W{next_gvar - 1}.
     `regions` caches (key, options, dead) per region root (module
-    docstring)."""
+    docstring).  `landing` is (path, replica index or None, node id,
+    polarity sign) of the node that the last move landed on, or None
+    (`landing_option`)."""
 
     def __init__(self):
         self.nodes: dict[int, GNode] = {}
@@ -134,6 +147,7 @@ class Configuration:
         self.trace: list[Move] = []
         self.next_gvar = 1
         self.regions: dict[int, tuple] = {}
+        self.landing: tuple | None = None
 
     def _clone(self, stale=()) -> "Configuration":
         """A copy whose cache lacks the entries of the `stale` regions."""
@@ -147,6 +161,7 @@ class Configuration:
         out.shared = self.shared
         out.trace = list(self.trace)
         out.next_gvar = self.next_gvar
+        out.landing = None
         return out
 
     # inspection ------------------------------------------------------
@@ -177,7 +192,8 @@ class Configuration:
 
 
 def init_configuration(table: DirectoryTable) -> Configuration:
-    """Expand the input services and the query into a fresh configuration."""
+    """Expand the input services and the query into a fresh configuration;
+    the query's service comes last in `roots`."""
     if not table.query:
         raise ConfigError("no output service designated (missing 'query /name')")
     cfg = Configuration()
@@ -326,6 +342,7 @@ def peel_env_symbolic(cfg: Configuration, path: Path, value: Term):
         raise ConfigError(f"no environment quantifier at {path}")
     out = cfg._clone(regions)
     _peel(out, nid, value)
+    out.landing = path, None, nid, sign
     return out, node.var
 
 
@@ -359,6 +376,7 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
                           f"found {node.label()}")
     if not _is_machine(node.op, sign):
         raise ConfigError(f"wrong polarity: {path} is an environment quantifier")
+    out.landing = path, None, nid, sign
     if term is None:
         name = f"W{out.next_gvar}"
         out.next_gvar += 1
@@ -373,7 +391,7 @@ def apply_write(cfg: Configuration, path: Path, term: Term | None = None) -> Con
 def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
     """Create replica `index` of the recurrence at path as a fresh copy of its
     unshared nodes; the copy points at the same shared nodes."""
-    cfg, nid, _sign, regions = _resolve(cfg, path)
+    cfg, nid, sign, regions = _resolve(cfg, path)
     node = cfg.nodes[nid]
     if node.op != "recur":
         raise ConfigError(f"{path} is not a recurrence")
@@ -402,6 +420,7 @@ def replicate(cfg: Configuration, path: Path, index: int) -> Configuration:
     pairs = node.replicas + ((index, body),)
     out.nodes[nid] = GNode(node.op, node.children, node.pred, node.args,
                            node.var, tuple(sorted(pairs)))
+    out.landing = path, index, body, sign
     out.trace.append(ReplicateMove(path, index))
     return out
 
@@ -416,6 +435,26 @@ def legal_moves(cfg: Configuration) -> list[MoveOption]:
     """
     return [opt for _key, options, _dead in service_regions(cfg)
             for opt in options]
+
+
+def landing_option(cfg: Configuration) -> tuple | None:
+    """The (kind, path) of the option at the node that the last move landed
+    on, when that node is a quantifier that its service's user picks, or
+    None.  That is an environment quantifier on the output, read, or a
+    machine quantifier on an input, written: a `@` at positive polarity
+    within its service or a `#` at negative.  A quantifier's body is
+    inactive, so it is the only option in the subtree at the landing node.
+    A shared node offers no move."""
+    if cfg.landing is None:
+        return None
+    path, index, nid, sign = cfg.landing
+    output = path.dir == cfg.output
+    if cfg.nodes[nid].op != ("all" if (sign > 0) == output else "exists") \
+            or nid in cfg.shared:
+        return None
+    if index is not None:
+        path = Path(path.dir, path.segments + (index,))
+    return "read" if output else "write", path
 
 
 def service_regions(cfg: Configuration) -> list:

@@ -41,7 +41,39 @@ class Atom(Value):
         return hash((self.pred, self.args))
 
 
-class _Unary(Value):
+class _Composite(Value):
+    """A connective, quantifier or recurrence, compared and hashed on an
+    explicit stack, so a formula's depth costs no interpreter frames."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f is g:
+                continue
+            if f.__class__ is not g.__class__:
+                return False
+            if not isinstance(f, _Composite):
+                if f != g:
+                    return False
+            elif isinstance(f, _Quantifier) and f.var != g.var:
+                return False
+            else:
+                stack += zip(children(f), children(g))
+        return True
+
+    def __hash__(self):
+        return fold(self, children, _hash_node)
+
+
+def _hash_node(f, kids: tuple) -> int:
+    if not isinstance(f, _Composite):
+        return hash(f)
+    return hash((f.__class__, getattr(f, "var", None), kids))
+
+
+class _Unary(_Composite):
     __slots__ = ("body",)
 
     def __init__(self, body: "Formula"):
@@ -56,7 +88,7 @@ class Recur(_Unary):
     __slots__ = ()
 
 
-class _Binary(Value):
+class _Binary(_Composite):
     __slots__ = ("left", "right")
 
     def __init__(self, left: "Formula", right: "Formula"):
@@ -77,7 +109,7 @@ class Implies(_Binary):
     __slots__ = ()
 
 
-class _Quantifier(Value):
+class _Quantifier(_Composite):
     __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: "Formula"):

@@ -9,6 +9,16 @@ the number of replications it may spend:
 * Machine quantifiers on the input side are also applied immediately, always
   with a fresh global variable: for closure by unification the fresh variable
   subsumes every concrete instantiation, so nothing branches there.
+* A forced move is taken where the move before it landed: the node it
+  peeled, or a new replica's root.  Every option that a move opens lies in
+  the subtree at its landing node and is listed where the option it took
+  was (configuration's module docstring).  A search node is entered with
+  no forced option left, since its parent's forced phase ended, and the
+  forced phase always takes the first forced option, so none is listed
+  before the landing node.  When that node is itself a forced quantifier
+  it is the first forced option, and the search lists the options only
+  when the landing is not forced.  The root lists, because the moves of
+  a script before `prove` may have landed anywhere.
 * The genuine choice points are output-side writes and replications.  Writes
   try the fresh global variable first; concrete candidate terms are explored
   only where that is not most general — when the write commits a recurrence,
@@ -68,8 +78,8 @@ additionally order the moves they match.
 from __future__ import annotations
 
 from . import configuration
-from .configuration import (Configuration, MoveOption, Path, _peel,
-                            apply_write, legal_moves, move_line,
+from .configuration import (Configuration, Path, _peel, apply_write,
+                            landing_option, legal_moves, move_line,
                             peel_env_symbolic, replicate, resolve,
                             service_regions)
 from .errors import ConfigError
@@ -305,21 +315,32 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
         steps += 1
 
         # forced phase: eigenvariables peel the output's environment
-        # quantifiers, and input-side machine writes take a fresh variable
-        opts = legal_moves(cfg)
-        while forced := [o for o in opts if o.kind == "read" and o.side == "output"
-                         or o.kind == "write" and o.side == "input" and (
-                             not restrictions or (o.path, "write") in ranks)]:
-            opt = forced[0]
-            if opt.kind == "read":
-                name = f"_e{len(branches) + 1}"
-                cfg, var = peel_env_symbolic(cfg, opt.path, Const(name))
-                branches += ((len(cfg.trace), EnvBranch(opt.path, var, name)),)
+        # quantifiers, and input-side machine writes take a fresh variable.
+        # A landing that is one of these, a write only where the
+        # restrictions allow it, is taken without listing (module
+        # docstring); the root lists
+        land = landing_option(cfg) if depth else None
+        while True:
+            if land and (land[0] == "read" or not restrictions
+                         or (land[1], "write") in ranks):
+                kind, path = land
             else:
-                cfg = apply_write(cfg, opt.path)
+                opts = legal_moves(cfg)
+                forced = [o for o in opts if o.kind == "read" and o.side == "output"
+                          or o.kind == "write" and o.side == "input" and (
+                              not restrictions or (o.path, "write") in ranks)]
+                if not forced:
+                    break
+                kind, path = forced[0].kind, forced[0].path
+            if kind == "read":
+                name = f"_e{len(branches) + 1}"
+                cfg, var = peel_env_symbolic(cfg, path, Const(name))
+                branches += ((len(cfg.trace), EnvBranch(path, var, name)),)
+            else:
+                cfg = apply_write(cfg, path)
                 if trace_sink:
                     trace_sink(move_line(cfg.trace[-1]))
-            opts = legal_moves(cfg)
+            land = landing_option(cfg)
 
         key = _canonical_key(cfg)
         known = unclosable.get(key)
@@ -339,14 +360,13 @@ def prove(cfg: Configuration, restrictions=(), bounds: Bounds | None = None,
             failed.add(key)
             return key
 
-        # machine choice points: per service, writes before replications;
-        # input services come before the output.  Input-side plain writes
-        # were taken by the forced phase, so what remains branches for real
-        options: list[MoveOption] = []
-        for name in cfg.roots:
-            mine = [o for o in opts if o.path.dir == name]
-            options += [o for o in mine if o.kind == "write" and o.side == "output"]
-            options += [o for o in mine if o.kind == "replicate"]
+        # machine choice points: the inputs' replications, then the output's
+        # writes and then its replications (the output is the last
+        # service).  Input-side plain writes were taken by the forced
+        # phase, so what remains branches for real
+        options = [o for o in opts if o.kind == "replicate" and o.side == "input"]
+        options += [o for o in opts if o.kind == "write" and o.side == "output"]
+        options += [o for o in opts if o.kind == "replicate" and o.side == "output"]
         if restrictions:
             options = [o for o in options if (o.path, o.kind) in ranks]
             options.sort(key=lambda o: ranks[o.path, o.kind])

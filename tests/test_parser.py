@@ -194,6 +194,39 @@ def test_parse_at_any_nesting_depth(default_recursion_limit):
     assert (ref.name, ref.copy, depth, leaf) == ("m", True, n, Num(0))
 
 
+def test_deep_formulas_compare_and_hash(default_recursion_limit):
+    # equality and hashing keep their own stack, as printing does: equal
+    # chains 3,000 levels deep compare equal, hash alike and find each
+    # other as dictionary keys, and a chain that differs only at its leaf
+    # or in its innermost bound variable compares unequal
+    n = 3000
+    for text, other in (("~" * n + "p", "~" * n + "q"),
+                        ("@x. " * n + "p(x)", "@x. " * (n - 1) + "@y. p(x)")):
+        f, g, h = (parse_formula(t) for t in (text, text, other))
+        assert f is not g and f == g and not f != g
+        assert hash(f) == hash(g) and {f: "found"}[g] == "found"
+        assert f != h and h != f and not f == h
+
+
+def test_formula_equality_matches_the_printed_text():
+    # on small random formulas: two are equal exactly when the reference
+    # printer prints them alike, and a copy parsed back from the text is
+    # equal and hashes alike
+    rng = random.Random(7)
+    formulas = [_random_formula(rng, set(), 2) for _ in range(150)]
+    texts = [_pretty_recursively(f) for f in formulas]
+    alike = 0
+    for f, s in zip(formulas, texts):
+        copy = parse_formula(s)
+        assert copy is not f and copy == f and hash(copy) == hash(f), s
+        for g, t in zip(formulas, texts):
+            assert (f == g) == (s == t) == (not f != g), (s, t)
+            alike += f is not g and s == t
+    assert alike >= 20, alike
+    assert Neg(Atom("p")) != Recur(Atom("p"))
+    assert All("x", Atom("p")) != Exists("x", Atom("p")) != "#x. p"
+
+
 # differential test against the recursive-descent parser --------------------
 #
 # The reference below is the character-loop lexer and recursive-descent

@@ -16,11 +16,13 @@ from coli.directories import load_kb
 from coli.errors import ConfigError
 from coli.prover import (Bounds, EnvBranch, Restriction, prove,
                          render_strategy, term_universe, validate_restrictions)
-from coli.scripts import ListChannel, ScriptEnv, execute_strategy
+from coli.scripts import (ListChannel, ScriptEnv, execute_strategy, parse_script,
+                          run_script)
 from coli.solver import close_elementary
 from coli.formulas import pretty
 from coli.terms import Const, Num, leaves, replace
 
+import golden_cases
 from closure_reference import checked_close
 from conftest import data_text
 
@@ -305,6 +307,176 @@ def test_search_walks_only_the_regions_a_move_touched(monkeypatch):
     result = prove(init_configuration(table), (), Bounds(max_replicas=16))
     assert result.reason == "bounded" and result.steps == 84
     assert len(walks) <= 2 * result.steps
+    # on fact.kb after read(n) each search node lists its options once: the
+    # forced write in each new replica and the one on /query are taken
+    # where the move before them landed.  Each node walks the /d root and
+    # the replica it touched, and the root and the won leaf one more each
+    listings = _count_listings(monkeypatch)
+    for n in (4, 8, 12):
+        cfg = _fact_after_read(n)
+        walks.clear()
+        listings.clear()
+        result = prove(cfg)
+        assert result.ok and result.steps == n + 2
+        assert len(listings) == result.steps
+        assert len(walks) == 2 * n + 4
+
+
+def _count_listings(patch):
+    """The configurations that the prover lists the options of, as a list
+    that grows while the patch holds."""
+    listed = []
+
+    def listing(cfg):
+        listed.append(cfg)
+        return legal_moves(cfg)
+
+    patch.setattr(prover, "legal_moves", listing)
+    return listed
+
+
+# --- forced moves at the landing node -----------------------------------
+
+def _without_landing(patch):
+    """Every move records no landing, so the prover finds each forced move
+    by listing the options."""
+    patch.setattr(configuration.Configuration, "landing",
+                  property(lambda cfg: None, lambda cfg, value: None),
+                  raising=False)
+
+
+def _prove_both_ways(monkeypatch, cfg, restrictions=(), bounds=None):
+    """prove with the landing rule and without it: the two results, their
+    trace_sink lines and the number of listings of each."""
+    runs = []
+    for hint in (True, False):
+        with monkeypatch.context() as patch:
+            if not hint:
+                _without_landing(patch)
+            listed, lines = _count_listings(patch), []
+            result = prove(cfg, restrictions, bounds, lines.append)
+            runs.append((result, lines, len(listed)))
+    return runs
+
+
+def _assert_same_search(runs, case):
+    (fast, fast_lines, _), (full, full_lines, _) = runs
+    assert (fast.ok, fast.reason, fast.steps, fast.strategy) \
+        == (full.ok, full.reason, full.steps, full.strategy), case
+    assert fast_lines == full_lines, case
+
+
+def _golden_proves():
+    """(name, KB text, bounds) of every prove golden."""
+    for name, command in golden_cases.CASES.items():
+        if not name.startswith("prove-"):
+            continue
+        words = command.split()
+        options = dict(zip(words[1::2], words[2::2]))
+        yield name, data_text(options["--kb"]), Bounds(
+            int(options.get("--max-depth", 64)),
+            int(options.get("--max-replicas", 32)))
+
+
+def test_landing_rule_keeps_every_search(monkeypatch):
+    # the landing rule against the same search that lists the options after
+    # every forced move: the same verdict, reason, steps, strategy and
+    # trace_sink lines on the prove goldens' KBs and on seeded random games,
+    # a third proved after a random first move, a quarter under random
+    # restrictions and a quarter under ones that allow every path two
+    # replicas deep; and never more listings
+    rng = random.Random(27)
+    cases = [(name, init_configuration(load_kb(kb)), [], bounds)
+             for name, kb, bounds in _golden_proves()]
+    for trial in range(240):
+        kb = _random_branch_game(rng) if trial % 2 else _random_game(rng)
+        cfg = init_configuration(load_kb(kb))
+        if trial % 3 == 0:
+            cfg = _random_first_move(rng, cfg)
+        restrictions = (_random_restrictions(rng, cfg) if trial % 4 == 1 else
+                        [Restriction(path, ("write", "replicate"))
+                         for path in _restriction_paths(cfg)] if trial % 4 == 3
+                        else [])
+        cases.append((kb, cfg, restrictions, rng.choice(ORACLE_BOUNDS)))
+    saved = Counter()
+    for case, cfg, restrictions, bounds in cases:
+        runs = _prove_both_ways(monkeypatch, cfg, restrictions, bounds)
+        _assert_same_search(runs, (case, restrictions, bounds))
+        (fast, _, fast_listed), (_, _, full_listed) = runs
+        assert fast_listed <= full_listed, case
+        saved["games"] += fast_listed < full_listed
+        saved["won"] += fast.ok and fast_listed < full_listed
+        saved["restricted"] += bool(restrictions) and fast_listed < full_listed
+    assert saved["games"] >= 90 and saved["won"] >= 25, saved
+    assert saved["restricted"] >= 30, saved
+
+
+def test_the_root_lists_whatever_a_script_move_left():
+    # /b's write lands on its second machine quantifier, but /a's comes
+    # first: the root lists its options, so the trace and the strategy
+    # write /a before /b
+    kb = ("/a = @x. p(x)\n/b = @x. @y. q(x,y)\n"
+          "/query = #u. #v. #w. (p(u) /\\ q(v,w))\nquery /query\n")
+    lines = []
+    outcome, _ = run_script(parse_script("algorithm t { /b.write; prove; execute; }"),
+                            init_configuration(load_kb(kb)),
+                            ScriptEnv(channel=ListChannel([]), trace_sink=lines.append))
+    assert outcome.won
+    writes = [line for line in lines if line.startswith("MOVE write")]
+    assert writes[:3] == ["MOVE write /b var=W1", "MOVE write /a var=W2",
+                          "MOVE write /b var=W3"], lines
+    cfg = apply_write(init_configuration(load_kb(kb)), Path("b"))
+    assert configuration.landing_option(cfg) == ("write", Path("b"))
+    assert _moves(prove(cfg).strategy)[:2] == [WriteMove(Path("a"), gvar="W2"),
+                                              WriteMove(Path("b"), gvar="W3")]
+
+
+def test_a_shared_replica_root_offers_no_landing(monkeypatch):
+    # the replica's root is /m(0)'s shared node, a machine quantifier on
+    # the input: the search neither takes it nor lists it, and no
+    # SharedNodeError is raised
+    kb = ("/m(0) = @x. p(x)\n/i = $ /m(0) /\\ /m(0)\n/query = p(0)\n"
+          "query /query\n")
+    cfg = init_configuration(load_kb(kb))
+    child = replicate(cfg, Path("i", (1,)), 1)
+    assert child.landing[2] in child.shared
+    assert configuration.landing_option(child) is None
+    runs = _prove_both_ways(monkeypatch, cfg, (), Bounds(6, 3))
+    _assert_same_search(runs, kb)
+    assert runs[0][0].steps > 3
+
+
+def test_a_replica_landing_checks_the_replica_path(monkeypatch):
+    # the restrictions allow replicating /d and writing at /d itself, not
+    # in its replicas: the landing at /d.1 is no forced write, and the
+    # search, which may not write there, cannot win.  Allowing the writes
+    # in both replicas wins, each taken where the move before it landed
+    cfg = _fact_after_read(2)
+    restrictions = [Restriction(Path("d"), ("replicate", "write")),
+                    Restriction(Path("query"), ("write",))]
+    runs = _prove_both_ways(monkeypatch, cfg, restrictions, Bounds(8, 3))
+    _assert_same_search(runs, restrictions)
+    assert not runs[0][0].ok
+    restrictions += [Restriction(Path("d", (i,)), ("write",)) for i in (1, 2)]
+    runs = _prove_both_ways(monkeypatch, cfg, restrictions, Bounds(8, 3))
+    _assert_same_search(runs, restrictions)
+    (result, _, fast_listed), (_, _, full_listed) = runs
+    assert result.ok and fast_listed == result.steps < full_listed
+
+
+def test_a_connective_landing_lists_the_quantifiers_below_it(monkeypatch):
+    # each replica's root is a conjunction: no landing is taken there, the
+    # listing finds both machine quantifiers, and they are written in
+    # address order
+    kb = "/d = $ (@x. p(x) /\\ @y. q(y))\n/query = p(1) /\\ q(2)\nquery /query\n"
+    cfg = init_configuration(load_kb(kb))
+    assert configuration.landing_option(replicate(cfg, Path("d"), 1)) is None
+    runs = _prove_both_ways(monkeypatch, cfg, (), Bounds(8, 2))
+    _assert_same_search(runs, kb)
+    result, lines, _ = runs[0]
+    assert result.ok and lines[:3] == ["MOVE replicate /d idx=1",
+                                       "MOVE write /d.1.1 var=W1",
+                                       "MOVE write /d.1.2 var=W2"], lines
 
 
 # --- the dead-position prune against the search without it -------------
@@ -357,14 +529,20 @@ def _random_game(rng) -> str:
     return inputs + f"/query = {_random_output(rng)}\nquery /query\n"
 
 
+def _restriction_paths(cfg):
+    """The paths of the first moves and of the replicas those create, two
+    levels deep."""
+    paths = {o.path for o in legal_moves(cfg)}
+    for _level in range(2):
+        paths |= {Path(p.dir, p.segments + (i,)) for p in paths for i in (1, 2)}
+    return sorted(paths, key=str)
+
+
 def _random_restrictions(rng, cfg):
     """One to four restrictions on paths of the first moves, or into the
     replicas those create, all prioritized or none; none if no move is
     legal."""
-    paths = {o.path for o in legal_moves(cfg)}
-    for _level in range(2):
-        paths |= {Path(p.dir, p.segments + (i,)) for p in paths for i in (1, 2)}
-    pool = sorted(paths, key=str)
+    pool = _restriction_paths(cfg)
     if not pool:
         return []
     prioritized = rng.random() < 0.5
@@ -463,6 +641,18 @@ def _random_branch_game(rng):
         + "/query = " + " /\\ ".join(parts) + "\nquery /query\n"
 
 
+def _random_first_move(rng, cfg):
+    """cfg after one of its legal moves, picked by rng, or cfg if it has
+    none."""
+    opts = legal_moves(cfg)
+    if not opts:
+        return cfg
+    o = rng.choice(opts)
+    return (apply_read(cfg, o.path, rng.randrange(3), "v")
+            if o.kind == "read" else apply_write(cfg, o.path)
+            if o.kind == "write" else replicate(cfg, o.path, o.index))
+
+
 def test_strategy_is_the_won_line_and_wins_for_every_environment():
     # seeded won games, a third of them proved after a first random move:
     # the strategy's moves are the leaf's trace past the position proved
@@ -476,12 +666,8 @@ def test_strategy_is_the_won_line_and_wins_for_every_environment():
     for trial in range(300):
         kb = _random_branch_game(rng) if trial % 2 else _random_game(rng)
         source = init_configuration(load_kb(kb))
-        opts = legal_moves(source)
-        if trial % 3 == 0 and opts:
-            o = rng.choice(opts)
-            source = (apply_read(source, o.path, rng.randrange(3), "v")
-                      if o.kind == "read" else apply_write(source, o.path)
-                      if o.kind == "write" else replicate(source, o.path, o.index))
+        if trial % 3 == 0:
+            source = _random_first_move(rng, source)
         result = prove(source, (), Bounds(8, 2))
         if not result.ok:
             continue
